@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +44,33 @@ class GridSpec:
     points: int
     spacing: str
 
+    def __post_init__(self):
+        if self.spacing not in ("linear", "log"):
+            raise ValueError(f"grid.spacing must be 'linear' or 'log', got {self.spacing!r}")
+        if not (math.isfinite(self.u_min) and math.isfinite(self.u_max)) \
+                or self.u_min < 0 or self.u_min >= self.u_max:
+            raise ValueError(f"grid needs 0 <= u_min < u_max, got [{self.u_min}, {self.u_max}]")
+        if self.spacing == "log" and self.u_min <= 0:
+            raise ValueError("log spacing needs u_min > 0")
+        if self.points < 2:
+            raise ValueError(f"grid.points must be >= 2, got {self.points}")
+
     def values(self) -> np.ndarray:
         if self.spacing == "log":
             return np.logspace(math.log10(self.u_min), math.log10(self.u_max), self.points)
         return np.linspace(self.u_min, self.u_max, self.points)
+
+
+@dataclass(frozen=True)
+class McSpec:
+    reps: int
+    master_seed: int
+    t_max: int
+
+    def __post_init__(self):
+        for name, low in (("reps", 1), ("t_max", 1), ("master_seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"mc.{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -72,73 +95,53 @@ def _require_keys(section: dict, allowed: dict[str, bool], where: str) -> None:
             raise ConfigError(f"missing key {key!r} in {where}")
 
 
-def _as_number(section: dict, key: str, where: str) -> float:
+# JSON types accepted for each field type.  The package postpones
+# annotations, so a dataclass field's type is the string "float", "int" or "str".
+_JSON_TYPES = {"float": (int, float), "int": int, "str": str}
+
+
+def _read_value(section: dict, key: str, kind: str, where: str):
     v = section[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
-    return float(v)
+    if isinstance(v, bool) or not isinstance(v, _JSON_TYPES[kind]):
+        raise ConfigError(f"{where}.{key} must be of type {kind}, got {v!r}")
+    return float(v) if kind == "float" else v
 
 
-def _as_int(section: dict, key: str, where: str) -> int:
-    v = section[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {v!r}")
-    return v
-
-
-_CHANNEL_SCHEMAS = {
-    "constant": {"type": True, "h": True},
-    "iid_gaussian": {"type": True, "std": True},
-    "rayleigh": {"type": True, "scale": True},
-    "ar1": {"type": True, "phi": True, "innov_std": True, "init_std": True},
-    "from_file": {"type": True, "path": True},
+_CHANNEL_TYPES = {
+    "constant": sim.Constant,
+    "iid_gaussian": sim.IidGaussian,
+    "rayleigh": sim.Rayleigh,
+    "ar1": sim.Ar1,
+    "from_file": sim.FromFile,
 }
 
 
-def _parse_channel(section: dict) -> sim.ChannelModel:
-    if not isinstance(section, dict) or "type" not in section:
-        raise ConfigError("channel section must be an object with a 'type' key")
-    kind = section["type"]
-    if kind not in _CHANNEL_SCHEMAS:
-        raise ConfigError(f"unknown channel type {kind!r}")
-    _require_keys(section, _CHANNEL_SCHEMAS[kind], f"channel({kind})")
+def _read_section(section, cls, where: str):
+    """Build dataclass ``cls`` from a JSON object whose keys are exactly its fields.
+
+    Each field is read by its annotated type (``float``, ``int`` or ``str``);
+    a ValueError from the dataclass's own checks becomes a ConfigError.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} section must be a JSON object, got {section!r}")
+    kinds = {f.name: f.type for f in fields(cls)}
+    _require_keys(section, dict.fromkeys(kinds, True), where)
+    values = {name: _read_value(section, name, kind, where) for name, kind in kinds.items()}
     try:
-        if kind == "constant":
-            return sim.Constant(h=_as_number(section, "h", "channel"))
-        if kind == "iid_gaussian":
-            return sim.IidGaussian(std=_as_number(section, "std", "channel"))
-        if kind == "rayleigh":
-            return sim.Rayleigh(scale=_as_number(section, "scale", "channel"))
-        if kind == "ar1":
-            return sim.Ar1(
-                phi=_as_number(section, "phi", "channel"),
-                innov_std=_as_number(section, "innov_std", "channel"),
-                init_std=_as_number(section, "init_std", "channel"),
-            )
-        path = section["path"]
-        if not isinstance(path, str):
-            raise ConfigError(f"channel.path must be a string, got {path!r}")
-        return sim.FromFile(path=path)
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_grid(section: dict) -> GridSpec:
-    _require_keys(section, {"u_min": True, "u_max": True, "points": True, "spacing": True},
-                  "grid")
-    u_min = _as_number(section, "u_min", "grid")
-    u_max = _as_number(section, "u_max", "grid")
-    points = _as_int(section, "points", "grid")
-    spacing = section["spacing"]
-    if spacing not in ("linear", "log"):
-        raise ConfigError(f"grid.spacing must be 'linear' or 'log', got {spacing!r}")
-    if not (math.isfinite(u_min) and math.isfinite(u_max)) or u_min < 0 or u_min >= u_max:
-        raise ConfigError(f"grid needs 0 <= u_min < u_max, got [{u_min}, {u_max}]")
-    if spacing == "log" and u_min <= 0:
-        raise ConfigError("log spacing needs u_min > 0")
-    if points < 2:
-        raise ConfigError(f"grid.points must be >= 2, got {points}")
-    return GridSpec(u_min=u_min, u_max=u_max, points=points, spacing=spacing)
+def _parse_channel(section) -> sim.ChannelModel:
+    if not isinstance(section, dict) or "type" not in section:
+        raise ConfigError("channel section must be an object with a 'type' key")
+    kind = section["type"]
+    cls = _CHANNEL_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown channel type {kind!r}")
+    body = {key: v for key, v in section.items() if key != "type"}
+    return _read_section(body, cls, f"channel({kind})")
 
 
 def load_config(path: str) -> RunConfig:
@@ -152,44 +155,15 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("config root must be a JSON object")
     _require_keys(raw, {"model": True, "costs": True, "constraint_C": True,
                         "channel": True, "mc": True, "grid": False}, "config")
-
-    model_sec = raw["model"]
-    _require_keys(model_sec, {"mu_x": True, "sigma_x": True, "sigma": True}, "model")
-    costs_sec = raw["costs"]
-    _require_keys(costs_sec, {"c0": True, "c1": True, "ce": True}, "costs")
-    mc_sec = raw["mc"]
-    _require_keys(mc_sec, {"reps": True, "master_seed": True, "t_max": True}, "mc")
-
-    try:
-        params = ModelParams(
-            mu_x=_as_number(model_sec, "mu_x", "model"),
-            sigma_x=_as_number(model_sec, "sigma_x", "model"),
-            sigma=_as_number(model_sec, "sigma", "model"),
-        )
-        costs = CostWeights(
-            c0=_as_number(costs_sec, "c0", "costs"),
-            c1=_as_number(costs_sec, "c1", "costs"),
-            ce=_as_number(costs_sec, "ce", "costs"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    constraint_C = _as_number(raw, "constraint_C", "config")
-    channel = _parse_channel(raw["channel"])
-    reps = _as_int(mc_sec, "reps", "mc")
-    master_seed = _as_int(mc_sec, "master_seed", "mc")
-    t_max = _as_int(mc_sec, "t_max", "mc")
-    if reps < 1:
-        raise ConfigError(f"mc.reps must be >= 1, got {reps}")
-    if t_max < 1:
-        raise ConfigError(f"mc.t_max must be >= 1, got {t_max}")
-    if master_seed < 0:
-        raise ConfigError(f"mc.master_seed must be >= 0, got {master_seed}")
-    grid = _parse_grid(raw["grid"]) if "grid" in raw else None
-
-    return RunConfig(params=params, costs=costs, constraint_C=constraint_C,
-                     channel=channel, reps=reps, master_seed=master_seed,
-                     t_max=t_max, grid=grid)
+    mc = _read_section(raw["mc"], McSpec, "mc")
+    return RunConfig(
+        params=_read_section(raw["model"], ModelParams, "model"),
+        costs=_read_section(raw["costs"], CostWeights, "costs"),
+        constraint_C=_read_value(raw, "constraint_C", "float", "config"),
+        channel=_parse_channel(raw["channel"]),
+        reps=mc.reps, master_seed=mc.master_seed, t_max=mc.t_max,
+        grid=_read_section(raw["grid"], GridSpec, "grid") if "grid" in raw else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +202,15 @@ def _json_lines(v, indent: int) -> str:
     return _fmt(v)
 
 
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
+
+
 def _write_json(obj: dict, path: str) -> None:
-    Path(path).write_text(_json_lines(obj, 0) + "\n")
+    _write_text(path, _json_lines(obj, 0) + "\n")
 
 
 def _csv_cell(v) -> str:
@@ -241,7 +222,7 @@ def _csv_cell(v) -> str:
 def _write_csv(header: list[str], rows: list[list], path) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _sidecar(out_path: str, kind: str) -> Path:
@@ -272,18 +253,12 @@ def _scenario_pair(cfg: RunConfig) -> tuple[sim.ScenarioConfig, sim.ScenarioConf
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     seed = getattr(args, "seed", None)
     reps = getattr(args, "reps", None)
-    if seed is None and reps is None:
-        return cfg
     if seed is not None and seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
     if reps is not None and reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {reps}")
-    return RunConfig(
-        params=cfg.params, costs=cfg.costs, constraint_C=cfg.constraint_C,
-        channel=cfg.channel, reps=cfg.reps if reps is None else reps,
-        master_seed=cfg.master_seed if seed is None else seed,
-        t_max=cfg.t_max, grid=cfg.grid,
-    )
+    overrides = {"master_seed": seed, "reps": reps}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +312,7 @@ def cmd_gtable(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     p, c = cfg.params, cfg.costs
-    truth = Hypothesis[args.truth]
-    scen = sim.ScenarioConfig(
-        truth=truth, params=p, costs=c, channel=cfg.channel,
-        master_seed=cfg.master_seed, reps=1, t_max=cfg.t_max,
-    )
+    scen = _scenario_pair(cfg)[Hypothesis[args.truth].value]
     x, y, h = sim.sample_scenario(scen, 0)
     if args.x_override is not None:
         if not math.isfinite(args.x_override):
@@ -375,9 +346,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rep_rows(arm: sim._ArmSamples, arm_tag: int) -> list[list]:
+def _rep_rows(arm: sim.ArmSamples, arm_tag: int) -> list[list]:
     rows = []
-    err_d1, err_d0 = sim._squared_errors(arm, arm.decision)
+    err_d1, err_d0 = arm.squared_errors(arm.decision)
     for rep in range(len(arm.x)):
         d = bool(arm.decision[rep])
         rows.append([
@@ -391,8 +362,8 @@ def _rep_rows(arm: sim._ArmSamples, arm_tag: int) -> list[list]:
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     cal = gfunc.solve_gamma(cfg.constraint_C, cfg.params, cfg.costs)
-    pair = _scenario_pair(cfg)
-    report, arm0, arm1 = sim._monte_carlo_samples(pair, cal, workers=args.workers)
+    arm0, arm1 = sim.run_arms(_scenario_pair(cfg), cal, workers=args.workers)
+    report = sim.cost_report(arm1, arm0.decision, arm1.decision, cfg.costs, cal.C)
     _write_json(_report_dict(report), args.out)
     rows = _rep_rows(arm0, 0) + _rep_rows(arm1, 1)
     _write_csv(["rep", "arm", "x", "decision", "estimate", "sq_err"], rows,

@@ -17,6 +17,11 @@ class Hypothesis(enum.Enum):
     H1 = 1
 
 
+def is_finite_real(v) -> bool:
+    """True for a finite int or float; bools are not numbers here."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Gaussian prior and noise parameters.
@@ -38,7 +43,7 @@ class ModelParams:
     def __post_init__(self):
         for name in ("mu_x", "sigma_x", "sigma"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            if not is_finite_real(v):
                 raise ValueError(f"{name} must be a finite real, got {v!r}")
         if self.sigma_x <= 0:
             raise ValueError(f"sigma_x must be > 0, got {self.sigma_x}")
@@ -62,7 +67,7 @@ class CostWeights:
     def __post_init__(self):
         for name in ("c0", "c1", "ce"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            if not is_finite_real(v):
                 raise ValueError(f"{name} must be a finite real, got {v!r}")
             if v < 0:
                 raise ValueError(f"{name} must be nonnegative, got {v}")

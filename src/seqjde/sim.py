@@ -10,6 +10,7 @@ identical across replications of a run.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 from . import engine, stats
 from .errors import ChannelFileError, HorizonExhausted, InvalidCosts
 from .gfunc import Calibration, Regime
-from .model import CostWeights, Hypothesis, ModelParams
+from .model import CostWeights, Hypothesis, ModelParams, is_finite_real
 
 # Stream tags keeping the channel draw independent of every replication draw.
 _H0_STREAM = 0
@@ -33,7 +34,7 @@ class Constant:
     h: float
 
     def __post_init__(self):
-        if not (isinstance(self.h, (int, float)) and math.isfinite(self.h)) or self.h == 0:
+        if not is_finite_real(self.h) or self.h == 0:
             raise ValueError(f"constant gain must be finite and nonzero, got {self.h!r}")
 
 
@@ -42,7 +43,7 @@ class IidGaussian:
     std: float
 
     def __post_init__(self):
-        if not (isinstance(self.std, (int, float)) and math.isfinite(self.std) and self.std > 0):
+        if not (is_finite_real(self.std) and self.std > 0):
             raise ValueError(f"gain std must be finite and positive, got {self.std!r}")
 
 
@@ -54,7 +55,7 @@ class Rayleigh:
     scale: float
 
     def __post_init__(self):
-        if not (isinstance(self.scale, (int, float)) and math.isfinite(self.scale) and self.scale > 0):
+        if not (is_finite_real(self.scale) and self.scale > 0):
             raise ValueError(f"Rayleigh scale must be finite and positive, got {self.scale!r}")
 
 
@@ -65,11 +66,11 @@ class Ar1:
     init_std: float
 
     def __post_init__(self):
-        if not (isinstance(self.phi, (int, float)) and math.isfinite(self.phi) and abs(self.phi) < 1):
+        if not (is_finite_real(self.phi) and abs(self.phi) < 1):
             raise ValueError(f"AR(1) coefficient must satisfy |phi| < 1, got {self.phi!r}")
         for name in ("innov_std", "init_std"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (is_finite_real(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
 
 
@@ -94,13 +95,10 @@ class ScenarioConfig:
     t_max: int
 
     def __post_init__(self):
-        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int) \
-                or self.master_seed < 0:
-            raise ValueError(f"master_seed must be a nonnegative integer, got {self.master_seed!r}")
-        if not isinstance(self.reps, int) or self.reps < 1:
-            raise ValueError(f"reps must be a positive integer, got {self.reps!r}")
-        if not isinstance(self.t_max, int) or self.t_max < 1:
-            raise ValueError(f"t_max must be a positive integer, got {self.t_max!r}")
+        for name, low in (("master_seed", 0), ("reps", 1), ("t_max", 1)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -139,11 +137,14 @@ def _parse_channel_file(path: str, t_max: int) -> np.ndarray:
         if not body:
             continue
         try:
-            values.append(float(body))
+            value = float(body)
         except ValueError:
+            value = math.nan  # unparseable text is reported like nan and inf
+        if not math.isfinite(value):
             raise ChannelFileError(
-                f"channel file {path!r} line {lineno}: cannot parse {body!r}"
-            ) from None
+                f"channel file {path!r} line {lineno}: not a finite number: {body!r}"
+            )
+        values.append(value)
     if len(values) < t_max:
         raise ChannelFileError(
             f"channel file {path!r} has {len(values)} values, need t_max={t_max}"
@@ -203,7 +204,7 @@ def sample_scenario(cfg: ScenarioConfig, rep_index: int) -> tuple[float, np.ndar
 
 
 @dataclass
-class _ArmSamples:
+class ArmSamples:
     """Per-replication terminal data for one truth arm (shared T and U_T)."""
 
     truth: Hypothesis
@@ -216,6 +217,12 @@ class _ArmSamples:
     xhat: np.ndarray
     decision: np.ndarray  # bool, the estimation-aware rule
 
+    def squared_errors(self, decision: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-replication ``(xhat - x)^2`` where ``decision`` is H1 and ``x^2`` where it is H0."""
+        err_d1 = np.where(decision, (self.xhat - self.x) ** 2, 0.0)
+        err_d0 = np.where(decision, 0.0, self.x**2)
+        return err_d1, err_d0
+
 
 def _stopping_index(h: np.ndarray, cal: Calibration, t_max: int) -> int:
     """First index t with cumulative energy >= gamma; 0 in the prior regime."""
@@ -224,16 +231,22 @@ def _stopping_index(h: np.ndarray, cal: Calibration, t_max: int) -> int:
     energy = np.cumsum(h * h)
     idx = int(np.searchsorted(energy, cal.gamma, side="left"))
     if idx >= len(energy):
+        # a property of the shared gain path, not of any one replication
         raise HorizonExhausted(
             f"gain path energy {energy[-1] if len(energy) else 0.0} never reaches "
             f"threshold {cal.gamma} within t_max={t_max}",
-            t=t_max, U=float(energy[-1]) if len(energy) else 0.0,
-            gamma=cal.gamma, rep_index=0,
+            t=t_max, U=float(energy[-1]) if len(energy) else 0.0, gamma=cal.gamma,
         )
     return idx + 1
 
 
-def _run_arm(cfg: ScenarioConfig, cal: Calibration, workers: int = 1) -> _ArmSamples:
+def worker_threads(workers: int) -> int:
+    """Threads ``run_arm`` starts for a requested worker count: at most one per CPU."""
+    return min(workers, os.cpu_count() or 1)
+
+
+def run_arm(cfg: ScenarioConfig, cal: Calibration, workers: int = 1) -> ArmSamples:
+    """Run every replication of one truth arm; the samples do not depend on ``workers``."""
     p, c = cfg.params, cfg.costs
     h = gen_channel(cfg.channel, cfg.master_seed, cfg.t_max)
     T = _stopping_index(h, cal, cfg.t_max)
@@ -269,41 +282,40 @@ def _run_arm(cfg: ScenarioConfig, cal: Calibration, workers: int = 1) -> _ArmSam
             if rep == 0:
                 shared["out"] = out
 
-    if workers <= 1:
+    threads = worker_threads(workers)
+    if threads <= 1:
         run_range(0, n)
     else:
-        chunk = (n + workers - 1) // workers
+        chunk = (n + threads - 1) // threads
         bounds = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             for fut in [pool.submit(run_range, lo, hi) for lo, hi in bounds]:
                 fut.result()
 
     # terminal index, energy, and prediction are gain-path properties shared
     # by every replication; take them from the first outcome
     out0 = shared["out"]
-    return _ArmSamples(
+    return ArmSamples(
         truth=cfg.truth, T=out0.T, U_T=out0.U_T, predicted=out0.predicted_cost,
         x=xs, V=Vs, logL=logLs, xhat=xhats, decision=decisions,
     )
 
 
-def _validate_pair(cfg0: ScenarioConfig, cfg1: ScenarioConfig) -> None:
+def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibration,
+             workers: int = 1) -> tuple[ArmSamples, ArmSamples]:
+    """Run both arms of an ``(H0 scenario, H1 scenario)`` pair that agree on every other field."""
+    cfg0, cfg1 = cfg_pair
     if cfg0.truth is not Hypothesis.H0 or cfg1.truth is not Hypothesis.H1:
         raise ValueError("config pair must be (H0 scenario, H1 scenario)")
     for field in ("params", "costs", "channel", "master_seed", "t_max", "reps"):
         if getattr(cfg0, field) != getattr(cfg1, field):
             raise ValueError(f"config pair must share {field}")
+    return run_arm(cfg0, cal, workers), run_arm(cfg1, cal, workers)
 
 
-def _squared_errors(arm: _ArmSamples, decision: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    err_d1 = np.where(decision, (arm.xhat - arm.x) ** 2, 0.0)
-    err_d0 = np.where(decision, 0.0, arm.x**2)
-    return err_d1, err_d0
-
-
-def _assemble_report(arm0: _ArmSamples, arm1: _ArmSamples,
-                     d0: np.ndarray, d1: np.ndarray,
-                     c: CostWeights, constraint_C: float) -> CostReport:
+def cost_report(arm1: ArmSamples, d0: np.ndarray, d1: np.ndarray,
+                c: CostWeights, constraint_C: float) -> CostReport:
+    """Cost report for decisions ``d0`` on the H0 arm and ``d1`` on the H1 arm ``arm1``."""
     n0 = len(d0)
     n1 = len(d1)
     p0 = float(np.mean(d0))
@@ -312,7 +324,7 @@ def _assemble_report(arm0: _ArmSamples, arm1: _ArmSamples,
     p1 = float(np.mean(miss))
     p1_se = math.sqrt(p1 * (1.0 - p1) / n1)
 
-    err_d1, err_d0 = _squared_errors(arm1, d1)
+    err_d1, err_d0 = arm1.squared_errors(d1)
     mse_d1 = float(np.mean(err_d1))
     mse_d1_se = float(np.std(err_d1, ddof=1) / math.sqrt(n1))
     mse_d0 = float(np.mean(err_d0))
@@ -335,18 +347,6 @@ def _assemble_report(arm0: _ArmSamples, arm1: _ArmSamples,
     )
 
 
-def _monte_carlo_samples(
-    cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibration, workers: int = 1,
-) -> tuple[CostReport, _ArmSamples, _ArmSamples]:
-    cfg0, cfg1 = cfg_pair
-    _validate_pair(cfg0, cfg1)
-    arm0 = _run_arm(cfg0, cal, workers)
-    arm1 = _run_arm(cfg1, cal, workers)
-    report = _assemble_report(arm0, arm1, arm0.decision, arm1.decision,
-                              cfg1.costs, cal.C)
-    return report, arm0, arm1
-
-
 def monte_carlo(cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibration,
                 workers: int = 1) -> CostReport:
     """Estimate the combined cost of the calibrated triplet on a shared gain path.
@@ -356,23 +356,28 @@ def monte_carlo(cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibratio
     the gain path is shared.  Identical configs give bit-identical reports
     regardless of ``workers``.
     """
-    report, _, _ = _monte_carlo_samples(cfg_pair, cal, workers)
-    return report
+    arm0, arm1 = run_arms(cfg_pair, cal, workers)
+    return cost_report(arm1, arm0.decision, arm1.decision, cfg_pair[1].costs, cal.C)
+
+
+def _separate_threshold(c: CostWeights) -> float:
+    """Log threshold ln(c0/c1) of the estimation-blind likelihood ratio test."""
+    if c.c1 <= 0 or c.c0 <= 0:
+        raise InvalidCosts("separate detection needs c0 > 0 and c1 > 0")
+    return math.log(c.c0 / c.c1)
 
 
 def separate_decide(s: stats.SufficientStats, p: ModelParams, c: CostWeights) -> Hypothesis:
     """Estimation-blind baseline: plain likelihood ratio test at threshold c0/c1."""
-    if c.c1 <= 0 or c.c0 <= 0:
-        raise InvalidCosts("separate detection needs c0 > 0 and c1 > 0")
-    if stats.log_likelihood_ratio(s, p) >= math.log(c.c0 / c.c1):
+    threshold = _separate_threshold(c)
+    if stats.log_likelihood_ratio(s, p) >= threshold:
         return Hypothesis.H1
     return Hypothesis.H0
 
 
-def _separate_decisions(arm: _ArmSamples, p: ModelParams, c: CostWeights) -> np.ndarray:
-    if c.c1 <= 0 or c.c0 <= 0:
-        raise InvalidCosts("separate detection needs c0 > 0 and c1 > 0")
-    return arm.logL >= math.log(c.c0 / c.c1)
+def separate_decisions(arm: ArmSamples, c: CostWeights) -> np.ndarray:
+    """``separate_decide`` applied to every replication of an arm (True is H1)."""
+    return arm.logL >= _separate_threshold(c)
 
 
 def compare_schemes(
@@ -383,13 +388,9 @@ def compare_schemes(
     Both schemes share the stopping index, the estimator, and every
     replication draw; only the decision rule differs.
     """
-    cfg0, cfg1 = cfg_pair
-    _validate_pair(cfg0, cfg1)
-    arm0 = _run_arm(cfg0, cal, workers)
-    arm1 = _run_arm(cfg1, cal, workers)
-    joint = _assemble_report(arm0, arm1, arm0.decision, arm1.decision,
-                             cfg1.costs, cal.C)
-    sep0 = _separate_decisions(arm0, cfg0.params, cfg0.costs)
-    sep1 = _separate_decisions(arm1, cfg1.params, cfg1.costs)
-    separate = _assemble_report(arm0, arm1, sep0, sep1, cfg1.costs, cal.C)
+    arm0, arm1 = run_arms(cfg_pair, cal, workers)
+    c = cfg_pair[1].costs
+    joint = cost_report(arm1, arm0.decision, arm1.decision, c, cal.C)
+    separate = cost_report(arm1, separate_decisions(arm0, c), separate_decisions(arm1, c),
+                           c, cal.C)
     return joint, separate

@@ -34,7 +34,7 @@ from seqjde import (
     run_sequential,
     solve_gamma,
 )
-from seqjde import sim
+from seqjde.sim import run_arm, run_arms, separate_decisions
 from seqjde.cli import main as cli_main
 from test_gfunc import oracle_root
 
@@ -162,7 +162,7 @@ def test_criterion_05_martingale_monte_carlo():
     detail = []
     for channel in (Constant(1.0), Ar1(0.9, 0.3, 0.3)):
         cfg0, _ = scenario_pair(channel, p, REF_C, reps=N_MC, seed=11, t_max=200)
-        arm0 = sim._run_arm(cfg0, cal)
+        arm0 = run_arm(cfg0, cal)
         assert arm0.U_T < p.kappa, "test config must keep U_T below kappa"
         lrs = np.exp(arm0.logL)
         se = float(lrs.std(ddof=1) / math.sqrt(len(lrs)))
@@ -176,7 +176,7 @@ def test_criterion_05_martingale_monte_carlo():
 def test_criterion_06_mse_identity():
     cal = solve_gamma(1.5, REF_P, REF_C)
     _, cfg1 = scenario_pair(Constant(1.0), REF_P, REF_C, reps=N_MC)
-    arm1 = sim._run_arm(cfg1, cal)
+    arm1 = run_arm(cfg1, cal)
     pv = REF_P.sigma**2 / (arm1.U_T + REF_P.kappa)
     d = arm1.decision
     err_d1 = np.where(d, (arm1.xhat - arm1.x) ** 2, 0.0)
@@ -220,10 +220,10 @@ def test_criterion_08_joint_beats_separate():
     c0 = CostWeights(1.0, 0.2, 0.0)
     cal0 = solve_gamma(0.1, p, c0)
     cfg0, cfg1 = scenario_pair(Constant(1.0), p, c0, reps=30_000)
-    _, arm0, arm1 = sim._monte_carlo_samples((cfg0, cfg1), cal0)
+    arm0, arm1 = run_arms((cfg0, cfg1), cal0)
     agree = bool(
-        np.array_equal(arm0.decision, sim._separate_decisions(arm0, p, c0))
-        and np.array_equal(arm1.decision, sim._separate_decisions(arm1, p, c0))
+        np.array_equal(arm0.decision, separate_decisions(arm0, c0))
+        and np.array_equal(arm1.decision, separate_decisions(arm1, c0))
     )
     check(8, "joint scheme beats separate baseline", ok and agree,
           f"gap={gap:.4f} pooled_se={pooled:.4f} ce0_agree={agree}")

@@ -1,7 +1,10 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+from seqjde import cli
 from seqjde.cli import main
 
 BASE_CONFIG = {
@@ -53,6 +56,22 @@ class TestConfigValidation:
     def test_boolean_is_not_a_number(self, tmp_path):
         cfg = write_config(tmp_path, constraint_C=True)
         assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"model": 5},
+        {"model": None},
+        {"costs": 5},
+        {"mc": None},
+        {"grid": 5},
+        {"channel": {"type": [1], "h": 1.0}},
+        {"channel": {"type": "from_file", "path": 3}},
+        {"grid": {"u_min": 1.0, "u_max": 0.5, "points": 4, "spacing": "linear"}},
+    ])
+    def test_malformed_section_is_a_one_line_error(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, overrides=overrides)
+        assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("seqjde: ") and err.count("\n") == 1
 
 
 class TestCalibrate:
@@ -226,6 +245,27 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["difference"]["value"] == 0.0
+
+
+class TestOutput:
+    def test_unwritable_out_is_a_one_line_error(self, tmp_path, capsys):
+        grid = {"u_min": 0.0, "u_max": 1.0, "points": 2, "spacing": "linear"}
+        cfg = write_config(tmp_path, overrides={"grid": grid})
+        for command, name in (("calibrate", "o.json"), ("gtable", "g.csv")):
+            out = tmp_path / "missing" / name
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("seqjde: cannot write") and err.count("\n") == 1
+
+
+def test_cli_uses_no_private_sim_names():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "sim" and node.attr.startswith("_")
+    ]
+    assert private == []
 
 
 class TestNumericFormatting:

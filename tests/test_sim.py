@@ -9,6 +9,7 @@ from seqjde import (
     Constant,
     CostWeights,
     FromFile,
+    HorizonExhausted,
     Hypothesis,
     IidGaussian,
     InvalidCosts,
@@ -24,7 +25,7 @@ from seqjde import (
     separate_decide,
     solve_gamma,
 )
-from seqjde import sim
+from seqjde.sim import cost_report, run_arm, run_arms, separate_decisions, worker_threads
 
 P = ModelParams(0.0, 1.0, 1.0)
 C = CostWeights(1.0, 1.0, 1.0)
@@ -50,6 +51,14 @@ class TestChannelValidation:
             Ar1(1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             Ar1(0.5, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            Constant(True)
+        with pytest.raises(ValueError):
+            IidGaussian(True)
+        with pytest.raises(ValueError):
+            Rayleigh(True)
+        with pytest.raises(ValueError):
+            Ar1(0.5, True, True)
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
@@ -58,6 +67,12 @@ class TestChannelValidation:
         with pytest.raises(ValueError):
             ScenarioConfig(Hypothesis.H0, P, C, Constant(1.0),
                            master_seed=1, reps=0, t_max=10)
+        with pytest.raises(ValueError):
+            ScenarioConfig(Hypothesis.H0, P, C, Constant(1.0),
+                           master_seed=1, reps=True, t_max=10)
+        with pytest.raises(ValueError):
+            ScenarioConfig(Hypothesis.H0, P, C, Constant(1.0),
+                           master_seed=1, reps=10, t_max=True)
 
 
 class TestGenChannel:
@@ -114,6 +129,16 @@ class TestFromFile:
         with pytest.raises(ChannelFileError, match="line 2"):
             gen_channel(FromFile(str(f)), 0, 2)
 
+    def test_non_finite_values(self, tmp_path):
+        f = tmp_path / "gains.txt"
+        f.write_text("nan\n1.0\n")
+        with pytest.raises(ChannelFileError, match="line 1"):
+            gen_channel(FromFile(str(f)), 0, 2)
+        # a value past t_max is still part of the file and is checked
+        f.write_text("1.0\n# comment\n-inf\n")
+        with pytest.raises(ChannelFileError, match="line 3"):
+            gen_channel(FromFile(str(f)), 0, 1)
+
     def test_too_short(self, tmp_path):
         f = tmp_path / "gains.txt"
         f.write_text("1.0\n")
@@ -150,7 +175,7 @@ class TestSampleScenario:
 
         cal = solve_gamma(1.5, P, C)
         cfg0, cfg1 = pair(IidGaussian(1.0), reps=5, t_max=60)
-        _, arm0, arm1 = sim._monte_carlo_samples((cfg0, cfg1), cal)
+        arm0, arm1 = run_arms((cfg0, cfg1), cal)
         for cfg, arm in ((cfg0, arm0), (cfg1, arm1)):
             for rep in range(cfg.reps):
                 x, y, h = sample_scenario(cfg, rep)
@@ -186,14 +211,15 @@ class TestMonteCarlo:
         costs = CostWeights(1.0, 1.0, 0.0)
         cal = solve_gamma(0.6, P, costs)
         cfg0, cfg1 = pair(Constant(1.0), costs=costs, reps=2000)
-        rep, arm0, _ = sim._monte_carlo_samples((cfg0, cfg1), cal)
+        arm0, arm1 = run_arms((cfg0, cfg1), cal)
+        rep = cost_report(arm1, arm0.decision, arm1.decision, costs, cal.C)
         freq = float(np.mean(arm0.logL >= 0.0))
         assert rep.p0_d1 == freq
 
     def test_same_stopping_index_across_arms_and_reps(self):
         cal = solve_gamma(1.5, P, C)
         cfg0, cfg1 = pair(Ar1(0.9, 0.5, 0.5), reps=500)
-        _, arm0, arm1 = sim._monte_carlo_samples((cfg0, cfg1), cal)
+        arm0, arm1 = run_arms((cfg0, cfg1), cal)
         assert arm0.T == arm1.T
         assert arm0.U_T == arm1.U_T
 
@@ -207,11 +233,25 @@ class TestMonteCarlo:
         params = ModelParams(0.0, 1.0, 2.0)
         cal = solve_gamma(1.5, params, C)
         cfg0, cfg1 = pair(Constant(1.0), params=params, reps=20_000)
-        _, arm0, _ = sim._monte_carlo_samples((cfg0, cfg1), cal)
+        arm0, _ = run_arms((cfg0, cfg1), cal)
         assert arm0.U_T < params.kappa  # finite-variance regime for the ratio
         lrs = np.exp(arm0.logL)
         se = lrs.std(ddof=1) / math.sqrt(len(lrs))
         assert abs(lrs.mean() - 1.0) <= 3 * se
+
+    def test_worker_threads_capped_by_cpu_count(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        assert [worker_threads(w) for w in (1, 2, 3, 8)] == [1, 2, 3, 3]
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert worker_threads(4) == 1
+
+    def test_horizon_exhaustion_names_no_replication(self):
+        # the stopping index is a property of the shared gain path
+        cal = solve_gamma(1.5, P, C)
+        cfg0, _ = pair(Constant(0.01), reps=3, t_max=5)
+        with pytest.raises(HorizonExhausted) as info:
+            run_arm(cfg0, cal)
+        assert info.value.rep_index is None
 
     def test_stop_at_zero_report(self):
         cal = solve_gamma(2.5, P, C)  # prior decision H1, estimate 0
@@ -269,7 +309,7 @@ class TestCompareSchemes:
         costs = CostWeights(1.0, 0.2, 5.0)
         cal = solve_gamma(3.0, params, costs)
         cfg0, cfg1 = pair(Constant(1.0), params=params, costs=costs, reps=20_000)
-        _, arm0, arm1 = sim._monte_carlo_samples((cfg0, cfg1), cal)
+        arm0, arm1 = run_arms((cfg0, cfg1), cal)
         k = params.kappa
         A = arm1.U_T + k
         shrunk_sq = ((arm1.V + params.mu_x * k) / A) ** 2
@@ -289,8 +329,8 @@ class TestCompareSchemes:
             return apply(arm0), apply(arm1)
 
         joint_mean, joint_se = aux_cost(arm0.decision, arm1.decision)
-        sep_d0 = sim._separate_decisions(arm0, params, costs)
-        sep_d1 = sim._separate_decisions(arm1, params, costs)
+        sep_d0 = separate_decisions(arm0, costs)
+        sep_d1 = separate_decisions(arm1, costs)
         for d0, d1 in [(sep_d0, sep_d1), rule(0.5), rule(2.0)]:
             other_mean, other_se = aux_cost(d0, d1)
             pooled = math.sqrt(joint_se**2 + other_se**2)
