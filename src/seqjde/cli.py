@@ -362,7 +362,7 @@ def _rep_rows(arm: sim.ArmSamples, arm_tag: int) -> list[list]:
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     cal = gfunc.solve_gamma(cfg.constraint_C, cfg.params, cfg.costs)
-    arm0, arm1 = sim.run_arms(_scenario_pair(cfg), cal, workers=args.workers)
+    arm0, arm1 = sim.run_arms(_scenario_pair(cfg), cal)
     report = sim.cost_report(arm1, arm0.decision, arm1.decision, cfg.costs, cal.C)
     _write_json(_report_dict(report), args.out)
     rows = _rep_rows(arm0, 0) + _rep_rows(arm1, 1)
@@ -374,7 +374,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     cal = gfunc.solve_gamma(cfg.constraint_C, cfg.params, cfg.costs)
-    joint, separate = sim.compare_schemes(_scenario_pair(cfg), cal, workers=args.workers)
+    joint, separate = sim.compare_schemes(_scenario_pair(cfg), cal)
     diff = joint.combined - separate.combined
     diff_se = math.sqrt(joint.combined_se**2 + separate.combined_se**2)
     doc = {
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="override mc.master_seed")
             sp.add_argument("--reps", type=int, default=None, help="override mc.reps")
             sp.add_argument("--workers", type=int, default=1,
-                            help="worker threads for replications")
+                            help="accepted for compatibility; has no effect")
 
     common(sub.add_parser("calibrate", help="solve the stopping threshold"))
     common(sub.add_parser("gtable", help="tabulate the energy-cost function on a grid"))
@@ -432,6 +432,10 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except (ConfigError, ChannelFileError, InvalidCosts, InfeasibleConstraint) as exc:
         print(f"seqjde: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # a config value too large for the float arithmetic, e.g. mu_x**2 or float(10**400)
+        print(f"seqjde: a config value overflows a float: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, QuadratureNonConvergence) as exc:
         print(f"seqjde: {exc}", file=sys.stderr)

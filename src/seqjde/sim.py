@@ -2,16 +2,17 @@
 
 All error probabilities and squared-error terms are estimated conditionally
 on one realized gain path: the path is generated from the channel model and
-master seed alone, every replication reuses it, and only the amplitude and
-the noise are redrawn per replication.  The stopping index is therefore
-identical across replications of a run.
+master seed alone, and every replication reuses it.  The stopping index and
+the terminal energy are therefore identical across replications of a run,
+and since ``(t, U, V)`` is sufficient, Monte Carlo draws each replication's
+amplitude and terminal correlation ``V_T`` directly from their exact law
+instead of sampling and folding a noise path.  ``sample_scenario`` still
+draws full observation paths, for ``simulate`` and as a reference.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -23,10 +24,13 @@ from .errors import ChannelFileError, HorizonExhausted, InvalidCosts
 from .gfunc import Calibration, Regime
 from .model import CostWeights, Hypothesis, ModelParams, is_finite_real
 
-# Stream tags keeping the channel draw independent of every replication draw.
+# Stream tags keeping the draws independent: sample_scenario keys a
+# replication by [seed, arm, rep], the channel by [seed, 2], and Monte Carlo's
+# terminal draws by [seed, 3, arm].
 _H0_STREAM = 0
 _H1_STREAM = 1
 _CHANNEL_STREAM = 2
+_TERMINAL_STREAM = 3
 
 
 @dataclass(frozen=True)
@@ -224,10 +228,14 @@ class ArmSamples:
         return err_d1, err_d0
 
 
-def _stopping_index(h: np.ndarray, cal: Calibration, t_max: int) -> int:
-    """First index t with cumulative energy >= gamma; 0 in the prior regime."""
+def _stopping_index(h: np.ndarray, cal: Calibration, t_max: int) -> tuple[int, float]:
+    """First index t with cumulative energy >= gamma, and that energy U_t.
+
+    Returns (0, 0.0) in the prior regime.  ``np.cumsum`` adds in the
+    engine's order, so the energy is the engine's ``U_T`` bit for bit.
+    """
     if cal.regime is Regime.STOP_AT_ZERO:
-        return 0
+        return 0, 0.0
     energy = np.cumsum(h * h)
     idx = int(np.searchsorted(energy, cal.gamma, side="left"))
     if idx >= len(energy):
@@ -237,72 +245,49 @@ def _stopping_index(h: np.ndarray, cal: Calibration, t_max: int) -> int:
             f"threshold {cal.gamma} within t_max={t_max}",
             t=t_max, U=float(energy[-1]) if len(energy) else 0.0, gamma=cal.gamma,
         )
-    return idx + 1
+    return idx + 1, float(energy[idx])
 
 
-def worker_threads(workers: int) -> int:
-    """Threads ``run_arm`` starts for a requested worker count: at most one per CPU."""
-    return min(workers, os.cpu_count() or 1)
+def run_arm(cfg: ScenarioConfig, cal: Calibration) -> ArmSamples:
+    """Draw every replication of one truth arm from the exact law of its terminal statistic.
 
-
-def run_arm(cfg: ScenarioConfig, cal: Calibration, workers: int = 1) -> ArmSamples:
-    """Run every replication of one truth arm; the samples do not depend on ``workers``."""
-    p, c = cfg.params, cfg.costs
+    The shared gain path fixes T and U_T, so a replication is just the
+    amplitude x (0 under H0, N(mu_x, sigma_x^2) under H1) and
+    V_T ~ N(x*U_T, sigma^2*U_T).  One stream per arm,
+    ``SeedSequence([master_seed, 3, arm])``, draws all amplitudes (H1 only),
+    then all V_T.  Decision, estimate and log likelihood ratio are the
+    ``stats`` functions at (T, U_T, V_T); in the prior regime nothing is
+    observed and they are the calibration's, as the engine returns them.
+    """
+    p, c, n = cfg.params, cfg.costs, cfg.reps
     h = gen_channel(cfg.channel, cfg.master_seed, cfg.t_max)
-    T = _stopping_index(h, cal, cfg.t_max)
-    h_prefix = h[:T].tolist()
+    T, U_T = _stopping_index(h, cal, cfg.t_max)
+    arm = _H1_STREAM if cfg.truth is Hypothesis.H1 else _H0_STREAM
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, _TERMINAL_STREAM, arm]))
+    x = rng.normal(p.mu_x, p.sigma_x, size=n) if cfg.truth is Hypothesis.H1 else np.zeros(n)
 
-    n = cfg.reps
-    xs = np.zeros(n)
-    Vs = np.zeros(n)
-    logLs = np.zeros(n)
-    xhats = np.zeros(n)
-    decisions = np.zeros(n, dtype=bool)
-    shared: dict[str, engine.TripletOutcome] = {}
-
-    def run_range(lo: int, hi: int) -> None:
-        for rep in range(lo, hi):
-            rng = _rep_rng(cfg.master_seed, cfg.truth, rep)
-            if cfg.truth is Hypothesis.H1:
-                x = float(rng.normal(p.mu_x, p.sigma_x))
-            else:
-                x = 0.0
-            w = rng.normal(0.0, p.sigma, size=T)
-            y = (x * h[:T] + w).tolist()
-            out = engine.run_sequential(zip(y, h_prefix), cal, p, c, cfg.t_max)
-            xs[rep] = x
-            Vs[rep] = out.V_T
-            logLs[rep] = out.logL_T
-            decisions[rep] = out.decision is Hypothesis.H1
-            if out.estimate is not None:
-                xhats[rep] = out.estimate
-            else:
-                terminal = stats.SufficientStats(t=out.T, U=out.U_T, V=out.V_T)
-                xhats[rep] = stats.estimate(terminal, p)
-            if rep == 0:
-                shared["out"] = out
-
-    threads = worker_threads(workers)
-    if threads <= 1:
-        run_range(0, n)
+    if cal.regime is Regime.OBSERVE:
+        V = rng.normal(x * U_T, p.sigma * math.sqrt(U_T))
+        terminal = stats.SufficientStats(t=T, U=U_T, V=V)
+        logL = stats.log_likelihood_ratio(terminal, p)
+        xhat = stats.estimate(terminal, p)
+        decision = np.array([
+            stats.decide(stats.SufficientStats(t=T, U=U_T, V=v), p, c) is Hypothesis.H1
+            for v in V.tolist()
+        ], dtype=bool)
     else:
-        chunk = (n + threads - 1) // threads
-        bounds = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for fut in [pool.submit(run_range, lo, hi) for lo, hi in bounds]:
-                fut.result()
-
-    # terminal index, energy, and prediction are gain-path properties shared
-    # by every replication; take them from the first outcome
-    out0 = shared["out"]
+        V, logL = np.zeros(n), np.zeros(n)
+        prior = stats.estimate(stats.init(), p) if cal.estimate is None else cal.estimate
+        xhat = np.full(n, prior)
+        decision = np.full(n, cal.decision is Hypothesis.H1)
     return ArmSamples(
-        truth=cfg.truth, T=out0.T, U_T=out0.U_T, predicted=out0.predicted_cost,
-        x=xs, V=Vs, logL=logLs, xhat=xhats, decision=decisions,
+        truth=cfg.truth, T=T, U_T=U_T, predicted=engine.predicted_cost(U_T, p, c),
+        x=x, V=V, logL=logL, xhat=xhat, decision=decision,
     )
 
 
-def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibration,
-             workers: int = 1) -> tuple[ArmSamples, ArmSamples]:
+def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig],
+             cal: Calibration) -> tuple[ArmSamples, ArmSamples]:
     """Run both arms of an ``(H0 scenario, H1 scenario)`` pair that agree on every other field."""
     cfg0, cfg1 = cfg_pair
     if cfg0.truth is not Hypothesis.H0 or cfg1.truth is not Hypothesis.H1:
@@ -310,7 +295,7 @@ def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibration,
     for field in ("params", "costs", "channel", "master_seed", "t_max", "reps"):
         if getattr(cfg0, field) != getattr(cfg1, field):
             raise ValueError(f"config pair must share {field}")
-    return run_arm(cfg0, cal, workers), run_arm(cfg1, cal, workers)
+    return run_arm(cfg0, cal), run_arm(cfg1, cal)
 
 
 def cost_report(arm1: ArmSamples, d0: np.ndarray, d1: np.ndarray,
@@ -351,12 +336,13 @@ def monte_carlo(cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibratio
                 workers: int = 1) -> CostReport:
     """Estimate the combined cost of the calibrated triplet on a shared gain path.
 
-    Runs the sequential engine once per replication under each truth; the
-    stopping index and terminal energy are common to all replications because
-    the gain path is shared.  Identical configs give bit-identical reports
-    regardless of ``workers``.
+    Draws every replication's terminal statistic under each truth with
+    ``run_arm``; the stopping index and terminal energy are common to all
+    replications because the gain path is shared.  ``workers`` has no
+    effect: it is accepted for compatibility, and identical configs give
+    bit-identical reports.
     """
-    arm0, arm1 = run_arms(cfg_pair, cal, workers)
+    arm0, arm1 = run_arms(cfg_pair, cal)
     return cost_report(arm1, arm0.decision, arm1.decision, cfg_pair[1].costs, cal.C)
 
 
@@ -386,9 +372,10 @@ def compare_schemes(
     """Joint rule versus the separate detect-then-estimate baseline.
 
     Both schemes share the stopping index, the estimator, and every
-    replication draw; only the decision rule differs.
+    replication draw; only the decision rule differs.  ``workers`` has no
+    effect; it is accepted for compatibility.
     """
-    arm0, arm1 = run_arms(cfg_pair, cal, workers)
+    arm0, arm1 = run_arms(cfg_pair, cal)
     c = cfg_pair[1].costs
     joint = cost_report(arm1, arm0.decision, arm1.decision, c, cal.C)
     separate = cost_report(arm1, separate_decisions(arm0, c), separate_decisions(arm1, c),

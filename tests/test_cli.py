@@ -1,9 +1,11 @@
 import ast
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
+import seqjde
 from seqjde import cli
 from seqjde.cli import main
 
@@ -70,6 +72,18 @@ class TestConfigValidation:
     def test_malformed_section_is_a_one_line_error(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, overrides=overrides)
         assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("seqjde: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["calibrate", "montecarlo"])
+    @pytest.mark.parametrize("overrides", [
+        {"model": {"mu_x": 1e300, "sigma_x": 1.0, "sigma": 1.0}},
+        {"model": {"mu_x": 0.0, "sigma_x": 1.0, "sigma": 1e200}},
+        {"constraint_C": 10**400},  # a JSON integer too large for a float
+    ], ids=["mu_x", "sigma", "int400"])
+    def test_overflowing_value_is_a_one_line_error(self, tmp_path, capsys, command, overrides):
+        cfg = write_config(tmp_path, overrides=overrides)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("seqjde: ") and err.count("\n") == 1
 
@@ -266,6 +280,28 @@ def test_cli_uses_no_private_sim_names():
         and node.value.id == "sim" and node.attr.startswith("_")
     ]
     assert private == []
+
+
+def test_benchmark_reads_only_existing_names():
+    # bench/run.py drives these modules directly, and its --trace 1 mode is not
+    # otherwise exercised by the suite
+    modules = {"sim", "gfunc", "engine", "stats", "cli", "model"}
+    bench = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    tree = ast.parse(bench.read_text())
+    reads = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value  # ``sim.X`` or ``self.m.sim.X``
+        name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+        if name in modules:
+            reads.add((name, node.attr))
+    assert {m for m, _ in reads} == modules
+    missing = [f"{m}.{a}" for m, a in sorted(reads) if not hasattr(getattr(seqjde, m), a)]
+    assert missing == []
+    # the traced mode passes (pair, cal, workers) positionally
+    for fn in (seqjde.sim.monte_carlo, seqjde.sim.compare_schemes):
+        inspect.signature(fn).bind(None, None, 1)
 
 
 class TestNumericFormatting:

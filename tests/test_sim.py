@@ -19,13 +19,16 @@ from seqjde import (
     SufficientStats,
     compare_schemes,
     decide,
+    estimate,
     gen_channel,
+    log_likelihood_ratio,
     monte_carlo,
+    run_sequential,
     sample_scenario,
     separate_decide,
     solve_gamma,
 )
-from seqjde.sim import cost_report, run_arm, run_arms, separate_decisions, worker_threads
+from seqjde.sim import ArmSamples, cost_report, run_arm, run_arms, separate_decisions
 
 P = ModelParams(0.0, 1.0, 1.0)
 C = CostWeights(1.0, 1.0, 1.0)
@@ -168,21 +171,59 @@ class TestSampleScenario:
         se = xs.std(ddof=1) / math.sqrt(len(xs))
         assert abs(xs.mean() - 0.7) <= 3 * se
 
-    def test_monte_carlo_draws_match_full_paths(self):
-        # the replication runner draws only the stopped prefix of the noise;
-        # it must agree bitwise with folding the full sampled path
-        from seqjde import run_sequential
-
-        cal = solve_gamma(1.5, P, C)
-        cfg0, cfg1 = pair(IidGaussian(1.0), reps=5, t_max=60)
+    def test_monte_carlo_matches_engine_on_full_paths(self):
+        # exact: every terminal sample carries the scalar rule at (T, U_T, V),
+        # and T, U_T and the prior regime are what the engine returns
+        params, costs = ModelParams(0.5, 1.3, 0.8), CostWeights(1.0, 0.2, 5.0)
+        cal = solve_gamma(0.2, params, costs)  # T = 33: U_T sums in the engine's order
+        cfg0, cfg1 = pair(IidGaussian(1.0), params=params, costs=costs, reps=300, t_max=200)
         arm0, arm1 = run_arms((cfg0, cfg1), cal)
         for cfg, arm in ((cfg0, arm0), (cfg1, arm1)):
+            _, y, h = sample_scenario(cfg, 0)
+            out = run_sequential(zip(y.tolist(), h.tolist()), cal, params, costs, cfg.t_max)
+            assert (arm.T, arm.U_T, arm.predicted) == (out.T, out.U_T, out.predicted_cost)
+            assert 0 < arm.decision.sum() < cfg.reps
             for rep in range(cfg.reps):
-                x, y, h = sample_scenario(cfg, rep)
-                out = run_sequential(zip(y.tolist(), h.tolist()), cal, P, C, cfg.t_max)
-                assert out.T == arm.T
-                assert out.V_T == arm.V[rep]
-                assert x == arm.x[rep]
+                s = SufficientStats(arm.T, arm.U_T, float(arm.V[rep]))
+                assert arm.decision[rep] == (decide(s, params, costs) is Hypothesis.H1)
+                assert arm.xhat[rep] == estimate(s, params)
+                assert arm.logL[rep] == log_likelihood_ratio(s, params)
+        for costs, prior in ((C, Hypothesis.H1), (CostWeights(1.0, 0.5, 1.0), Hypothesis.H0)):
+            cal = solve_gamma(2.5, P, costs)
+            assert cal.decision is prior
+            out = run_sequential(iter(()), cal, P, costs, 10)
+            for arm in run_arms(pair(Constant(1.0), costs=costs, reps=50), cal):
+                assert (arm.T, arm.U_T, arm.predicted) == (out.T, out.U_T, out.predicted_cost)
+                assert (arm.V == out.V_T).all() and (arm.logL == out.logL_T).all()
+                assert (arm.decision == (out.decision is Hypothesis.H1)).all()
+                if out.estimate is not None:
+                    assert (arm.xhat == out.estimate).all()
+
+        # reference: the engine folding sample_scenario paths gives the same
+        # combined cost within 3 pooled standard errors
+        cal = solve_gamma(1.5, P, C)
+        for channel in (Constant(1.0), IidGaussian(1.0), Rayleigh(1.0), Ar1(0.9, 0.5, 0.5)):
+            cfgs = pair(channel, reps=3000, t_max=60)
+            engine_arms = []
+            for cfg in cfgs:
+                outs, xs = [], []
+                for rep in range(cfg.reps):
+                    x, y, h = sample_scenario(cfg, rep)
+                    outs.append(run_sequential(zip(y.tolist(), h.tolist()), cal, P, C, cfg.t_max))
+                    xs.append(x)
+                engine_arms.append(ArmSamples(
+                    truth=cfg.truth, T=outs[0].T, U_T=outs[0].U_T,
+                    predicted=outs[0].predicted_cost, x=np.array(xs),
+                    V=np.array([o.V_T for o in outs]), logL=np.array([o.logL_T for o in outs]),
+                    xhat=np.array([0.0 if o.estimate is None else o.estimate for o in outs]),
+                    decision=np.array([o.decision is Hypothesis.H1 for o in outs]),
+                ))
+            ref0, ref1 = engine_arms
+            ref = cost_report(ref1, ref0.decision, ref1.decision, C, cal.C)
+            arm0, arm1 = run_arms(cfgs, cal)
+            new = cost_report(arm1, arm0.decision, arm1.decision, C, cal.C)
+            pooled = math.sqrt(ref.combined_se**2 + new.combined_se**2)
+            assert abs(ref.combined - new.combined) <= 3 * pooled, type(channel).__name__
 
     def test_rep_index_range_checked(self):
         cfg, _ = pair(Constant(1.0), reps=2)
@@ -238,12 +279,6 @@ class TestMonteCarlo:
         lrs = np.exp(arm0.logL)
         se = lrs.std(ddof=1) / math.sqrt(len(lrs))
         assert abs(lrs.mean() - 1.0) <= 3 * se
-
-    def test_worker_threads_capped_by_cpu_count(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 3)
-        assert [worker_threads(w) for w in (1, 2, 3, 8)] == [1, 2, 3, 3]
-        monkeypatch.setattr("os.cpu_count", lambda: None)
-        assert worker_threads(4) == 1
 
     def test_horizon_exhaustion_names_no_replication(self):
         # the stopping index is a property of the shared gain path
