@@ -19,18 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, gfunc, sim, stats
-from .errors import (
-    ChannelFileError,
-    HorizonExhausted,
-    InfeasibleConstraint,
-    InvalidCosts,
-    NumericalError,
-    QuadratureNonConvergence,
-    SeqjdeError,
-)
+from .errors import HorizonExhausted, NumericalError, QuadratureNonConvergence, SeqjdeError
 from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound
 
 _GTABLE_QUAD_TOL = 1e-9
+# exit codes of the library errors; every other SeqjdeError is a config error (2)
+_EXIT_CODES = {NumericalError: 3, QuadratureNonConvergence: 3, HorizonExhausted: 4}
 
 
 class ConfigError(SeqjdeError):
@@ -213,15 +207,9 @@ def _write_json(obj: dict, path: str) -> None:
     _write_text(path, _json_lines(obj, 0) + "\n")
 
 
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    return _fmt(v)
-
-
 def _write_csv(header: list[str], rows: list[list], path) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    lines.extend(",".join("" if v is None else _fmt(v) for v in row) for row in rows)
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -261,6 +249,13 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
+def _mc_config(args: argparse.Namespace) -> RunConfig:
+    cfg = _apply_overrides(load_config(args.config), args)
+    if cfg.reps < 2:
+        raise ConfigError(f"{args.command} needs reps >= 2 for standard errors, got {cfg.reps}")
+    return cfg
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -290,18 +285,15 @@ def cmd_gtable(args: argparse.Namespace) -> int:
     p, c = cfg.params, cfg.costs
     rows = []
     failures = 0
-    for U in cfg.grid.values():
-        U = float(U)
+    for U in cfg.grid.values().tolist():
         pt = gfunc.g_point(U, p, c)
-        if U == 0.0:
-            rows.append([U, pt.g, pt.V1, pt.V2, pt.G, None, None])
-            continue
-        try:
-            gq = gfunc.g_eval_quadrature(U, p, c, tol=_GTABLE_QUAD_TOL)
-            rows.append([U, pt.g, pt.V1, pt.V2, pt.G, gq, abs(pt.G - gq)])
-        except QuadratureNonConvergence:
-            failures += 1
-            rows.append([U, pt.g, pt.V1, pt.V2, pt.G, None, None])
+        gq = None  # the zero-energy row has no quadrature
+        if U != 0.0:
+            try:
+                gq = gfunc.g_eval_quadrature(U, p, c, tol=_GTABLE_QUAD_TOL)
+            except QuadratureNonConvergence:
+                failures += 1
+        rows.append([U, pt.g, pt.V1, pt.V2, pt.G, gq, None if gq is None else abs(pt.G - gq)])
     _write_csv(["U", "g", "V1", "V2", "G", "G_quadrature", "abs_diff"], rows, args.out)
     if failures:
         print(f"gtable: quadrature failed on {failures} grid point(s)", file=sys.stderr)
@@ -347,20 +339,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _rep_rows(arm: sim.ArmSamples, arm_tag: int) -> list[list]:
-    rows = []
+    # one of the two squared errors is zero in each row, so their sum is the other
     err_d1, err_d0 = arm.squared_errors(arm.decision)
-    for rep in range(len(arm.x)):
-        d = bool(arm.decision[rep])
-        rows.append([
-            rep, arm_tag, float(arm.x[rep]), int(d),
-            float(arm.xhat[rep]) if d else None,
-            float(err_d1[rep] if d else err_d0[rep]),
-        ])
-    return rows
+    columns = (arm.x.tolist(), arm.decision.tolist(), arm.xhat.tolist(),
+               (err_d1 + err_d0).tolist())
+    return [[rep, arm_tag, x, int(d), xhat if d else None, err]
+            for rep, (x, d, xhat, err) in enumerate(zip(*columns))]
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _mc_config(args)
     cal = gfunc.solve_gamma(cfg.constraint_C, cfg.params, cfg.costs)
     arm0, arm1 = sim.run_arms(_scenario_pair(cfg), cal)
     report = sim.cost_report(arm1, arm0.decision, arm1.decision, cfg.costs, cal.C)
@@ -372,7 +360,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _mc_config(args)
     cal = gfunc.solve_gamma(cfg.constraint_C, cfg.params, cfg.costs)
     joint, separate = sim.compare_schemes(_scenario_pair(cfg), cal)
     diff = joint.combined - separate.combined
@@ -394,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, mc=False):
+    def common(sp, run, mc=False):
+        sp.set_defaults(run=run)
         sp.add_argument("--config", required=True, help="JSON run configuration")
         sp.add_argument("--out", required=True, help="output path (JSON or CSV)")
         if mc:
@@ -404,45 +393,34 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--workers", type=int, default=1,
                             help="accepted for compatibility; has no effect")
 
-    common(sub.add_parser("calibrate", help="solve the stopping threshold"))
-    common(sub.add_parser("gtable", help="tabulate the energy-cost function on a grid"))
+    common(sub.add_parser("calibrate", help="solve the stopping threshold"), cmd_calibrate)
+    common(sub.add_parser("gtable", help="tabulate the energy-cost function on a grid"),
+           cmd_gtable)
     sp = sub.add_parser("simulate", help="run one replication with a full trace")
-    common(sp)
+    common(sp, cmd_simulate)
     sp.add_argument("--truth", required=True, choices=["H0", "H1"])
     sp.add_argument("--x-override", type=float, default=None, dest="x_override",
                     help="force the amplitude instead of drawing it")
     sp.add_argument("--seed", type=int, default=None, help="override mc.master_seed")
     common(sub.add_parser("montecarlo", help="estimate all cost terms by Monte Carlo"),
-           mc=True)
+           cmd_montecarlo, mc=True)
     common(sub.add_parser("compare", help="joint rule versus separate detect-then-estimate"),
-           mc=True)
+           cmd_compare, mc=True)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "calibrate": cmd_calibrate,
-        "gtable": cmd_gtable,
-        "simulate": cmd_simulate,
-        "montecarlo": cmd_montecarlo,
-        "compare": cmd_compare,
-    }
     try:
-        return handlers[args.command](args)
-    except (ConfigError, ChannelFileError, InvalidCosts, InfeasibleConstraint) as exc:
-        print(f"seqjde: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:
-        # a config value too large for the float arithmetic, e.g. mu_x**2 or float(10**400)
+        with np.errstate(over="raise"):
+            return args.run(args)
+    except (OverflowError, FloatingPointError) as exc:
+        # a config value too large for float arithmetic: mu_x**2, float(10**400), h = 1e300
         print(f"seqjde: a config value overflows a float: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, QuadratureNonConvergence) as exc:
+    except SeqjdeError as exc:
         print(f"seqjde: {exc}", file=sys.stderr)
-        return 3
-    except HorizonExhausted as exc:
-        print(f"seqjde: {exc}", file=sys.stderr)
-        return 4
+        return _EXIT_CODES.get(type(exc), 2)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -44,7 +45,8 @@ def run_sequential(stream: Iterable[tuple[float, float]], cal: Calibration,
     Keeps O(1) state; the stream is never buffered.
 
     Raises HorizonExhausted if the energy has not crossed after ``t_max``
-    samples or the stream ends early.
+    samples or the stream ends early, and OverflowError if the running sums
+    overflow to inf on the way.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
@@ -69,11 +71,14 @@ def run_sequential(stream: Iterable[tuple[float, float]], cal: Calibration,
             ) from None
         s = stats.update(s, y, h)
         if s.U >= gamma:
-            d = stats.decide(s, p, c)
-            est = stats.estimate(s, p) if d is Hypothesis.H1 else None
+            if not (math.isfinite(s.U) and math.isfinite(s.V)):
+                raise OverflowError(f"running sums overflow a float at t={s.t}")
+            logL, xhat = stats.log_likelihood_ratio(s, p), stats.estimate(s, p)
+            h1 = stats.accepts_alternative(logL, xhat, c)
             return TripletOutcome(
-                T=s.t, decision=d, estimate=est,
-                U_T=s.U, V_T=s.V, logL_T=stats.log_likelihood_ratio(s, p),
+                T=s.t, decision=Hypothesis.H1 if h1 else Hypothesis.H0,
+                estimate=xhat if h1 else None,
+                U_T=s.U, V_T=s.V, logL_T=logL,
                 predicted_cost=predicted_cost(s.U, p, c),
             )
     raise HorizonExhausted(

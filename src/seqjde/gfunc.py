@@ -187,7 +187,8 @@ def g_eval(U: float, p: ModelParams, c: CostWeights) -> float:
     """Closed-form value of G(U).
 
     At U = 0 the null law of V is a point mass and the exact limit
-    ``min(c0 - c1 - ce*mu_x^2, 0)`` is returned.  For U > 0 the integral over
+    ``min(c0 - c1 - ce*mu_x^2, 0)`` is returned, as it is at an energy so
+    small that ``U*(U+kappa)`` underflows.  Otherwise the integral over
     the region is assembled from Gaussian tail probabilities and the first
     two truncated moments of the unit normal, using that V has null law
     ``N(0, sigma^2 U)`` and marginal alternative law
@@ -195,13 +196,13 @@ def g_eval(U: float, p: ModelParams, c: CostWeights) -> float:
     """
     _validate_costs(c)
     _check_energy(U)
-    if U == 0.0:
+    kappa = p.kappa
+    A = U + kappa
+    if U * A == 0.0:
         G0, _ = g_limits(p, c)
         return G0
 
     V1, V2 = region(U, p, c)
-    kappa = p.kappa
-    A = U + kappa
     mu = p.mu_x
     s0 = p.sigma * math.sqrt(U)
     s1 = p.sigma_x * math.sqrt(U * A)
@@ -317,7 +318,8 @@ def solve_gamma(C: float, p: ModelParams, c: CostWeights) -> Calibration:
     ``G(gamma) = C - c1 - ce*(mu_x^2 + sigma_x^2)`` is found by doubling the
     upper bracket until it straddles the target and bisecting; strict
     monotonicity of G guarantees the bracket.  The accepted root satisfies
-    ``|G(gamma) - target| <= 1e-10``.
+    ``|G(gamma) - target| <= 1e-10``.  NumericalError: C so small that the
+    target rounds to G's infinite-energy limit, where no gamma is determined.
     """
     if isinstance(C, bool) or not isinstance(C, (int, float)) or not math.isfinite(C) or C <= 0:
         raise InfeasibleConstraint(
@@ -333,6 +335,9 @@ def solve_gamma(C: float, p: ModelParams, c: CostWeights) -> Calibration:
         return Calibration(C=C, regime=Regime.STOP_AT_ZERO, decision=Hypothesis.H0)
 
     target = C - c.c1 - c.ce * (p.mu_x**2 + p.sigma_x**2)
+    if target <= g_limits(p, c)[1]:  # C is lost in rounding: G is flat there
+        raise NumericalError(f"threshold not determined: C={C!r} gives target {target!r}, "
+                             "which rounds to G's infinite-energy limit")
     lo, hi = 0.0, 1.0
     for _ in range(_MAX_BISECT):
         if g_eval(hi, p, c) <= target:

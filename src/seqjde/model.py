@@ -33,7 +33,8 @@ class ModelParams:
     sigma_x : float
         Prior standard deviation of the amplitude; strictly positive.
     sigma : float
-        Noise standard deviation; strictly positive.
+        Noise standard deviation; strictly positive.  The variances, their
+        ratio ``kappa`` and its square must not underflow to 0 or overflow.
     """
 
     mu_x: float
@@ -49,6 +50,10 @@ class ModelParams:
             raise ValueError(f"sigma_x must be > 0, got {self.sigma_x}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        # calibration squares U + kappa, so kappa^2 must be a positive finite float too
+        if self.sigma_x**2 == 0 or not 0 < self.kappa * self.kappa < math.inf:
+            raise ValueError(f"kappa = sigma^2/sigma_x^2 and its square must be positive finite "
+                             f"floats, got sigma={self.sigma!r}, sigma_x={self.sigma_x!r}")
 
     @property
     def kappa(self) -> float:

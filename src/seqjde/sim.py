@@ -6,14 +6,15 @@ master seed alone, and every replication reuses it.  The stopping index and
 the terminal energy are therefore identical across replications of a run,
 and since ``(t, U, V)`` is sufficient, Monte Carlo draws each replication's
 amplitude and terminal correlation ``V_T`` directly from their exact law
-instead of sampling and folding a noise path.  ``sample_scenario`` still
-draws full observation paths, for ``simulate`` and as a reference.
+instead of sampling and folding a noise path; one ``stats.accepts_alternative``
+call decides a whole arm.  ``sample_scenario`` still draws full observation
+paths, for ``simulate`` and as a reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Union
 
@@ -255,9 +256,10 @@ def run_arm(cfg: ScenarioConfig, cal: Calibration) -> ArmSamples:
     amplitude x (0 under H0, N(mu_x, sigma_x^2) under H1) and
     V_T ~ N(x*U_T, sigma^2*U_T).  One stream per arm,
     ``SeedSequence([master_seed, 3, arm])``, draws all amplitudes (H1 only),
-    then all V_T.  Decision, estimate and log likelihood ratio are the
-    ``stats`` functions at (T, U_T, V_T); in the prior regime nothing is
-    observed and they are the calibration's, as the engine returns them.
+    then all V_T.  Log likelihood ratio, estimate and decision are the
+    ``stats`` functions at (T, U_T, V_T), once for the whole arm; in the prior
+    regime nothing is observed and they are the calibration's, as the engine
+    returns them.
     """
     p, c, n = cfg.params, cfg.costs, cfg.reps
     h = gen_channel(cfg.channel, cfg.master_seed, cfg.t_max)
@@ -271,10 +273,7 @@ def run_arm(cfg: ScenarioConfig, cal: Calibration) -> ArmSamples:
         terminal = stats.SufficientStats(t=T, U=U_T, V=V)
         logL = stats.log_likelihood_ratio(terminal, p)
         xhat = stats.estimate(terminal, p)
-        decision = np.array([
-            stats.decide(stats.SufficientStats(t=T, U=U_T, V=v), p, c) is Hypothesis.H1
-            for v in V.tolist()
-        ], dtype=bool)
+        decision = stats.accepts_alternative(logL, xhat, c)
     else:
         V, logL = np.zeros(n), np.zeros(n)
         prior = stats.estimate(stats.init(), p) if cal.estimate is None else cal.estimate
@@ -346,24 +345,21 @@ def monte_carlo(cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibratio
     return cost_report(arm1, arm0.decision, arm1.decision, cfg_pair[1].costs, cal.C)
 
 
-def _separate_threshold(c: CostWeights) -> float:
-    """Log threshold ln(c0/c1) of the estimation-blind likelihood ratio test."""
+def _separate_costs(c: CostWeights) -> CostWeights:
+    """Cost weights of the separate test: the joint rule's with ce = 0."""
     if c.c1 <= 0 or c.c0 <= 0:
         raise InvalidCosts("separate detection needs c0 > 0 and c1 > 0")
-    return math.log(c.c0 / c.c1)
+    return replace(c, ce=0.0)
 
 
 def separate_decide(s: stats.SufficientStats, p: ModelParams, c: CostWeights) -> Hypothesis:
-    """Estimation-blind baseline: plain likelihood ratio test at threshold c0/c1."""
-    threshold = _separate_threshold(c)
-    if stats.log_likelihood_ratio(s, p) >= threshold:
-        return Hypothesis.H1
-    return Hypothesis.H0
+    """Estimation-blind baseline: the joint rule with ce = 0, an LRT at threshold c0/c1."""
+    return stats.decide(s, p, _separate_costs(c))
 
 
 def separate_decisions(arm: ArmSamples, c: CostWeights) -> np.ndarray:
     """``separate_decide`` applied to every replication of an arm (True is H1)."""
-    return arm.logL >= _separate_threshold(c)
+    return stats.accepts_alternative(arm.logL, arm.xhat, _separate_costs(c))
 
 
 def compare_schemes(

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import CostWeights, Hypothesis, ModelParams
 
 
@@ -65,21 +67,24 @@ def log_likelihood_ratio(s: SufficientStats, p: ModelParams) -> float:
         - p.mu_x**2 / (2.0 * p.sigma_x**2)
 
 
-def decide(s: SufficientStats, p: ModelParams, c: CostWeights) -> Hypothesis:
-    """Estimation-aware decision rule.
+def accepts_alternative(logL, xhat, c: CostWeights):
+    """Estimation-aware decision rule for scalars or arrays: True where it decides H1.
 
-    Accepts the alternative exactly when ``c0 <= L * (c1 + ce * xhat^2)``
-    with ``L`` the marginal likelihood ratio and ``xhat`` the optimum
-    estimate, evaluated in the log domain.  Equality decides H1.  When the
-    weight ``c1 + ce*xhat^2`` vanishes the rule degenerates: H0 if c0 > 0,
-    H1 if c0 = 0.
+    Accepts the alternative exactly when ``c0 <= L * (c1 + ce * xhat^2)``,
+    ``L = exp(logL)``, compared in the log domain; equality decides H1.  A
+    vanishing weight decides H0 if c0 > 0, and c0 = 0 decides H1 everywhere.
+    With ``ce = 0`` it is the likelihood ratio test at threshold c0/c1.
     """
-    xhat = estimate(s, p)
-    weight = c.c1 + c.ce * xhat * xhat
-    if weight == 0.0:
-        return Hypothesis.H1 if c.c0 == 0.0 else Hypothesis.H0
     if c.c0 == 0.0:
-        return Hypothesis.H1
-    if math.log(c.c0) <= log_likelihood_ratio(s, p) + math.log(weight):
+        return np.full(np.broadcast_shapes(np.shape(logL), np.shape(xhat)), True)
+    # as with Python floats: log(0) = -inf and inf - inf = nan decide H0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        weight = c.c1 + c.ce * xhat * xhat
+        return math.log(c.c0) <= logL + np.log(weight)
+
+
+def decide(s: SufficientStats, p: ModelParams, c: CostWeights) -> Hypothesis:
+    """``accepts_alternative`` at the history ``s``, as a Hypothesis."""
+    if accepts_alternative(log_likelihood_ratio(s, p), estimate(s, p), c):
         return Hypothesis.H1
     return Hypothesis.H0

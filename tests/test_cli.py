@@ -1,9 +1,14 @@
 import ast
+import contextlib
 import inspect
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import seqjde
 from seqjde import cli
@@ -87,6 +92,14 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("seqjde: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["montecarlo", "compare"])
+    def test_overflowing_energy_is_a_one_line_error(self, tmp_path, capsys, command):
+        # h*h overflows in the energy sum: a RuntimeWarning, then inf and nan in the report
+        cfg = write_config(tmp_path, overrides={"channel": {"type": "constant", "h": 1e300}})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("seqjde: a config value overflows a float") and err.count("\n") == 1
+
 
 class TestCalibrate:
     def test_observe_regime_output(self, tmp_path):
@@ -116,6 +129,14 @@ class TestCalibrate:
         cfg = write_config(tmp_path, constraint_C=0.0)
         assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
         assert "infeasible constraint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tiny", [1e-17, 1e-300])
+    def test_undetermined_threshold_exits_3(self, tmp_path, capsys, tiny):
+        cfg = write_config(tmp_path, constraint_C=tiny)
+        assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("seqjde: threshold not determined") and err.count("\n") == 1
+        assert not (tmp_path / "o.json").exists()
 
 
 class TestGtable:
@@ -232,6 +253,15 @@ class TestMonteCarlo:
         assert d1["reps"] == d2["reps"] == 100
         assert d1["combined"]["value"] != d2["combined"]["value"]
 
+    @pytest.mark.parametrize("command", ["montecarlo", "compare"])
+    def test_one_replication_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "mc.json"
+        assert main([command, "--config", cfg, "--out", str(out), "--reps", "1"]) == 2
+        assert capsys.readouterr().err == \
+            f"seqjde: {command} needs reps >= 2 for standard errors, got 1\n"
+        assert not out.exists()
+
 
 class TestCompare:
     def test_output_has_both_schemes(self, tmp_path):
@@ -313,3 +343,103 @@ class TestNumericFormatting:
         assert '"C": 1.1000000000000001' in text
         doc = json.loads(text)
         assert doc["C"] == 1.1
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any config, valid or not, ends in a known exit code and one line
+
+_WILD = st.one_of(
+    st.floats(), st.integers(min_value=-10**20, max_value=10**400), st.booleans(),
+    st.none(), st.text(max_size=3), st.lists(st.integers(), max_size=2),
+    st.sampled_from([0, -1, 1e-300, 1e300, -1e300, 5e-324]),
+)
+# sizes stay small even when wild: no huge reps, t_max or grid.points
+_WILD_SIZE = st.one_of(st.integers(max_value=0), st.floats(), st.booleans(), st.text(max_size=2))
+_SECTIONS = {
+    "model": {"mu_x": st.floats(-2, 2), "sigma_x": st.floats(0.2, 3), "sigma": st.floats(0.2, 3)},
+    "costs": {"c0": st.floats(0, 3), "c1": st.floats(0, 3), "ce": st.floats(0, 3)},
+    "mc": {"reps": st.integers(1, 50), "t_max": st.integers(1, 2000),
+           "master_seed": st.integers(0, 2**64)},
+    "grid": {"u_min": st.one_of(st.just(0.0), st.floats(1e-3, 10)),
+             "u_max": st.floats(10.5, 1e4), "points": st.integers(2, 5),
+             "spacing": st.sampled_from(["linear", "log"])},
+}
+_CHANNEL_FIELDS = {
+    "constant": {"h": st.floats(-2, 2)},
+    "iid_gaussian": {"std": st.floats(0.1, 2)},
+    "rayleigh": {"scale": st.floats(0.1, 2)},
+    "ar1": {"phi": st.floats(-0.95, 0.95), "innov_std": st.floats(0.1, 1),
+            "init_std": st.floats(0.1, 1)},
+    "from_file": {"path": st.sampled_from(["<gains>", "<gains>", "<short>", "<nan>",
+                                           "<missing>"])},
+}
+
+
+@st.composite
+def _configs(draw):
+    """A config of sane values with up to two faults: a wrong-kind value, a
+    missing or unknown key, or a section that is not an object or is absent."""
+    kind = draw(st.sampled_from(sorted(_CHANNEL_FIELDS)))
+    raw = {name: {k: draw(v) for k, v in fields.items()} for name, fields in _SECTIONS.items()}
+    raw["channel"] = {"type": kind, **{k: draw(v) for k, v in _CHANNEL_FIELDS[kind].items()}}
+    raw["constraint_C"] = draw(st.one_of(st.floats(1e-3, 4), st.sampled_from([1e-17, 1e-6])))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2]))):
+        name = draw(st.sampled_from(sorted(raw)))
+        wild = _WILD_SIZE if name in ("mc", "grid") else _WILD
+        fault = draw(st.sampled_from(["value", "drop", "extra"]))
+        section = raw[name]
+        if isinstance(section, dict) and section and draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(section)))
+        else:
+            section, key = raw, name
+        if fault == "value":
+            section[key] = draw(wild)
+        elif fault == "drop":
+            del section[key]
+        else:
+            section["extra"] = draw(_WILD)
+    return raw
+
+
+_FUZZ_COMMANDS = [["calibrate"], ["gtable"], ["simulate", "--truth", "H0"],
+                  ["simulate", "--truth", "H1", "--x-override", "0.5"],
+                  ["montecarlo"], ["compare"]]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(raw=_configs())
+# one replication has no standard error: np.std(ddof=1) warned and wrote nan
+@example(raw={**BASE_CONFIG, "mc": {"reps": 1, "master_seed": 0, "t_max": 1}})
+# a denormal energy underflowed U*(U+kappa) to 0 in g_eval: ZeroDivisionError
+@example(raw={**BASE_CONFIG, "grid": {"u_min": 5e-324, "u_max": 1.0, "points": 2,
+                                      "spacing": "linear"}})
+# the separate test's ln(c0/c1) was log(0) for a denormal c0: ValueError in compare
+@example(raw={**BASE_CONFIG, "costs": {"c0": 5e-324, "c1": 3.0, "ce": 1.0}})
+# sigma**2 underflowed to kappa = 0: log(0) in calibrate
+@example(raw={**BASE_CONFIG, "model": {"mu_x": 0.0, "sigma_x": 1.0, "sigma": 1e-300}})
+# h*h overflowed: log(0) at inf energy in simulate, inf and nan in montecarlo
+@example(raw={**BASE_CONFIG, "channel": {"type": "constant", "h": 1e300}})
+# x*h overflowed in the sampler: RuntimeWarning, then inf observations
+@example(raw={**BASE_CONFIG, "model": {"mu_x": 1.7976931348623157e308, "sigma_x": 1.0,
+                                       "sigma": 1.0},
+              "channel": {"type": "iid_gaussian", "std": 1.0}})
+def test_fuzzed_configs_end_in_a_known_exit_code(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"<gains>": "# gains\n" + "0.8\n-1.1\n" * 1000, "<short>": "1.0\n",
+                 "<nan>": "1.0\nnan\n"}
+        for token, text in files.items():
+            Path(tmp, token.strip("<>")).write_text(text)
+        channel = raw.get("channel")
+        if isinstance(channel, dict) and channel.get("path") in (*files, "<missing>"):
+            channel["path"] = str(Path(tmp, channel["path"].strip("<>")))
+        cfg = Path(tmp, "cfg.json")
+        cfg.write_text(json.dumps(raw))
+        for argv in _FUZZ_COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv + ["--config", str(cfg), "--out", str(Path(tmp, "out.json"))])
+            text = err.getvalue()
+            assert code in (0, 2, 3, 4), (argv, code, text)
+            assert text.count("\n") == (code != 0) and "Traceback" not in text, (argv, text)

@@ -84,6 +84,12 @@ class TestRunSequential:
         with pytest.raises(HorizonExhausted):
             run_sequential(iter([(0.0, 1.0)]), observe(5.0), P, C, t_max=50)
 
+    @pytest.mark.parametrize("pairs", [[(0.0, 1e300)], [(1e300, 1e200), (1e300, 1e200)]])
+    def test_overflowing_sums_raise(self, pairs):
+        # U or V at inf gave log(0) in the likelihood ratio: a ValueError traceback
+        with pytest.raises(OverflowError):
+            run_sequential(iter(pairs), observe(1e300), P, C, t_max=5)
+
     def test_invalid_t_max(self):
         with pytest.raises(ValueError):
             run_sequential(iter([]), observe(1.0), P, C, t_max=0)

@@ -10,6 +10,7 @@ from seqjde import (
     InfeasibleConstraint,
     InvalidCosts,
     ModelParams,
+    NumericalError,
     Regime,
     g_eval,
     g_eval_quadrature,
@@ -279,6 +280,20 @@ class TestSolveGamma:
     def test_infeasible_constraint(self, bad):
         with pytest.raises(InfeasibleConstraint):
             solve_gamma(bad, REF_P, REF_C)
+
+    @pytest.mark.parametrize("tiny", [1e-17, 1e-300])
+    def test_refuses_target_at_the_limit(self, tiny):
+        # the target C - 2 rounds to G's infinite-energy limit -2, where G is flat
+        # in floating point: the bisection would report gamma = 1.947e33 with zero residual
+        target = tiny - REF_C.c1 - REF_C.ce * (REF_P.mu_x**2 + REF_P.sigma_x**2)
+        assert target == g_limits(REF_P, REF_C)[1]
+        with pytest.raises(NumericalError, match="not determined"):
+            solve_gamma(tiny, REF_P, REF_C)
+
+    def test_smallest_resolved_target_still_calibrates(self):
+        cal = solve_gamma(1e-14, REF_P, REF_C)
+        assert cal.regime is Regime.OBSERVE
+        assert cal.gamma == pytest.approx(4.75e29, rel=1e-2)
 
     def test_ce_zero_pure_detection_threshold(self):
         c = CostWeights(1.0, 1.0, 0.0)

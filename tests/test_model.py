@@ -30,6 +30,15 @@ def test_modelparams_rejects_bad_scales(bad):
         ModelParams(mu_x=0.0, sigma_x=1.0, sigma=bad)
 
 
+@pytest.mark.parametrize("sigma_x, sigma", [(1.0, 1e-300), (1e-200, 1.0), (1e-5, 1e150),
+                                            (1e154, 1.0), (1.0, 1e-154)])
+def test_modelparams_rejects_degenerate_kappa(sigma_x, sigma):
+    # a variance underflowing to 0 gave kappa = 0 (log(0) in calibration) or 1/0,
+    # and sigma^2/sigma_x^2 can overflow to inf; kappa ~ 1e-308 underflowed (U+kappa)^2
+    with pytest.raises(ValueError, match="kappa"):
+        ModelParams(mu_x=0.0, sigma_x=sigma_x, sigma=sigma)
+
+
 def test_modelparams_rejects_nonfinite_mean():
     with pytest.raises(ValueError):
         ModelParams(mu_x=math.inf, sigma_x=1.0, sigma=1.0)

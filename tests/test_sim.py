@@ -314,10 +314,32 @@ class TestSeparateDecide:
         assert separate_decide(s, P, costs) is Hypothesis.H0
         assert decide(s, P, costs) is Hypothesis.H1
 
+    def test_denormal_false_alarm_cost(self):
+        # ln(c0/c1) underflowed to log(0); the joint rule compares ln c0 with logL + ln c1
+        s = SufficientStats(1, 1.0, 0.0)
+        assert separate_decide(s, P, CostWeights(5e-324, 3.0, 1.0)) is Hypothesis.H1
+
     def test_requires_positive_detection_costs(self):
         s = SufficientStats(1, 1.0, 0.0)
         with pytest.raises(InvalidCosts):
             separate_decide(s, P, CostWeights(1.0, 0.0, 1.0))
+        arm = run_arm(pair(Constant(1.0), reps=3)[0], solve_gamma(1.5, P, C))
+        with pytest.raises(InvalidCosts):
+            separate_decisions(arm, CostWeights(1.0, 0.0, 1.0))
+
+    def test_arm_decisions_match_scalar_test(self):
+        params, costs = ModelParams(0.5, 1.3, 0.8), CostWeights(1.0, 0.2, 5.0)
+        cal = solve_gamma(0.2, params, costs)
+        accepted = 0
+        for arm in run_arms(pair(IidGaussian(1.0), params=params, costs=costs, reps=300,
+                                 t_max=200), cal):
+            d = separate_decisions(arm, costs)
+            assert d.tolist() == [
+                separate_decide(SufficientStats(arm.T, arm.U_T, v), params, costs)
+                is Hypothesis.H1 for v in arm.V.tolist()
+            ]
+            accepted += int(d.sum())
+        assert 0 < accepted < 600
 
 
 class TestCompareSchemes:

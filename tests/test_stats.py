@@ -17,6 +17,7 @@ from seqjde import (
     posterior_variance,
     update,
 )
+from seqjde.stats import accepts_alternative
 
 finite_obs = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -151,6 +152,19 @@ class TestLogLikelihoodRatio:
         assert abs(lrs.mean() - 1.0) <= 3 * se
 
 
+def random_points():
+    """500 draws of model, costs and history, skipping costs with c1 = ce = 0."""
+    rng = np.random.default_rng(42)
+    for _ in range(500):
+        p = ModelParams(float(rng.normal(0, 2)), float(rng.uniform(0.3, 3)),
+                        float(rng.uniform(0.3, 3)))
+        c = CostWeights(float(rng.uniform(0.05, 4)), float(rng.uniform(0.0, 4)),
+                        float(rng.uniform(0.0, 4)))
+        if c.c1 + c.ce == 0:
+            continue
+        yield p, c, SufficientStats(2, float(rng.uniform(0, 30)), float(rng.normal(0, 5)))
+
+
 class TestDecide:
     def test_estimation_term_flips_decision(self):
         p = ModelParams(0.0, 1.0, 1.0)
@@ -187,15 +201,7 @@ class TestDecide:
         assert decide(s, p, CostWeights(0.0, 0.0, 1.0)) is Hypothesis.H1
 
     def test_log_domain_matches_linear_domain(self):
-        rng = np.random.default_rng(42)
-        for _ in range(500):
-            p = ModelParams(float(rng.normal(0, 2)), float(rng.uniform(0.3, 3)),
-                            float(rng.uniform(0.3, 3)))
-            c = CostWeights(float(rng.uniform(0.05, 4)), float(rng.uniform(0.0, 4)),
-                            float(rng.uniform(0.0, 4)))
-            if c.c1 + c.ce == 0:
-                continue
-            s = SufficientStats(2, float(rng.uniform(0, 30)), float(rng.normal(0, 5)))
+        for p, c, s in random_points():
             logl = log_likelihood_ratio(s, p)
             if abs(logl) > 600:
                 continue
@@ -205,3 +211,35 @@ class TestDecide:
                 continue  # exact-tie neighborhood excluded
             linear = Hypothesis.H1 if lhs <= rhs else Hypothesis.H0
             assert decide(s, p, c) is linear
+
+    def test_array_rule_equals_scalar_decide(self):
+        # each point's (p, c, U) with its own V and every 10th point's V, as run_arm
+        # holds one energy per arm
+        points = list(random_points())
+        others = [s.V for _, _, s in points[::10]]
+        for p, c, s in points:
+            V = np.array([s.V] + others)
+            terminal = SufficientStats(2, s.U, V)
+            logl, xhat = log_likelihood_ratio(terminal, p), estimate(terminal, p)
+            scalar = [decide(SufficientStats(2, s.U, v), p, c) is Hypothesis.H1
+                      for v in V.tolist()]
+            assert accepts_alternative(logl, xhat, c).tolist() == scalar
+            # a strided view decides each element as the whole array does
+            assert accepts_alternative(logl[1::3], xhat[1::3], c).tolist() == scalar[1::3]
+
+    def test_array_tie_goes_to_h1(self):
+        logl = np.array([0.0, -1e-300, 1e-12])
+        assert accepts_alternative(logl, np.zeros(3), CostWeights(1.0, 1.0, 0.0)).tolist() \
+            == [True, False, True]
+        assert accepts_alternative(np.zeros(2), np.zeros(2), CostWeights(2.0, 2.0, 3.0)).all()
+
+    def test_array_zero_weight_decides_h0(self):
+        logl = np.array([-5.0, 0.0, 700.0])
+        d = accepts_alternative(logl, np.zeros(3), CostWeights(1.0, 0.0, 1.0))
+        assert d.tolist() == [False, False, False]
+
+    def test_array_zero_false_alarm_cost_accepts_everywhere(self):
+        c = CostWeights(0.0, 0.0, 1.0)
+        d = accepts_alternative(np.full((2, 3), -50.0), np.zeros((2, 3)), c)
+        assert d.shape == (2, 3) and d.all()
+        assert accepts_alternative(-50.0, 0.0, c).shape == ()
