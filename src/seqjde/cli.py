@@ -164,57 +164,36 @@ def load_config(path: str) -> RunConfig:
 # deterministic emission: 17 significant digits, stable key order
 
 def _fmt(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    if isinstance(v, Hypothesis):
-        return json.dumps(v.name)
-    if isinstance(v, str):
-        return json.dumps(v)
-    raise TypeError(f"cannot format {v!r}")
+    """A JSON scalar: floats with 17 significant digits, a Hypothesis by its name."""
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return json.dumps(v.name if isinstance(v, Hypothesis) else v)
 
 
 def _json_lines(v, indent: int) -> str:
+    if not isinstance(v, dict):
+        return _fmt(v)
     pad = "  " * indent
-    if isinstance(v, dict):
-        if not v:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(k)}: {_json_lines(val, indent + 1)}" for k, val in v.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_json_lines(val, indent + 1)}" for val in v)
-        return "[\n" + inner + "\n" + pad + "]"
-    return _fmt(v)
+    inner = ",\n".join(
+        f"{pad}  {json.dumps(k)}: {_json_lines(val, indent + 1)}" for k, val in v.items()
+    )
+    return "{\n" + inner + "\n" + pad + "}"
 
 
-def _write_text(path, text: str) -> None:
+def _write_lines(path, lines) -> None:
+    """Stream ``lines`` into ``path``; a line source that fails leaves no file."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            f.writelines(lines)
     except OSError as exc:
         raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _write_json(obj: dict, path: str) -> None:
-    _write_text(path, _json_lines(obj, 0) + "\n")
-
-
-def _write_csv(header: list[str], rows: list[list], path) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join("" if v is None else _fmt(v) for v in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _sidecar(out_path: str, kind: str) -> Path:
-    return Path(out_path).with_suffix(f".{kind}.csv")
+    _write_lines(path, (_json_lines(obj, 0), "\n"))
 
 
 def _report_dict(r: sim.CostReport) -> dict:
@@ -283,18 +262,23 @@ def cmd_gtable(args: argparse.Namespace) -> int:
     if cfg.grid is None:
         raise ConfigError("gtable requires a 'grid' section in the config")
     p, c = cfg.params, cfg.costs
-    rows = []
     failures = 0
-    for U in cfg.grid.values().tolist():
-        pt = gfunc.g_point(U, p, c)
-        gq = None  # the zero-energy row has no quadrature
-        if U != 0.0:
-            try:
-                gq = gfunc.g_eval_quadrature(U, p, c, tol=_GTABLE_QUAD_TOL)
-            except QuadratureNonConvergence:
-                failures += 1
-        rows.append([U, pt.g, pt.V1, pt.V2, pt.G, gq, None if gq is None else abs(pt.G - gq)])
-    _write_csv(["U", "g", "V1", "V2", "G", "G_quadrature", "abs_diff"], rows, args.out)
+
+    def lines():
+        nonlocal failures
+        yield "U,g,V1,V2,G,G_quadrature,abs_diff\n"
+        for U in cfg.grid.values().tolist():
+            pt = gfunc.g_point(U, p, c)
+            quad = ","  # the zero-energy row has no quadrature
+            if U != 0.0:
+                try:
+                    gq = gfunc.g_eval_quadrature(U, p, c, tol=_GTABLE_QUAD_TOL)
+                    quad = f"{gq:.17g},{abs(pt.G - gq):.17g}"
+                except QuadratureNonConvergence:
+                    failures += 1
+            yield f"{U:.17g},{pt.g:.17g},{pt.V1:.17g},{pt.V2:.17g},{pt.G:.17g},{quad}\n"
+
+    _write_lines(args.out, lines())
     if failures:
         print(f"gtable: quadrature failed on {failures} grid point(s)", file=sys.stderr)
         return 3
@@ -327,24 +311,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     _write_json(doc, args.out)
 
-    trace = []
-    s = stats.init()
-    for t in range(out.T):
-        s = stats.update(s, y_list[t], h_list[t])
-        trace.append([s.t, h_list[t], y_list[t], s.U, s.V,
-                      stats.log_likelihood_ratio(s, p), stats.estimate(s, p)])
-    _write_csv(["t", "h", "y", "U", "V", "logL", "xhat"], trace,
-               _sidecar(args.out, "trace"))
+    def trace():
+        yield "t,h,y,U,V,logL,xhat\n"
+        s = stats.init()
+        for y, h in zip(y_list[:out.T], h_list):
+            s = stats.update(s, y, h)
+            yield (f"{s.t:d},{h:.17g},{y:.17g},{s.U:.17g},{s.V:.17g},"
+                   f"{stats.log_likelihood_ratio(s, p):.17g},{stats.estimate(s, p):.17g}\n")
+
+    _write_lines(Path(args.out).with_suffix(".trace.csv"), trace())
     return 0
 
 
-def _rep_rows(arm: sim.ArmSamples, arm_tag: int) -> list[list]:
-    # one of the two squared errors is zero in each row, so their sum is the other
-    err_d1, err_d0 = arm.squared_errors(arm.decision)
-    columns = (arm.x.tolist(), arm.decision.tolist(), arm.xhat.tolist(),
-               (err_d1 + err_d0).tolist())
-    return [[rep, arm_tag, x, int(d), xhat if d else None, err]
-            for rep, (x, d, xhat, err) in enumerate(zip(*columns))]
+def _rep_lines(arm0: sim.ArmSamples, arm1: sim.ArmSamples):
+    """reps.csv: one line per replication, the H0 arm first; no estimate where H0 is decided."""
+    yield "rep,arm,x,decision,estimate,sq_err\n"
+    for tag, arm in enumerate((arm0, arm1)):
+        # one of the two squared errors is zero in each row, so their sum is the other
+        err_d1, err_d0 = arm.squared_errors(arm.decision)
+        columns = (arm.x.tolist(), arm.decision.tolist(), arm.xhat.tolist(),
+                   (err_d1 + err_d0).tolist())
+        for rep, (x, d, xhat, err) in enumerate(zip(*columns)):
+            estimate = f"{xhat:.17g}" if d else ""
+            yield f"{rep:d},{tag:d},{x:.17g},{d:d},{estimate},{err:.17g}\n"
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
@@ -353,9 +342,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     arm0, arm1 = sim.run_arms(_scenario_pair(cfg), cal)
     report = sim.cost_report(arm1, arm0.decision, arm1.decision, cfg.costs, cal.C)
     _write_json(_report_dict(report), args.out)
-    rows = _rep_rows(arm0, 0) + _rep_rows(arm1, 1)
-    _write_csv(["rep", "arm", "x", "decision", "estimate", "sq_err"], rows,
-               _sidecar(args.out, "reps"))
+    _write_lines(Path(args.out).with_suffix(".reps.csv"), _rep_lines(arm0, arm1))
     return 0
 
 

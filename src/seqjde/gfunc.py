@@ -95,6 +95,13 @@ def _check_energy(U: float) -> None:
         raise ValueError(f"energy U must be finite and nonnegative, got {U!r}")
 
 
+def _check_log_domain(U: float, kappa: float, A: float, scale: float) -> None:
+    """NumericalError where the log form's ``ln(kappa/A)`` or ``g / (2*sigma^2*A)`` would fail."""
+    if kappa / A == 0.0 or scale == 0.0:
+        raise NumericalError(f"energy U={U!r} is out of range for kappa={kappa!r}: "
+                             f"kappa/(U+kappa) = {kappa / A!r}, 2*sigma^2*(U+kappa) = {scale!r}")
+
+
 @lru_cache(maxsize=16384)
 def _g_root_cached(U: float, mu_x: float, sigma_x: float, sigma: float,
                    c0: float, c1: float, ce: float) -> float:
@@ -107,6 +114,7 @@ def _g_root_cached(U: float, mu_x: float, sigma_x: float, sigma: float,
         # Closed form: the margin equation is purely exponential in g.
         return scale * (math.log(c0 / c1) + prior_term + 0.5 * math.log(A / kappa))
 
+    _check_log_domain(U, kappa, A, scale)
     beta = ce / (A * A)
     log_c0 = math.log(c0)
     half_log = 0.5 * math.log(kappa / A)
@@ -245,9 +253,10 @@ def g_eval_quadrature(U: float, p: ModelParams, c: CostWeights, tol: float = 1e-
     A = U + kappa
     mu = p.mu_x
     s0 = p.sigma * math.sqrt(U)
+    two_s2A = 2.0 * p.sigma**2 * A
+    _check_log_domain(U, kappa, A, two_s2A)
     half_log = 0.5 * math.log(kappa / A)
     prior_term = mu**2 / (2.0 * p.sigma_x**2)
-    two_s2A = 2.0 * p.sigma**2 * A
 
     def integrand(z: float) -> float:
         V = z * s0

@@ -158,7 +158,7 @@ def _parse_channel_file(path: str, t_max: int) -> np.ndarray:
 
 
 def gen_channel(model: ChannelModel, seed: int, t_max: int) -> np.ndarray:
-    """Deterministic length-``t_max`` gain path for (model, seed)."""
+    """Deterministic length-``t_max`` gain path for (model, seed); OverflowError if not finite."""
     if not isinstance(t_max, int) or t_max < 1:
         raise ValueError(f"t_max must be a positive integer, got {t_max!r}")
     if isinstance(model, FromFile):
@@ -168,19 +168,22 @@ def gen_channel(model: ChannelModel, seed: int, t_max: int) -> np.ndarray:
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, _CHANNEL_STREAM]))
     if isinstance(model, IidGaussian):
-        return rng.normal(0.0, model.std, size=t_max)
-    if isinstance(model, Rayleigh):
-        re = rng.normal(0.0, model.scale, size=t_max)
-        im = rng.normal(0.0, model.scale, size=t_max)
-        return np.hypot(re, im)
-    if isinstance(model, Ar1):
+        h = rng.normal(0.0, model.std, size=t_max)
+    elif isinstance(model, Rayleigh):  # real part drawn first, then imaginary
+        h = np.hypot(rng.normal(0.0, model.scale, size=t_max),
+                     rng.normal(0.0, model.scale, size=t_max))
+    elif isinstance(model, Ar1):
         innov = rng.normal(0.0, model.innov_std, size=t_max)
         h = np.empty(t_max)
         h[0] = rng.normal(0.0, model.init_std)
         for t in range(1, t_max):
             h[t] = model.phi * h[t - 1] + innov[t]
-        return h
-    raise TypeError(f"unknown channel model: {model!r}")
+    else:
+        raise TypeError(f"unknown channel model: {model!r}")
+    # a scale near the float limit makes rng.normal return inf without a warning
+    if not np.isfinite(h).all():
+        raise OverflowError(f"{type(model).__name__} channel drew a gain that is not finite")
+    return h
 
 
 def _rep_rng(master_seed: int, truth: Hypothesis, rep_index: int) -> np.random.Generator:

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -100,6 +101,18 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("seqjde: a config value overflows a float") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["simulate", "--truth", "H1"], ["montecarlo"],
+                                         ["compare"]], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("seed", [1, 4, 5])
+    def test_non_finite_gain_is_a_one_line_error(self, tmp_path, capsys, command, seed):
+        # these seeds draw an infinite gain at t = 1, before the engine's overflow check
+        cfg = write_config(tmp_path, overrides={
+            "channel": {"type": "iid_gaussian", "std": 1.7976931348623157e308},
+            "mc": {"reps": 10, "master_seed": seed, "t_max": 200}})
+        assert main(command + ["--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("seqjde: ") and err.count("\n") == 1
+
 
 class TestCalibrate:
     def test_observe_regime_output(self, tmp_path):
@@ -163,6 +176,16 @@ class TestGtable:
     def test_requires_grid(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["gtable", "--config", cfg, "--out", str(tmp_path / "g.csv")]) == 2
+
+    def test_energy_too_large_for_kappa_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, overrides={
+            "model": {"mu_x": 0.0, "sigma_x": 1.0, "sigma": 1e-70},
+            "grid": {"u_min": 1e300, "u_max": 1e308, "points": 3, "spacing": "log"}})
+        out = tmp_path / "g.csv"
+        assert main(["gtable", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("seqjde: energy U=1e+300 ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_log_grid(self, tmp_path):
         cfg = write_config(
@@ -300,6 +323,58 @@ class TestOutput:
             assert main([command, "--config", cfg, "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("seqjde: cannot write") and err.count("\n") == 1
+        # the primary JSON is writable, its CSV sidecar is an existing directory
+        for argv, name, sidecar in ((["montecarlo", "--reps", "10"], "m.json", "m.reps.csv"),
+                                    (["simulate", "--truth", "H1"], "s.json", "s.trace.csv")):
+            (tmp_path / sidecar).mkdir()
+            assert main(argv + ["--config", cfg, "--out", str(tmp_path / name)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("seqjde: cannot write") and err.count("\n") == 1
+
+
+# sha256 of every file the five subcommands write for one config: reps.csv has
+# rows with an empty estimate, the linear grid a row with empty quadrature cells
+_PINNED_RUNS = [
+    (["calibrate"], "cal.json"),
+    (["gtable"], "lin.csv"),
+    (["gtable"], "log.csv"),
+    (["simulate", "--truth", "H0"], "s0.json"),
+    (["simulate", "--truth", "H1"], "s1.json"),
+    (["simulate", "--truth", "H1", "--x-override", "0.7"], "sx.json"),
+    (["montecarlo", "--reps", "40", "--seed", "3"], "mc.json"),
+    (["compare", "--reps", "40", "--seed", "3"], "cmp.json"),
+]
+_PINNED_SHA256 = {
+    "cal.json": "5dfb41f0b2ab80c04daf790b065ef105275f2e91438f9c8c70bd955fadd457ba",
+    "cmp.json": "e1d154e23f205834ac261de08c511b4b0a9d519417395a7af1fea5ef71589440",
+    "lin.csv": "6d58739c15f005a814279d68463899d108a983a297ab38a88710ec24e420d7c2",
+    "log.csv": "1c83ff9b9b4a6761c67806a4d79d14270c0e5e39215f064bd473479131d756cf",
+    "mc.json": "1a945becda38bc365b6d2e48899d13281bb8cd0debd29712f805d9a68a4a9e82",
+    "mc.reps.csv": "689da422287b7fdb26b38bd70d9c985b2ff2299903ae7d7e49343d2eb6f822cd",
+    "s0.json": "9772939491739aa35ba57d92a1f9740f210c8b4d349366ac4146d0da6a3b1fbb",
+    "s0.trace.csv": "ab018ed16cdbcf8bbd8d5aa0d5733bf7614cb774bf1249043bb78392c1fa929b",
+    "s1.json": "33046b7af0a6d1823c8e9a7c89d47e360c097aa2a81588f63aca960f3ee48640",
+    "s1.trace.csv": "c7b62d901a898d7f4e970ad6e8be276bfb17edaf120025ba525d26680d5824a8",
+    "sx.json": "d493e8cf4811cf58bbef6400077179705904170cad3e560c802fb7a83870291b",
+    "sx.trace.csv": "e619efcdcf9a20d9746183eb5a584fbc8803c03e3d917b58190e4f2186971995",
+}
+
+
+def test_output_bytes_are_pinned(tmp_path):
+    grids = {
+        "lin.csv": {"u_min": 0.0, "u_max": 4.0, "points": 5, "spacing": "linear"},
+        "log.csv": {"u_min": 1e-3, "u_max": 1e3, "points": 7, "spacing": "log"},
+    }
+    for argv, name in _PINNED_RUNS:
+        cfg = write_config(tmp_path, overrides={
+            "model": {"mu_x": 0.5, "sigma_x": 1.0, "sigma": 1.0},
+            "costs": {"c0": 1.0, "c1": 0.2, "ce": 5.0},
+            "grid": grids.get(name, grids["lin.csv"]),
+        }, constraint_C=1.1)
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / name)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir()) if p.name != "config.json"}
+    assert digests == _PINNED_SHA256
 
 
 def test_cli_uses_no_private_sim_names():

@@ -119,6 +119,25 @@ class TestGRoot:
         with pytest.raises(ValueError):
             g_root(-1.0, REF_P, REF_C)
 
+    def test_energy_too_large_for_kappa(self):
+        # kappa = 1e-140: kappa/(U+kappa) is a denormal at U = 1e180, which is not
+        # refused, and 0 at U = 1e300, where its log is undefined
+        p = ModelParams(0.0, 1.0, 1e-70)
+        g_root(1e180, p, REF_C)
+        with pytest.raises(NumericalError, match=r"U=1e\+300"):
+            g_root(1e300, p, REF_C)
+        # the ce = 0 closed form has no log(kappa/A), but the quadrature does
+        with pytest.raises(NumericalError, match=r"U=1e\+300"):
+            g_eval_quadrature(1e300, p, CostWeights(1.0, 1.0, 0.0))
+
+    def test_energy_scale_underflow(self):
+        # 2*sigma^2*(U+kappa) is a denormal at U = 1 and 0 at U = 1e-10; the root
+        # search divides by it
+        p = ModelParams(0.0, 1e-80, 1e-160)
+        assert math.isfinite(g_root(1.0, p, REF_C))
+        with pytest.raises(NumericalError, match=r"U=1e-10 "):
+            g_root(1e-10, p, REF_C)
+
 
 class TestRegion:
     def test_whole_line_when_root_nonpositive(self):

@@ -104,6 +104,11 @@ class TestGenChannel:
         assert abs(sq.mean() - 2 * 0.49) <= 5 * se
         assert (h > 0).all()
 
+    def test_non_finite_gain_is_an_overflow(self):
+        # rng.normal returns inf without a warning once std * z passes the float limit
+        with pytest.raises(OverflowError, match="not finite"):
+            gen_channel(IidGaussian(1.7976931348623157e308), 1, 200)
+
     def test_ar1_is_autocorrelated(self):
         h = gen_channel(Ar1(0.9, 0.3, 0.3), 3, 5000)
         r = np.corrcoef(h[:-1], h[1:])[0, 1]
