@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import scipy.integrate
 from scipy.special import ndtr
 
 from .errors import InfeasibleConstraint, InvalidCosts, NumericalError, QuadratureNonConvergence
@@ -102,6 +101,12 @@ def _check_log_domain(U: float, kappa: float, A: float, scale: float) -> None:
                              f"kappa/(U+kappa) = {kappa / A!r}, 2*sigma^2*(U+kappa) = {scale!r}")
 
 
+def _check_finite(U: float, name: str, value: float) -> None:
+    """NumericalError where an intermediate such as ``(U+kappa)^2`` overflowed into ``value``."""
+    if not math.isfinite(value):
+        raise NumericalError(f"energy U={U!r} is out of range: {name} = {value}")
+
+
 @lru_cache(maxsize=16384)
 def _g_root_cached(U: float, mu_x: float, sigma_x: float, sigma: float,
                    c0: float, c1: float, ce: float) -> float:
@@ -112,7 +117,9 @@ def _g_root_cached(U: float, mu_x: float, sigma_x: float, sigma: float,
 
     if ce == 0.0:
         # Closed form: the margin equation is purely exponential in g.
-        return scale * (math.log(c0 / c1) + prior_term + 0.5 * math.log(A / kappa))
+        ratio = c0 / c1  # may under- or overflow; only then is its log split
+        log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(c0) - math.log(c1)
+        return scale * (log_ratio + prior_term + 0.5 * math.log(A / kappa))
 
     _check_log_domain(U, kappa, A, scale)
     beta = ce / (A * A)
@@ -160,11 +167,14 @@ def g_root(U: float, p: ModelParams, c: CostWeights) -> float:
     decision boundary and may be negative.  For ce = 0 the closed form is
     used; otherwise the right side is strictly increasing in g on
     ``[-(U+kappa)^2*c1/ce, inf)`` and a bracketed bisection is run to
-    absolute tolerance 1e-10.
+    absolute tolerance 1e-10.  NumericalError: a root that is not finite,
+    where ``(U+kappa)/kappa`` or ``(U+kappa)^2`` overflows.
     """
     _validate_costs(c)
     _check_energy(U)
-    return _g_root_cached(U, p.mu_x, p.sigma_x, p.sigma, c.c0, c.c1, c.ce)
+    g = _g_root_cached(U, p.mu_x, p.sigma_x, p.sigma, c.c0, c.c1, c.ce)
+    _check_finite(U, "margin root g", g)
+    return g
 
 
 def region(U: float, p: ModelParams, c: CostWeights) -> tuple[float, float]:
@@ -200,7 +210,8 @@ def g_eval(U: float, p: ModelParams, c: CostWeights) -> float:
     the region is assembled from Gaussian tail probabilities and the first
     two truncated moments of the unit normal, using that V has null law
     ``N(0, sigma^2 U)`` and marginal alternative law
-    ``N(mu_x U, sigma_x^2 U (U+kappa))``.
+    ``N(mu_x U, sigma_x^2 U (U+kappa))``.  NumericalError: a value that is
+    not finite, e.g. where ``U*(U+kappa)`` overflows.
     """
     _validate_costs(c)
     _check_energy(U)
@@ -230,7 +241,9 @@ def g_eval(U: float, p: ModelParams, c: CostWeights) -> float:
     r = s1 / A
     shrunk_second_moment = mu * mu * tail_p + 2.0 * mu * r * tail_z + r * r * tail_z2
 
-    return c.c0 * false_alarm - c.c1 * tail_p - c.ce * shrunk_second_moment
+    G = c.c0 * false_alarm - c.c1 * tail_p - c.ce * shrunk_second_moment
+    _check_finite(U, "G", G)
+    return G
 
 
 def g_eval_quadrature(U: float, p: ModelParams, c: CostWeights, tol: float = 1e-9) -> float:
@@ -242,6 +255,8 @@ def g_eval_quadrature(U: float, p: ModelParams, c: CostWeights, tol: float = 1e-
     far tails.  Raises QuadratureNonConvergence if the accumulated absolute
     error estimate exceeds ``tol``.
     """
+    import scipy.integrate  # not at module level: ~0.3 s of cold start only gtable needs
+
     _validate_costs(c)
     if not (math.isfinite(U) and U > 0):
         raise ValueError(f"quadrature needs U > 0, got {U!r}")

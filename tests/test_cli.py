@@ -4,6 +4,9 @@ import hashlib
 import inspect
 import io
 import json
+import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -186,6 +189,36 @@ class TestGtable:
         err = capsys.readouterr().err
         assert err.startswith("seqjde: energy U=1e+300 ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("ce", [0.0, 1.0])
+    def test_overflowing_root_exits_3(self, tmp_path, capsys, ce):
+        # kappa = 1e-140: the root was inf (ce = 0) or -inf (ce = 1), and every
+        # row printed G = nan, with exit 0 for ce = 0
+        cfg = write_config(tmp_path, overrides={
+            "model": {"mu_x": 0.0, "sigma_x": 1.0, "sigma": 1e-70},
+            "costs": {"c0": 1.0, "c1": 1.0, "ce": ce},
+            "grid": {"u_min": 1e170, "u_max": 1e180, "points": 3, "spacing": "log"}})
+        out = tmp_path / "g.csv"
+        assert main(["gtable", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("seqjde: energy U=1e+170 ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_ce_zero_cost_ratio_underflow_runs(self, tmp_path, capsys):
+        # c0/c1 underflows to 0: log(c0/c1) ended in a ValueError traceback
+        cfg = write_config(tmp_path, overrides={
+            "model": {"mu_x": 0.5, "sigma_x": 1.0, "sigma": 1.0},
+            "costs": {"c0": 5e-324, "c1": 3.0, "ce": 0.0},
+            "grid": {"u_min": 0.0, "u_max": 4.0, "points": 5, "spacing": "linear"}})
+        out = tmp_path / "g.csv"
+        assert main(["gtable", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [[float(x) for x in line.split(",") if x]
+                for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 5 and all(math.isfinite(x) for row in rows for x in row)
+        # the region is the whole line, so G = c0 - c1 - ce*mu_x^2 ~ -3 everywhere
+        assert all(row[4] == pytest.approx(-3.0) for row in rows)
+        assert all(row[6] <= 1e-9 for row in rows[1:])
 
     def test_log_grid(self, tmp_path):
         cfg = write_config(
@@ -377,6 +410,30 @@ def test_output_bytes_are_pinned(tmp_path):
     assert digests == _PINNED_SHA256
 
 
+_LOADS_INTEGRATE = {"calibrate": False, "simulate": False, "montecarlo": False,
+                    "compare": False, "gtable": True}
+
+
+def test_only_gtable_loads_the_quadrature_stack(tmp_path):
+    # scipy.integrate (with scipy.optimize, sparse and linalg) is most of a cold
+    # start; only the quadrature oracle, which gtable alone runs, needs it
+    src = str(Path(seqjde.__file__).resolve().parents[1])
+    cfg = write_config(tmp_path, overrides={
+        "grid": {"u_min": 0.0, "u_max": 1.0, "points": 2, "spacing": "linear"}})
+    child = ("import json, sys; sys.path.insert(0, sys.argv[1]); from seqjde import cli; "
+             "rc = cli.main(sys.argv[2:]); "
+             "print(json.dumps([rc, 'scipy.integrate' in sys.modules]))")
+    loaded = {}
+    for command in _LOADS_INTEGRATE:
+        extra = ["--truth", "H1"] if command == "simulate" else []
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o.json"), *extra]
+        run = subprocess.run([sys.executable, "-c", child, src, *argv],
+                             capture_output=True, text=True, check=True)
+        rc, loaded[command] = json.loads(run.stdout)
+        assert rc == 0, (command, run.stderr)
+    assert loaded == _LOADS_INTEGRATE
+
+
 def test_cli_uses_no_private_sim_names():
     tree = ast.parse(Path(cli.__file__).read_text())
     private = [
@@ -496,6 +553,15 @@ _FUZZ_COMMANDS = [["calibrate"], ["gtable"], ["simulate", "--truth", "H0"],
 @example(raw={**BASE_CONFIG, "model": {"mu_x": 0.0, "sigma_x": 1.0, "sigma": 1e-300}})
 # h*h overflowed: log(0) at inf energy in simulate, inf and nan in montecarlo
 @example(raw={**BASE_CONFIG, "channel": {"type": "constant", "h": 1e300}})
+# c0/c1 underflowed to 0 in the ce = 0 closed root: log(0) in gtable
+@example(raw={**BASE_CONFIG, "costs": {"c0": 1e-200, "c1": 1e200, "ce": 0.0},
+              "grid": {"u_min": 0.0, "u_max": 4.0, "points": 3, "spacing": "linear"}})
+# (U+kappa)/kappa and (U+kappa)^2 overflowed: g = +-inf and G = nan, exit 0 at ce = 0
+@example(raw={**BASE_CONFIG, "model": {"mu_x": 0.0, "sigma_x": 1.0, "sigma": 1e-70},
+              "costs": {"c0": 1.0, "c1": 1.0, "ce": 0.0},
+              "grid": {"u_min": 1e170, "u_max": 1e180, "points": 3, "spacing": "log"}})
+@example(raw={**BASE_CONFIG, "model": {"mu_x": 0.0, "sigma_x": 1.0, "sigma": 1e-70},
+              "grid": {"u_min": 1e170, "u_max": 1e180, "points": 3, "spacing": "log"}})
 # x*h overflowed in the sampler: RuntimeWarning, then inf observations
 @example(raw={**BASE_CONFIG, "model": {"mu_x": 1.7976931348623157e308, "sigma_x": 1.0,
                                        "sigma": 1.0},
@@ -512,9 +578,14 @@ def test_fuzzed_configs_end_in_a_known_exit_code(raw):
         cfg = Path(tmp, "cfg.json")
         cfg.write_text(json.dumps(raw))
         for argv in _FUZZ_COMMANDS:
+            for old in Path(tmp).glob("out*"):
+                old.unlink()
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = main(argv + ["--config", str(cfg), "--out", str(Path(tmp, "out.json"))])
             text = err.getvalue()
             assert code in (0, 2, 3, 4), (argv, code, text)
             assert text.count("\n") == (code != 0) and "Traceback" not in text, (argv, text)
+            # a run that succeeds prints no nan
+            written = [out.read_text() for out in Path(tmp).glob("out*")]
+            assert code != 0 or not any("nan" in out for out in written), argv

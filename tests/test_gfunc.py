@@ -120,15 +120,49 @@ class TestGRoot:
             g_root(-1.0, REF_P, REF_C)
 
     def test_energy_too_large_for_kappa(self):
-        # kappa = 1e-140: kappa/(U+kappa) is a denormal at U = 1e180, which is not
-        # refused, and 0 at U = 1e300, where its log is undefined
+        # kappa/(U+kappa) is a denormal for kappa = 1e-160 at U = 1e150, which is
+        # not refused, and 0 for kappa = 1e-140 at U = 1e300, where its log is
+        # undefined
+        # (c1 = 0 puts the bisection's lower end at 0, where it converges)
+        g = g_root(1e150, ModelParams(0.0, 1.0, 1e-80), CostWeights(1.0, 0.0, 1.0))
+        assert 0.0 < g < 1.0
         p = ModelParams(0.0, 1.0, 1e-70)
-        g_root(1e180, p, REF_C)
         with pytest.raises(NumericalError, match=r"U=1e\+300"):
             g_root(1e300, p, REF_C)
         # the ce = 0 closed form has no log(kappa/A), but the quadrature does
         with pytest.raises(NumericalError, match=r"U=1e\+300"):
             g_eval_quadrature(1e300, p, CostWeights(1.0, 1.0, 0.0))
+
+    def test_overflowing_root_is_refused(self):
+        # kappa = 1e-140 at U = 1e170: (U+kappa)/kappa overflows in the ce = 0
+        # closed form (g = inf) and (U+kappa)^2 in the bisection's bracket
+        # (g = -inf); G is nan at both
+        p = ModelParams(0.0, 1.0, 1e-70)
+        for c, g in ((CostWeights(1.0, 1.0, 0.0), "inf"), (REF_C, "-inf")):
+            with pytest.raises(NumericalError, match=rf"U=1e\+170 .* g = {g}$"):
+                g_root(1e170, p, c)
+            with pytest.raises(NumericalError, match=r"U=1e\+170 "):
+                g_eval(1e170, p, c)
+
+    @pytest.mark.parametrize("c0, c1", [(1e-200, 1e200), (1e200, 1e-200), (5e-324, 3.0)])
+    def test_ce_zero_cost_ratio_out_of_range(self, c0, c1):
+        # c0/c1 underflows to 0 (log(0) raised) or overflows to inf (g was inf);
+        # the closed form then takes log(c0) - log(c1)
+        c = CostWeights(c0, c1, 0.0)
+        for U in (0.0, 1.0, 50.0):
+            A = U + 1.0
+            g = g_root(U, REF_P, c)
+            expect = 2.0 * A * (math.log(c0) - math.log(c1) + 0.5 * math.log(A))
+            assert g == pytest.approx(expect, rel=1e-14)
+            # the margin equation in log form
+            assert 0.5 * math.log(1.0 / A) + g / (2.0 * A) + math.log(c1) == pytest.approx(
+                math.log(c0), rel=1e-12)
+        assert math.isfinite(g_eval(1.0, REF_P, c))
+
+    def test_cost_ratio_in_range_keeps_the_ratio(self):
+        # a denormal but nonzero c0/c1 still goes through log(c0/c1), bit for bit
+        c = CostWeights(1e-300, 1e10, 0.0)
+        assert g_root(1.0, REF_P, c) == 4.0 * (math.log(c.c0 / c.c1) + 0.5 * math.log(2.0))
 
     def test_energy_scale_underflow(self):
         # 2*sigma^2*(U+kappa) is a denormal at U = 1 and 0 at U = 1e-10; the root
@@ -220,6 +254,17 @@ class TestGEval:
         for u in (0.0, 0.05, 0.8, 3.0, 40.0, 1e4):
             val = g_eval(u, p, c)
             assert Ginf - 1e-12 <= val <= G0 + 1e-12
+
+
+    def test_non_finite_value_is_refused(self):
+        # U*(U+kappa) overflows above U ~ 1.3e154 while the ce = 0 root stays
+        # finite: the alternative law's scale is inf and G was nan
+        p = ModelParams(0.5, 1.0, 1.0)
+        c = CostWeights(1.0, 1.0, 0.0)
+        assert g_eval(1e150, p, c) == pytest.approx(-1.0)
+        assert math.isfinite(g_root(1e155, p, c))
+        with pytest.raises(NumericalError, match=r"U=1e\+155 .* G = nan$"):
+            g_eval(1e155, p, c)
 
 
 class TestGEvalQuadrature:
