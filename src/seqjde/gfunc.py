@@ -255,7 +255,7 @@ def g_eval_quadrature(U: float, p: ModelParams, c: CostWeights, tol: float = 1e-
     far tails.  Raises QuadratureNonConvergence if the accumulated absolute
     error estimate exceeds ``tol``.
     """
-    import scipy.integrate  # not at module level: ~0.3 s of cold start only gtable needs
+    import scipy.integrate  # not at module level: ~0.2 s of start-up only gtable needs
 
     _validate_costs(c)
     if not (math.isfinite(U) and U > 0):

@@ -410,13 +410,11 @@ def test_output_bytes_are_pinned(tmp_path):
     assert digests == _PINNED_SHA256
 
 
-_LOADS_INTEGRATE = {"calibrate": False, "simulate": False, "montecarlo": False,
-                    "compare": False, "gtable": True}
-
-
 def test_only_gtable_loads_the_quadrature_stack(tmp_path):
-    # scipy.integrate (with scipy.optimize, sparse and linalg) is most of a cold
-    # start; only the quadrature oracle, which gtable alone runs, needs it
+    # scipy.integrate (with scipy.optimize, sparse and linalg) is about 40% of a
+    # cold start; only the quadrature oracle, which gtable alone runs, needs it
+    expected = {"calibrate": False, "simulate": False, "montecarlo": False,
+                "compare": False, "gtable": True}
     src = str(Path(seqjde.__file__).resolve().parents[1])
     cfg = write_config(tmp_path, overrides={
         "grid": {"u_min": 0.0, "u_max": 1.0, "points": 2, "spacing": "linear"}})
@@ -424,14 +422,14 @@ def test_only_gtable_loads_the_quadrature_stack(tmp_path):
              "rc = cli.main(sys.argv[2:]); "
              "print(json.dumps([rc, 'scipy.integrate' in sys.modules]))")
     loaded = {}
-    for command in _LOADS_INTEGRATE:
+    for command in expected:
         extra = ["--truth", "H1"] if command == "simulate" else []
         argv = [command, "--config", cfg, "--out", str(tmp_path / "o.json"), *extra]
         run = subprocess.run([sys.executable, "-c", child, src, *argv],
                              capture_output=True, text=True, check=True)
         rc, loaded[command] = json.loads(run.stdout)
         assert rc == 0, (command, run.stderr)
-    assert loaded == _LOADS_INTEGRATE
+    assert loaded == expected
 
 
 def test_cli_uses_no_private_sim_names():
@@ -587,5 +585,5 @@ def test_fuzzed_configs_end_in_a_known_exit_code(raw):
             assert code in (0, 2, 3, 4), (argv, code, text)
             assert text.count("\n") == (code != 0) and "Traceback" not in text, (argv, text)
             # a run that succeeds prints no nan
-            written = [out.read_text() for out in Path(tmp).glob("out*")]
-            assert code != 0 or not any("nan" in out for out in written), argv
+            assert code != 0 or not any("nan" in out.read_text()
+                                        for out in Path(tmp).glob("out*")), argv

@@ -9,10 +9,9 @@ SRC_DIR is the ``src/`` directory to import ``seqjde`` from; it defaults to
 parent checkout and a change.  One generated config is written to a temp
 directory.  After one untimed warm-up run, for each of the five subcommands
 in turn, RUNS fresh interpreters run ``seqjde.cli.main`` one after another,
-never two at once.
-Each child reports its exit code, its peak resident set size from
-``resource.getrusage`` and the SciPy subpackages it loaded.  One line is
-printed per subcommand::
+never two at once.  Each child reports its exit code, its peak resident set
+size from ``resource.getrusage`` and the SciPy subpackages it loaded.  One
+line is printed per subcommand::
 
     <command> min=<s> median=<s> peak_rss=<MB> scipy=<subpackages>
 
@@ -44,8 +43,8 @@ COMMANDS = {
     "calibrate": [],
     "gtable": [],
     "simulate": ["--truth", "H1"],
-    "montecarlo": ["--workers", "1"],
-    "compare": ["--workers", "1"],
+    "montecarlo": [],
+    "compare": [],
 }
 # runs one subcommand and reports on the last line of standard output
 CHILD = """\
