@@ -11,6 +11,12 @@ Its range runs from ``G(0) = min(c0 - c1 - ce*mu_x^2, 0)`` down to
 The module evaluates ``G`` two independent ways: a closed form built from the
 Gaussian cdf and truncated-moment identities, and an adaptive-quadrature path
 retained as a cross-checking oracle.
+
+The Gaussian cdf ``ndtr`` is a transcription of the Cephes library's
+``ndtr``/``erfc``/``erf`` (S. L. Moshier), the algorithm behind
+``scipy.special.ndtr``: the same branches, coefficients and Horner order, so
+it returns the same bits, without loading SciPy.  Only the quadrature oracle
+imports SciPy.
 """
 
 from __future__ import annotations
@@ -20,12 +26,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.special import ndtr
-
 from .errors import InfeasibleConstraint, InvalidCosts, NumericalError, QuadratureNonConvergence
 from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT1_2 = math.sqrt(0.5)
+# Cephes MAXLOG = log(DBL_MAX); its erfc returns 0 once x*x exceeds it
+_MAXLOG = 7.09782712893383996843e2
 
 # Bisection tolerances: absolute on the root of the margin equation, residual
 # on the threshold equation.
@@ -33,6 +40,9 @@ _G_ROOT_XTOL = 1e-10
 _GAMMA_RESIDUAL_TOL = 1e-12
 _GAMMA_RESIDUAL_MAX = 1e-10
 _MAX_BISECT = 500
+# Halvings that take any float bracket down to adjacent floats: its width
+# shrinks from at most 2**1025 to at least 2**-1074.
+_MAX_HALVINGS = 2200
 
 
 class Regime(enum.Enum):
@@ -145,7 +155,7 @@ def _g_root_cached(U: float, mu_x: float, sigma_x: float, sigma: float,
     else:
         raise NumericalError(f"no upper bracket for the margin root at U={U}")
 
-    for _ in range(_MAX_BISECT):
+    for _ in range(_MAX_HALVINGS):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -155,6 +165,8 @@ def _g_root_cached(U: float, mu_x: float, sigma_x: float, sigma: float,
             lo = mid
         if hi - lo <= _G_ROOT_XTOL:
             break
+    else:
+        raise NumericalError(f"margin root bisection did not converge at U={U}")
     return 0.5 * (lo + hi)
 
 
@@ -167,8 +179,9 @@ def g_root(U: float, p: ModelParams, c: CostWeights) -> float:
     decision boundary and may be negative.  For ce = 0 the closed form is
     used; otherwise the right side is strictly increasing in g on
     ``[-(U+kappa)^2*c1/ce, inf)`` and a bracketed bisection is run to
-    absolute tolerance 1e-10.  NumericalError: a root that is not finite,
-    where ``(U+kappa)/kappa`` or ``(U+kappa)^2`` overflows.
+    absolute tolerance 1e-10, or to adjacent floats where the root is too
+    large for that.  NumericalError: a root that is not finite, where
+    ``(U+kappa)/kappa`` or ``(U+kappa)^2`` overflows.
     """
     _validate_costs(c)
     _check_energy(U)
@@ -199,6 +212,54 @@ def g_limits(p: ModelParams, c: CostWeights) -> tuple[float, float]:
 
 def _norm_pdf(z: float) -> float:
     return math.exp(-0.5 * z * z) / _SQRT_2PI
+
+
+def _erf(x: float) -> float:
+    """Cephes ``erf`` for |x| <= 1: x T(x^2) / U(x^2)."""
+    z = x * x
+    return x * ((((9.60497373987051638749e0 * z + 9.00260197203842689217e1) * z
+                  + 2.23200534594684319226e3) * z + 7.00332514112805075473e3) * z
+                + 5.55923013010394962768e4) / (
+        ((((z + 3.35617141647503099647e1) * z + 5.21357949780152679795e2) * z
+          + 4.59432382970980127987e3) * z + 2.26290000613890934246e4) * z
+        + 4.92673942608635921086e4)
+
+
+def _erfc(x: float) -> float:
+    """Cephes ``erfc`` for x >= 0: exp(-x^2) P(x) / Q(x), split at x = 8."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = x * x
+    if z > _MAXLOG:
+        return 0.0
+    if x < 8.0:
+        p = ((((((((2.46196981473530512524e-10 * x + 5.64189564831068821977e-1) * x
+                   + 7.46321056442269912687e0) * x + 4.86371970985681366614e1) * x
+                 + 1.96520832956077098242e2) * x + 5.26445194995477358631e2) * x
+               + 9.34528527171957607540e2) * x + 1.02755188689515710272e3) * x
+             + 5.57535335369399327526e2)
+        q = (((((((x + 1.32281951154744992508e1) * x + 8.67072140885989742329e1) * x
+                 + 3.54937778887819891062e2) * x + 9.75708501743205489753e2) * x
+               + 1.82390916687909736289e3) * x + 2.24633760818710981792e3) * x
+             + 1.65666309194161350182e3) * x + 5.57535340817727675546e2
+    else:
+        p = ((((5.64189583547755073984e-1 * x + 1.27536670759978104416e0) * x
+               + 5.01905042251180477414e0) * x + 6.16021097993053585195e0) * x
+             + 7.40974269950448939160e0) * x + 2.97886665372100240670e0
+        q = (((((x + 2.26052863220117276590e0) * x + 9.39603524938001434673e0) * x
+               + 1.20489539808096656605e1) * x + 1.70814450747565897222e1) * x
+             + 9.60896809063285878198e0) * x + 3.36907645100081516050e0
+    return math.exp(-z) * p / q
+
+
+def ndtr(a: float) -> float:
+    """Standard normal cdf; equals ``scipy.special.ndtr(a)`` bit for bit (a NaN stays NaN)."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0.0 else y
 
 
 def g_eval(U: float, p: ModelParams, c: CostWeights) -> float:
@@ -233,9 +294,11 @@ def g_eval(U: float, p: ModelParams, c: CostWeights) -> float:
     b = (V2 - mu * U) / s1
     phi_a = _norm_pdf(a)
     phi_b = _norm_pdf(b)
-    tail_p = ndtr(a) + ndtr(-b)
+    cdf_a = ndtr(a)
+    sf_b = ndtr(-b)
+    tail_p = cdf_a + sf_b
     tail_z = phi_b - phi_a
-    tail_z2 = (ndtr(a) - a * phi_a) + (ndtr(-b) + b * phi_b)
+    tail_z2 = (cdf_a - a * phi_a) + (sf_b + b * phi_b)
 
     # E[((V + mu*kappa)/A)^2 ; region] with V + mu*kappa = mu*A + s1*Z.
     r = s1 / A
@@ -255,7 +318,7 @@ def g_eval_quadrature(U: float, p: ModelParams, c: CostWeights, tol: float = 1e-
     far tails.  Raises QuadratureNonConvergence if the accumulated absolute
     error estimate exceeds ``tol``.
     """
-    import scipy.integrate  # not at module level: ~0.2 s of start-up only gtable needs
+    import scipy.integrate  # not at module level: SciPy is ~half of a cold start
 
     _validate_costs(c)
     if not (math.isfinite(U) and U > 0):
@@ -278,7 +341,6 @@ def g_eval_quadrature(U: float, p: ModelParams, c: CostWeights, tol: float = 1e-
         shifted = V + mu * kappa
         log_lr = half_log + shifted * shifted / two_s2A - prior_term
         weight = c.c1 + c.ce * (shifted / A) ** 2
-        # both exponents stay <= 0, so no overflow is possible
         margin = c.c0 * math.exp(-0.5 * z * z) - weight * math.exp(log_lr - 0.5 * z * z)
         val = margin / _SQRT_2PI
         return val if val < 0.0 else 0.0
@@ -303,10 +365,17 @@ def g_eval_quadrature(U: float, p: ModelParams, c: CostWeights, tol: float = 1e-
     def _quad(lo: float, hi: float) -> tuple[float, float]:
         inner = [m for m in marks if lo < m < hi]
         kwargs = {"points": inner} if inner and math.isfinite(lo) and math.isfinite(hi) else {}
-        result = scipy.integrate.quad(
-            integrand, lo, hi, epsabs=tol / 4.0, epsrel=1e-12, limit=300,
-            full_output=1, **kwargs,
-        )
+        try:
+            result = scipy.integrate.quad(
+                integrand, lo, hi, epsabs=tol / 4.0, epsrel=1e-12, limit=300,
+                full_output=1, **kwargs,
+            )
+        except OverflowError as exc:
+            # log_lr - z^2/2 is <= 0 in exact arithmetic only; with a large
+            # mu_x*kappa it rounds past exp's range
+            raise QuadratureNonConvergence(
+                f"quadrature integrand overflows on [{lo}, {hi}] at U={U}: {exc}"
+            ) from exc
         if len(result) > 3:
             raise QuadratureNonConvergence(
                 f"quadrature failed on [{lo}, {hi}] at U={U}: {result[3]}"

@@ -204,6 +204,21 @@ class TestGtable:
         assert err.startswith("seqjde: energy U=1e+170 ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_quadrature_overflow_exits_3_with_the_table(self, tmp_path, capsys):
+        # exp(log_lr - z^2/2) overflows in the quadrature integrand at this
+        # mu_x*kappa; gtable exited 2, "a config value overflows a float"
+        cfg = write_config(tmp_path, overrides={
+            "model": {"mu_x": -1.23e9, "sigma_x": 1.0, "sigma": 1.87e-10},
+            "costs": {"c0": 1.37e230, "c1": 8.8e-81, "ce": 0.0},
+            "grid": {"u_min": 0.0, "u_max": 2.0, "points": 3, "spacing": "linear"}})
+        out = tmp_path / "g.csv"
+        assert main(["gtable", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "gtable: quadrature failed on 2 grid point(s)\n"
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == [0.0, 1.0, 2.0]
+        assert all(row[5:] == ["", ""] for row in rows)
+        assert all(math.isfinite(float(x)) for row in rows for x in row[:5])
+
     def test_ce_zero_cost_ratio_underflow_runs(self, tmp_path, capsys):
         # c0/c1 underflows to 0: log(c0/c1) ended in a ValueError traceback
         cfg = write_config(tmp_path, overrides={
@@ -411,25 +426,28 @@ def test_output_bytes_are_pinned(tmp_path):
 
 
 def test_only_gtable_loads_the_quadrature_stack(tmp_path):
-    # scipy.integrate (with scipy.optimize, sparse and linalg) is about 40% of a
-    # cold start; only the quadrature oracle, which gtable alone runs, needs it
-    expected = {"calibrate": False, "simulate": False, "montecarlo": False,
-                "compare": False, "gtable": True}
+    # SciPy is about half of a cold start: importing seqjde and running any
+    # subcommand but gtable loads none of it; gtable's quadrature oracle loads
+    # scipy.integrate
     src = str(Path(seqjde.__file__).resolve().parents[1])
     cfg = write_config(tmp_path, overrides={
         "grid": {"u_min": 0.0, "u_max": 1.0, "points": 2, "spacing": "linear"}})
-    child = ("import json, sys; sys.path.insert(0, sys.argv[1]); from seqjde import cli; "
-             "rc = cli.main(sys.argv[2:]); "
-             "print(json.dumps([rc, 'scipy.integrate' in sys.modules]))")
-    loaded = {}
-    for command in expected:
+    child = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+             "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+             "import seqjde.cli; imported = scipy(); rc = seqjde.cli.main(sys.argv[2:]); "
+             "print(json.dumps([rc, imported, scipy()]))")
+    for command in ("calibrate", "simulate", "montecarlo", "compare", "gtable"):
         extra = ["--truth", "H1"] if command == "simulate" else []
         argv = [command, "--config", cfg, "--out", str(tmp_path / "o.json"), *extra]
         run = subprocess.run([sys.executable, "-c", child, src, *argv],
                              capture_output=True, text=True, check=True)
-        rc, loaded[command] = json.loads(run.stdout)
+        rc, imported, loaded = json.loads(run.stdout)
         assert rc == 0, (command, run.stderr)
-    assert loaded == expected
+        assert imported == [], command
+        if command == "gtable":
+            assert "scipy.integrate" in loaded
+        else:
+            assert loaded == [], command
 
 
 def test_cli_uses_no_private_sim_names():

@@ -11,12 +11,14 @@ from seqjde import (
     InvalidCosts,
     ModelParams,
     NumericalError,
+    QuadratureNonConvergence,
     Regime,
     g_eval,
     g_eval_quadrature,
     g_limits,
     g_point,
     g_root,
+    gfunc,
     region,
     solve_gamma,
 )
@@ -164,6 +166,19 @@ class TestGRoot:
         c = CostWeights(1e-300, 1e10, 0.0)
         assert g_root(1.0, REF_P, c) == 4.0 * (math.log(c.c0 / c.c1) + 0.5 * math.log(2.0))
 
+    def test_wide_bracket_bisects_to_the_root(self):
+        # kappa = 1e-160 at U = 1e150 puts the bracket's lower end at -1e300:
+        # 500 halvings stopped at g = -1.5e149 (log residual -7.6e158), and G
+        # took the whole-line value -1
+        U, p = 1e150, ModelParams(0.0, 1.0, 1e-80)
+        g = g_root(U, p, REF_C)
+        A = U + p.kappa
+        scale = 2.0 * p.sigma**2 * A
+        residual = 0.5 * math.log(p.kappa / A) + g / scale + math.log(1.0 + g / (A * A))
+        # an error of 1e-10 in g, the bisection's tolerance, moves it by 1e-10/scale
+        assert abs(residual) <= 1e-10 / scale
+        assert g_eval(U, p, REF_C) == g_limits(p, REF_C)[1] == -2.0
+
     def test_energy_scale_underflow(self):
         # 2*sigma^2*(U+kappa) is a denormal at U = 1 and 0 at U = 1e-10; the root
         # search divides by it
@@ -284,6 +299,13 @@ class TestGEvalQuadrature:
             Ginf, abs=1e-2
         )
 
+    def test_integrand_overflow_is_a_quadrature_failure(self):
+        # exp(log_lr - z^2/2) overflows at this mu_x*kappa; it was an
+        # OverflowError, which the CLI reported as a config value overflowing
+        p = ModelParams(-1.23e9, 1.0, 1.87e-10)
+        with pytest.raises(QuadratureNonConvergence, match=r"overflows .* at U=2\.0"):
+            g_eval_quadrature(2.0, p, CostWeights(1.37e230, 8.8e-81, 0.0))
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             g_eval_quadrature(0.0, REF_P, REF_C)
@@ -379,3 +401,33 @@ class TestCalibrationType:
         with pytest.raises(ValueError):
             Calibration(C=5.0, regime=Regime.STOP_AT_ZERO,
                         decision=Hypothesis.H0, estimate=1.0)
+
+
+def test_ndtr_matches_scipy_bitwise():
+    from scipy.special import ndtr as scipy_ndtr
+
+    rng = np.random.default_rng(7)
+    n = 45_000
+    draws = [
+        rng.normal(0.0, 1.0, n),
+        rng.normal(0.0, 6.0, n),
+        rng.uniform(-40.0, 40.0, n),
+        rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(math.log(1e-323), math.log(400.0), n)),
+        rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64),
+    ]
+    # 200 steps of one ulp on each side of the branch points |a| = 1, sqrt(2)
+    # and 8*sqrt(2) (|x| = 1/sqrt(2), 1 and 8 for x = a/sqrt(2)), and the
+    # underflow of exp(-x^2) with its denormal results
+    steps = np.arange(-200, 201)
+    for edge in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0)):
+        ulps = np.abs(np.spacing(edge)) * steps + edge
+        draws += [ulps, -ulps]
+    draws.append(-np.linspace(37.5, 38.6, 20_001))
+    draws.append(np.array([0.0, -0.0, math.inf, -math.inf, math.nan]))
+    a = np.concatenate(draws)
+    assert a.size >= 200_000
+
+    want = scipy_ndtr(a)
+    got = np.array([gfunc.ndtr(x) for x in a.tolist()])
+    same = (got.view(np.uint64) == want.view(np.uint64)) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), [(x, g, w) for x, g, w in zip(a[~same], got[~same], want[~same])][:5]
