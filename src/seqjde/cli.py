@@ -10,6 +10,7 @@ exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -331,9 +332,10 @@ def _rep_lines(arm0: sim.ArmSamples, arm1: sim.ArmSamples):
         err_d1, err_d0 = arm.squared_errors(arm.decision)
         columns = (arm.x.tolist(), arm.decision.tolist(), arm.xhat.tolist(),
                    (err_d1 + err_d0).tolist())
+        h1 = f"%d,{tag:d},%.17g,1,%.17g,%.17g\n"
+        h0 = f"%d,{tag:d},%.17g,0,,%.17g\n"
         for rep, (x, d, xhat, err) in enumerate(zip(*columns)):
-            estimate = f"{xhat:.17g}" if d else ""
-            yield f"{rep:d},{tag:d},{x:.17g},{d:d},{estimate},{err:.17g}\n"
+            yield h1 % (rep, x, xhat, err) if d else h0 % (rep, x, err)
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
@@ -396,8 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand and return its exit code.
+
+    The parser, which binds each ``cmd_*`` handler, is built on the first call and reused.
+    """
+    args = _parser().parse_args(argv)
     try:
         with np.errstate(over="raise"):
             return args.run(args)

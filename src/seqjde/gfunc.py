@@ -335,13 +335,16 @@ def g_eval_quadrature(U: float, p: ModelParams, c: CostWeights, tol: float = 1e-
     _check_log_domain(U, kappa, A, two_s2A)
     half_log = 0.5 * math.log(kappa / A)
     prior_term = mu**2 / (2.0 * p.sigma_x**2)
+    c0, c1, ce, mu_kappa = c.c0, c.c1, c.ce, mu * kappa
+    exp = math.exp
 
     def integrand(z: float) -> float:
-        V = z * s0
-        shifted = V + mu * kappa
+        shifted = z * s0 + mu_kappa
         log_lr = half_log + shifted * shifted / two_s2A - prior_term
-        weight = c.c1 + c.ce * (shifted / A) ** 2
-        margin = c.c0 * math.exp(-0.5 * z * z) - weight * math.exp(log_lr - 0.5 * z * z)
+        weight = c1 + ce * (shifted / A) ** 2
+        # exact: (-0.5 * z) * z == -((0.5 * z) * z)
+        half_z2 = 0.5 * z * z
+        margin = c0 * exp(-half_z2) - weight * exp(log_lr - half_z2)
         val = margin / _SQRT_2PI
         return val if val < 0.0 else 0.0
 

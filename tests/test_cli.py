@@ -10,12 +10,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import seqjde
-from seqjde import cli
+from seqjde import Hypothesis, cli, sim
 from seqjde.cli import main
 
 BASE_CONFIG = {
@@ -324,6 +325,38 @@ class TestMonteCarlo:
         assert d1["reps"] == d2["reps"] == 100
         assert d1["combined"]["value"] != d2["combined"]["value"]
 
+    @pytest.mark.parametrize("n, decided", [(72, "mixed"), (72, "H0"), (72, "H1"), (2, "mixed")])
+    def test_rep_lines_match_the_f_string_writer(self, n, decided):
+        # the %-templates must print what the per-row f-string printed
+        specials = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                    0.1, 1 / 3, 0.0, -1.5]
+        rng = np.random.default_rng(20261018)
+        bits = rng.integers(0, 2**64, size=(2, 64), dtype=np.uint64, endpoint=False)
+        values = [np.array(specials + row.view(np.float64).tolist()) for row in bits]
+        x, xhat = values[0][:n], values[1][::-1][:n].copy()
+        decision = {"mixed": np.arange(n) % 3 == 1, "H0": np.zeros(n, bool),
+                    "H1": np.ones(n, bool)}[decided]
+        arms = [sim.ArmSamples(truth=truth, T=3, U_T=2.0, predicted=1.0,
+                               x=x, V=xhat, logL=xhat, xhat=xhat,
+                               decision=decision)
+                for truth in (Hypothesis.H0, Hypothesis.H1)]
+
+        def f_string_writer(arm0, arm1):
+            yield "rep,arm,x,decision,estimate,sq_err\n"
+            for tag, arm in enumerate((arm0, arm1)):
+                err_d1, err_d0 = arm.squared_errors(arm.decision)
+                columns = (arm.x.tolist(), arm.decision.tolist(), arm.xhat.tolist(),
+                           (err_d1 + err_d0).tolist())
+                for rep, (x, d, xhat, err) in enumerate(zip(*columns)):
+                    estimate = f"{xhat:.17g}" if d else ""
+                    yield f"{rep:d},{tag:d},{x:.17g},{d:d},{estimate},{err:.17g}\n"
+
+        with np.errstate(over="ignore"):  # big values square to inf
+            expect = list(f_string_writer(*arms))
+            got = list(cli._rep_lines(*arms))
+        assert len(got) == 1 + 2 * n
+        assert got == expect
+
     @pytest.mark.parametrize("command", ["montecarlo", "compare"])
     def test_one_replication_is_a_config_error(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path)
@@ -448,6 +481,47 @@ def test_only_gtable_loads_the_quadrature_stack(tmp_path):
             assert "scipy.integrate" in loaded
         else:
             assert loaded == [], command
+
+
+def test_cached_parser_keeps_no_state(tmp_path):
+    # main reuses one parser per process: each argv must parse as it would on
+    # a freshly built parser, whatever ran before it in the same process
+    cfg = write_config(tmp_path)
+    runs = [
+        ["montecarlo"],
+        ["montecarlo", "--seed", "5", "--reps", "40"],
+        ["simulate", "--truth", "H1", "--x-override", "0.7"],
+        ["simulate", "--truth", "H1"],
+        ["montecarlo"],
+        ["montecarlo", "--seed", "42", "--reps", "400"],  # the config's own values
+    ]
+
+    def run(i, argv, fresh):
+        out = tmp_path / f"{'fresh' if fresh else 'cached'}{i}" / "o.json"
+        out.parent.mkdir()
+        argv = argv + ["--config", cfg, "--out", str(out)]
+        if fresh:
+            args = cli.build_parser().parse_args(argv)
+            assert args.run(args) == 0
+        else:
+            assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.parent.iterdir())}
+
+    outputs = []
+    for i, argv in enumerate(runs):
+        outputs.append(run(i, argv, fresh=False))
+        assert outputs[-1] == run(i, argv, fresh=True), argv
+        if i == 1:
+            with pytest.raises(SystemExit) as exc:
+                main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "bad.json"),
+                      "--no-such-flag"])
+            assert exc.value.code == 2
+    assert outputs[4] == outputs[0]
+    assert outputs[5] == outputs[0]
+    assert outputs[1] != outputs[0] and outputs[3] != outputs[2]
+    assert json.loads(outputs[0]["o.json"])["reps"] == 400
+    assert json.loads(outputs[1]["o.json"])["reps"] == 40
+    assert cli._parser() is cli._parser()
 
 
 def test_cli_uses_no_private_sim_names():

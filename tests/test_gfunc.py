@@ -34,6 +34,37 @@ COST_CONFIGS = [
 ]
 
 
+# float.hex of g_eval_quadrature(U, p, c) at its default tol: 4 models x 3
+# cost sets x QUADRATURE_PIN_ENERGIES
+QUADRATURE_PIN_ENERGIES = [0.01, 1.0, 50.0, 1e4]
+QUADRATURE_PINS = [
+    ((0.0, 1.0, 1.0), (1.0, 1.0, 1.0),
+     ['-0x1.751242a21c106p-7', '-0x1.40cb3da07a06ep-1', '-0x1.b5782c67e6264p+0', '-0x1.f928a39c9e12ep+0']),
+    ((0.0, 1.0, 1.0), (1.0, 1.0, 0.0),
+     ['-0x1.3b94765aff4acp-9', '-0x1.541966d8c1e77p-3', '-0x1.77c6539409f30p-1', '-0x1.f25f5ba742964p-1']),
+    ((0.0, 1.0, 1.0), (1.0, 0.2, 5.0),
+     ['-0x1.9926d648eb25ap-17', '-0x1.0ae3ed5c8dc0bp+1', '-0x1.3f4710d9e5c28p+2', '-0x1.4c6094ff9cbfcp+2']),
+    ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0),
+     ['-0x1.028901d379f04p+0', '-0x1.c31cc238c067bp+0', '-0x1.663fa0969670ep+1', '-0x1.7dd419a826434p+1']),
+    ((1.0, 1.0, 1.0), (1.0, 1.0, 0.0),
+     ['-0x1.464507faa7344p-5', '-0x1.61ef79778f685p-2', '-0x1.a572df7692de5p-1', '-0x1.f75e3247f3458p-1']),
+    ((1.0, 1.0, 1.0), (1.0, 0.2, 5.0),
+     ['-0x1.0ff7e3bb430e1p+2', '-0x1.c28d023e21237p+2', '-0x1.40b927943ffd7p+3', '-0x1.4642e5767dff3p+3']),
+    ((0.5, 0.8, 1.2), (1.0, 1.0, 1.0),
+     ['-0x1.02ebce07809c5p-2', '-0x1.25a6c735fa98cp-1', '-0x1.8ad91b8de2181p+0', '-0x1.db8e0a81eb6c5p+0']),
+    ((0.5, 0.8, 1.2), (1.0, 1.0, 0.0),
+     ['-0x1.10687e1d98ad3p-6', '-0x1.553ac71bacdebp-3', '-0x1.6029eba95a956p-1', '-0x1.ef827c2d22b7ep-1']),
+    ((0.5, 0.8, 1.2), (1.0, 0.2, 5.0),
+     ['-0x1.e15e2bd45c51fp-2', '-0x1.cad86cf5f8e2bp+0', '-0x1.177040e87af04p+2', '-0x1.2913c811ae3f2p+2']),
+    ((-0.3, 1.5, 0.7), (1.0, 1.0, 1.0),
+     ['-0x1.945ca442d268fp-3', '-0x1.226dc602835cbp+1', '-0x1.982a50e9d3fd2p+1', '-0x1.a9d92e2c700d4p+1']),
+    ((-0.3, 1.5, 0.7), (1.0, 1.0, 0.0),
+     ['-0x1.3a4fa7ec707d3p-6', '-0x1.9a5bbd726bd02p-2', '-0x1.b8a822e08d010p-1', '-0x1.f956f0ad84e3cp-1']),
+    ((-0.3, 1.5, 0.7), (1.0, 0.2, 5.0),
+     ['-0x1.fd526a1250fb4p-2', '-0x1.2ab3bd8332f76p+3', '-0x1.799f50c459590p+3', '-0x1.7cb2cb8d753b4p+3']),
+]
+
+
 def margin_rhs(g, U, p, c):
     """Right side of the margin equation, evaluated directly in linear domain."""
     k = p.kappa
@@ -311,6 +342,14 @@ class TestGEvalQuadrature:
             g_eval_quadrature(0.0, REF_P, REF_C)
         with pytest.raises(ValueError):
             g_eval_quadrature(1.0, REF_P, REF_C, tol=0.0)
+
+    @pytest.mark.parametrize("model, costs, pins", QUADRATURE_PINS)
+    def test_bits_are_pinned(self, model, costs, pins):
+        # gtable prints G_quadrature, so a rewrite of the integrand that
+        # rounds differently changes its bytes
+        p, c = ModelParams(*model), CostWeights(*costs)
+        got = [float.hex(g_eval_quadrature(U, p, c)) for U in QUADRATURE_PIN_ENERGIES]
+        assert got == pins
 
 
 class TestGPoint:
