@@ -22,6 +22,8 @@ from .gfunc import (
     Regime,
     g_eval,
     g_eval_quadrature,
+    g_eval_quadrature_region,
+    g_eval_region,
     g_limits,
     g_point,
     g_root,
@@ -86,6 +88,8 @@ __all__ = [
     "estimate",
     "g_eval",
     "g_eval_quadrature",
+    "g_eval_quadrature_region",
+    "g_eval_region",
     "g_limits",
     "g_point",
     "g_root",

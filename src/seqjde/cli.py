@@ -273,7 +273,7 @@ def cmd_gtable(args: argparse.Namespace) -> int:
             quad = ","  # the zero-energy row has no quadrature
             if U != 0.0:
                 try:
-                    gq = gfunc.g_eval_quadrature(U, p, c, tol=_GTABLE_QUAD_TOL)
+                    gq = gfunc.g_eval_quadrature_region(U, pt.V1, pt.V2, p, c, _GTABLE_QUAD_TOL)
                     quad = f"{gq:.17g},{abs(pt.G - gq):.17g}"
                 except QuadratureNonConvergence:
                     failures += 1

@@ -18,7 +18,13 @@ class QuadratureNonConvergence(SeqjdeError):
 
 
 class NumericalError(SeqjdeError):
-    """A bracketing or bisection search failed to converge."""
+    """A numerical result cannot be computed or trusted.
+
+    Raised where a bracketing or bisection search fails to converge, where a
+    margin root or G is not finite, where an energy lies outside the log
+    domain of the margin equation, and where C is too small for its target to
+    determine a threshold.
+    """
 
 
 class ChannelFileError(SeqjdeError):
@@ -33,10 +39,8 @@ class HorizonExhausted(SeqjdeError):
     process does not hold at this horizon.
     """
 
-    def __init__(self, message: str, t: int, U: float, gamma: float,
-                 rep_index: int | None = None):
+    def __init__(self, message: str, t: int, U: float, gamma: float):
         super().__init__(message)
         self.t = t
         self.U = U
         self.gamma = gamma
-        self.rep_index = rep_index

@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InfeasibleConstraint, InvalidCosts, NumericalError, QuadratureNonConvergence
 from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound
@@ -117,13 +116,12 @@ def _check_finite(U: float, name: str, value: float) -> None:
         raise NumericalError(f"energy U={U!r} is out of range: {name} = {value}")
 
 
-@lru_cache(maxsize=16384)
-def _g_root_cached(U: float, mu_x: float, sigma_x: float, sigma: float,
-                   c0: float, c1: float, ce: float) -> float:
-    kappa = sigma**2 / sigma_x**2
+def _margin_root(U: float, p: ModelParams, c: CostWeights) -> float:
+    kappa = p.kappa
     A = U + kappa
-    scale = 2.0 * sigma**2 * A
-    prior_term = mu_x**2 / (2.0 * sigma_x**2)
+    scale = 2.0 * p.sigma**2 * A
+    prior_term = p.mu_x**2 / (2.0 * p.sigma_x**2)
+    c0, c1, ce = c.c0, c.c1, c.ce
 
     if ce == 0.0:
         # Closed form: the margin equation is purely exponential in g.
@@ -185,7 +183,7 @@ def g_root(U: float, p: ModelParams, c: CostWeights) -> float:
     """
     _validate_costs(c)
     _check_energy(U)
-    g = _g_root_cached(U, p.mu_x, p.sigma_x, p.sigma, c.c0, c.c1, c.ce)
+    g = _margin_root(U, p, c)
     _check_finite(U, "margin root g", g)
     return g
 
@@ -197,7 +195,10 @@ def region(U: float, p: ModelParams, c: CostWeights) -> tuple[float, float]:
     mu_x*kappa``; when g <= 0 the two tails meet and the region is the whole
     line.
     """
-    g = g_root(U, p, c)
+    return _endpoints(g_root(U, p, c), p)
+
+
+def _endpoints(g: float, p: ModelParams) -> tuple[float, float]:
     root = math.sqrt(g) if g > 0.0 else 0.0
     mk = p.mu_x * p.kappa
     return root + mk, root - mk
@@ -263,26 +264,33 @@ def ndtr(a: float) -> float:
 
 
 def g_eval(U: float, p: ModelParams, c: CostWeights) -> float:
-    """Closed-form value of G(U).
+    """Closed-form value of G(U), over the optimal region at U.
 
     At U = 0 the null law of V is a point mass and the exact limit
     ``min(c0 - c1 - ce*mu_x^2, 0)`` is returned, as it is at an energy so
-    small that ``U*(U+kappa)`` underflows.  Otherwise the integral over
-    the region is assembled from Gaussian tail probabilities and the first
-    two truncated moments of the unit normal, using that V has null law
-    ``N(0, sigma^2 U)`` and marginal alternative law
-    ``N(mu_x U, sigma_x^2 U (U+kappa))``.  NumericalError: a value that is
-    not finite, e.g. where ``U*(U+kappa)`` overflows.
+    small that ``U*(U+kappa)`` underflows.  Otherwise it is
+    ``g_eval_region`` at ``region(U, p, c)``.
     """
     _validate_costs(c)
     _check_energy(U)
-    kappa = p.kappa
-    A = U + kappa
-    if U * A == 0.0:
-        G0, _ = g_limits(p, c)
-        return G0
+    if U * (U + p.kappa) == 0.0:
+        return g_limits(p, c)[0]
+    return g_eval_region(U, *region(U, p, c), p, c)
 
-    V1, V2 = region(U, p, c)
+
+def g_eval_region(U: float, V1: float, V2: float, p: ModelParams, c: CostWeights) -> float:
+    """Closed-form value at energy U of G over a given region (-inf,-V1] u [V2,inf).
+
+    The integral over the region is assembled from Gaussian tail
+    probabilities and the first two truncated moments of the unit normal,
+    using that V has null law ``N(0, sigma^2 U)`` and marginal alternative
+    law ``N(mu_x U, sigma_x^2 U (U+kappa))``.  Needs a finite U with
+    ``U*(U+kappa) > 0``.  NumericalError: a value that is not finite, e.g.
+    where ``U*(U+kappa)`` overflows.
+    """
+    A = U + p.kappa
+    if not (math.isfinite(U) and U * A > 0.0):
+        raise ValueError(f"G over a region needs a finite U with U*(U+kappa) > 0, got {U!r}")
     mu = p.mu_x
     s0 = p.sigma * math.sqrt(U)
     s1 = p.sigma_x * math.sqrt(U * A)
@@ -318,15 +326,29 @@ def g_eval_quadrature(U: float, p: ModelParams, c: CostWeights, tol: float = 1e-
     far tails.  Raises QuadratureNonConvergence if the accumulated absolute
     error estimate exceeds ``tol``.
     """
-    import scipy.integrate  # not at module level: SciPy is ~half of a cold start
-
     _validate_costs(c)
+    _check_quadrature_args(U, tol)
+    return g_eval_quadrature_region(U, *region(U, p, c), p, c, tol)
+
+
+def _check_quadrature_args(U: float, tol: float) -> None:
     if not (math.isfinite(U) and U > 0):
         raise ValueError(f"quadrature needs U > 0, got {U!r}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    V1, V2 = region(U, p, c)
+
+def g_eval_quadrature_region(U: float, V1: float, V2: float, p: ModelParams,
+                             c: CostWeights, tol: float) -> float:
+    """``g_eval_quadrature``'s integral over a given region (-inf,-V1] u [V2,inf).
+
+    The integrand is the negative part of the decision margin, so the result
+    is G(U) only where the margin is nonpositive on the whole region, as it is
+    on ``region(U, p, c)``; ``g_eval_region`` is exact for any region.
+    """
+    import scipy.integrate  # not at module level: SciPy is ~half of a cold start
+
+    _check_quadrature_args(U, tol)
     kappa = p.kappa
     A = U + kappa
     mu = p.mu_x
@@ -402,8 +424,9 @@ def g_eval_quadrature(U: float, p: ModelParams, c: CostWeights, tol: float = 1e-
 def g_point(U: float, p: ModelParams, c: CostWeights) -> GPoint:
     """Bundle root, region endpoints, and closed-form value at one energy."""
     g = g_root(U, p, c)
-    V1, V2 = region(U, p, c)
-    return GPoint(U=U, g=g, V1=V1, V2=V2, G=g_eval(U, p, c))
+    V1, V2 = _endpoints(g, p)
+    G = g_limits(p, c)[0] if U * (U + p.kappa) == 0.0 else g_eval_region(U, V1, V2, p, c)
+    return GPoint(U=U, g=g, V1=V1, V2=V2, G=G)
 
 
 def solve_gamma(C: float, p: ModelParams, c: CostWeights) -> Calibration:
@@ -436,31 +459,35 @@ def solve_gamma(C: float, p: ModelParams, c: CostWeights) -> Calibration:
                              "which rounds to G's infinite-energy limit")
     lo, hi = 0.0, 1.0
     for _ in range(_MAX_BISECT):
-        if g_eval(hi, p, c) <= target:
+        G_hi = g_eval(hi, p, c)
+        if G_hi <= target:
             break
         lo = hi
         hi *= 2.0
     else:
         raise NumericalError(f"no upper bracket for the threshold at C={C}")
 
+    # G is kept at every candidate, so the accepted gamma's residual is not recomputed
     gamma = None
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            gamma = hi
+            gamma, G = hi, G_hi
             break
-        residual = g_eval(mid, p, c) - target
+        G = g_eval(mid, p, c)
+        residual = G - target
         if abs(residual) <= _GAMMA_RESIDUAL_TOL:
             gamma = mid
             break
         if residual > 0.0:
             lo = mid
         else:
-            hi = mid
+            hi, G_hi = mid, G
     if gamma is None:
         gamma = 0.5 * (lo + hi)
+        G = g_eval(gamma, p, c)
 
-    if abs(g_eval(gamma, p, c) - target) > _GAMMA_RESIDUAL_MAX:
+    if abs(G - target) > _GAMMA_RESIDUAL_MAX:
         raise NumericalError(
             f"threshold bisection stalled at gamma={gamma} with residual above tolerance"
         )

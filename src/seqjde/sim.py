@@ -252,21 +252,16 @@ def _stopping_index(h: np.ndarray, cal: Calibration, t_max: int) -> tuple[int, f
     return idx + 1, float(energy[idx])
 
 
-def run_arm(cfg: ScenarioConfig, cal: Calibration) -> ArmSamples:
-    """Draw every replication of one truth arm from the exact law of its terminal statistic.
-
-    The shared gain path fixes T and U_T, so a replication is just the
-    amplitude x (0 under H0, N(mu_x, sigma_x^2) under H1) and
-    V_T ~ N(x*U_T, sigma^2*U_T).  One stream per arm,
-    ``SeedSequence([master_seed, 3, arm])``, draws all amplitudes (H1 only),
-    then all V_T.  Log likelihood ratio, estimate and decision are the
-    ``stats`` functions at (T, U_T, V_T), once for the whole arm; in the prior
-    regime nothing is observed and they are the calibration's, as the engine
-    returns them.
-    """
-    p, c, n = cfg.params, cfg.costs, cfg.reps
+def _stop(cfg: ScenarioConfig, cal: Calibration) -> tuple[int, float, float]:
+    """``(T, U_T, predicted cost)`` on the run's gain path, which both arms share."""
     h = gen_channel(cfg.channel, cfg.master_seed, cfg.t_max)
     T, U_T = _stopping_index(h, cal, cfg.t_max)
+    return T, U_T, engine.predicted_cost(U_T, cfg.params, cfg.costs)
+
+
+def _draw_arm(cfg: ScenarioConfig, cal: Calibration, T: int, U_T: float,
+              predicted: float) -> ArmSamples:
+    p, c, n = cfg.params, cfg.costs, cfg.reps
     arm = _H1_STREAM if cfg.truth is Hypothesis.H1 else _H0_STREAM
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, _TERMINAL_STREAM, arm]))
     x = rng.normal(p.mu_x, p.sigma_x, size=n) if cfg.truth is Hypothesis.H1 else np.zeros(n)
@@ -283,21 +278,41 @@ def run_arm(cfg: ScenarioConfig, cal: Calibration) -> ArmSamples:
         xhat = np.full(n, prior)
         decision = np.full(n, cal.decision is Hypothesis.H1)
     return ArmSamples(
-        truth=cfg.truth, T=T, U_T=U_T, predicted=engine.predicted_cost(U_T, p, c),
+        truth=cfg.truth, T=T, U_T=U_T, predicted=predicted,
         x=x, V=V, logL=logL, xhat=xhat, decision=decision,
     )
 
 
+def run_arm(cfg: ScenarioConfig, cal: Calibration) -> ArmSamples:
+    """Draw every replication of one truth arm from the exact law of its terminal statistic.
+
+    The shared gain path fixes T and U_T, so a replication is just the
+    amplitude x (0 under H0, N(mu_x, sigma_x^2) under H1) and
+    V_T ~ N(x*U_T, sigma^2*U_T).  One stream per arm,
+    ``SeedSequence([master_seed, 3, arm])``, draws all amplitudes (H1 only),
+    then all V_T.  Log likelihood ratio, estimate and decision are the
+    ``stats`` functions at (T, U_T, V_T), once for the whole arm; in the prior
+    regime nothing is observed and they are the calibration's, as the engine
+    returns them.
+    """
+    return _draw_arm(cfg, cal, *_stop(cfg, cal))
+
+
 def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig],
              cal: Calibration) -> tuple[ArmSamples, ArmSamples]:
-    """Run both arms of an ``(H0 scenario, H1 scenario)`` pair that agree on every other field."""
+    """Run both arms of an ``(H0 scenario, H1 scenario)`` pair that agree on every other field.
+
+    The gain path, and with it T, U_T and the predicted cost, is computed once
+    for both arms.
+    """
     cfg0, cfg1 = cfg_pair
     if cfg0.truth is not Hypothesis.H0 or cfg1.truth is not Hypothesis.H1:
         raise ValueError("config pair must be (H0 scenario, H1 scenario)")
     for field in ("params", "costs", "channel", "master_seed", "t_max", "reps"):
         if getattr(cfg0, field) != getattr(cfg1, field):
             raise ValueError(f"config pair must share {field}")
-    return run_arm(cfg0, cal), run_arm(cfg1, cal)
+    stop = _stop(cfg0, cal)
+    return _draw_arm(cfg0, cal, *stop), _draw_arm(cfg1, cal, *stop)
 
 
 def cost_report(arm1: ArmSamples, d0: np.ndarray, d1: np.ndarray,

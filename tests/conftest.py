@@ -1,6 +1,6 @@
 import pytest
 
-from seqjde import CostWeights, ModelParams
+from seqjde import CostWeights, ModelParams, gfunc
 
 _ACCEPTANCE: list[tuple[int, str, bool]] = []
 
@@ -25,3 +25,17 @@ def ref_params() -> ModelParams:
 @pytest.fixture
 def ref_costs() -> CostWeights:
     return CostWeights(c0=1.0, c1=1.0, ce=1.0)
+
+
+@pytest.fixture
+def root_solves(monkeypatch) -> list[float]:
+    """Energies at which gfunc solves a margin root, in call order."""
+    energies: list[float] = []
+    solve = gfunc._margin_root
+
+    def counting(U, p, c):
+        energies.append(U)
+        return solve(U, p, c)
+
+    monkeypatch.setattr(gfunc, "_margin_root", counting)
+    return energies

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import seqjde
-from seqjde import Hypothesis, cli, sim
+from seqjde import Hypothesis, cli, gfunc, sim
 from seqjde.cli import main
 
 BASE_CONFIG = {
@@ -393,6 +393,42 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["difference"]["value"] == 0.0
+
+
+class TestWorkCounts:
+    """Each energy's margin root is solved once per call, and the gain path once per run."""
+
+    def test_gtable_solves_one_root_per_row(self, tmp_path, root_solves):
+        grid = {"u_min": 1e-3, "u_max": 1e5, "points": 12, "spacing": "log"}
+        cfg = write_config(tmp_path, overrides={"grid": grid})
+        assert main(["gtable", "--config", cfg, "--out", str(tmp_path / "g.csv")]) == 0
+        assert len(root_solves) == 12
+
+    @pytest.mark.parametrize("command", ["calibrate", "montecarlo", "compare"])
+    def test_calibrated_commands_solve_few_roots(self, tmp_path, root_solves, command):
+        # the calibration's roots, plus one for G at gamma or the predicted cost
+        cfg = write_config(tmp_path)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.json")]) == 0
+        solves = len(root_solves)
+        root_solves.clear()
+        cli_cfg = cli.load_config(cfg)
+        gfunc.solve_gamma(cli_cfg.constraint_C, cli_cfg.params, cli_cfg.costs)
+        assert solves == len(root_solves) + 1 <= 40
+
+    @pytest.mark.parametrize("command", ["montecarlo", "compare"])
+    def test_one_gain_path_per_run(self, tmp_path, monkeypatch, command):
+        paths = []
+        gen_channel = sim.gen_channel
+
+        def counting(*args):
+            paths.append(args)
+            return gen_channel(*args)
+
+        monkeypatch.setattr(sim, "gen_channel", counting)
+        cfg = write_config(tmp_path, overrides={
+            "channel": {"type": "ar1", "phi": 0.9, "innov_std": 0.5, "init_std": 0.5}})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.json")]) == 0
+        assert len(paths) == 1
 
 
 class TestOutput:

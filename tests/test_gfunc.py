@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from seqjde import (
     Regime,
     g_eval,
     g_eval_quadrature,
+    g_eval_region,
     g_limits,
     g_point,
     g_root,
@@ -352,6 +354,50 @@ class TestGEvalQuadrature:
         assert got == pins
 
 
+class TestGEvalRegion:
+    @pytest.mark.parametrize("p, c", COST_CONFIGS)
+    def test_joint_region_costs_no_more_than_separate(self, p, c):
+        # the abstract's claim, exactly: at every energy the joint test's
+        # region has a G no larger than the separate test's (the ce = 0
+        # region), both under the full costs; they coincide where ce = 0
+        separate_costs = replace(c, ce=0.0)
+        for U in np.logspace(-3, 5, 400).tolist():
+            joint = g_eval_region(U, *region(U, p, c), p, c)
+            separate = g_eval_region(U, *region(U, p, separate_costs), p, c)
+            assert joint == g_eval(U, p, c)
+            if c.ce == 0.0:
+                assert joint == separate
+            else:
+                assert joint <= separate
+
+    @pytest.mark.parametrize("U", [0.0, 5e-324, math.inf, math.nan])
+    def test_needs_positive_variance(self, U):
+        p = ModelParams(0.0, 1.0, 1e-5)  # U*(U+kappa) underflows at U = 5e-324
+        with pytest.raises(ValueError):
+            g_eval_region(U, 1.0, 1.0, p, REF_C)
+
+
+class TestWorkCounts:
+    """Each energy's margin root is solved once; nothing is memoised between calls."""
+
+    def test_module_keeps_no_memo(self):
+        assert [name for name, v in vars(gfunc).items() if hasattr(v, "cache_info")] == []
+
+    @pytest.mark.parametrize("p, c", COST_CONFIGS)
+    def test_g_point_and_g_eval_solve_one_root(self, root_solves, p, c):
+        g_point(2.0, p, c)
+        assert root_solves == [2.0]
+        g_eval(2.0, p, c)
+        assert root_solves == [2.0, 2.0]
+
+    @pytest.mark.parametrize("C", [0.2, 1.0, 1.5, 1.9])
+    def test_solve_gamma_solves_each_energy_once(self, root_solves, C):
+        # the final residual check reuses G at the accepted gamma
+        cal = solve_gamma(C, REF_P, REF_C)
+        assert cal.gamma in root_solves
+        assert len(root_solves) == len(set(root_solves))
+
+
 class TestGPoint:
     def test_bundles_consistent_fields(self):
         pt = g_point(2.0, REF_P, REF_C)
@@ -361,6 +407,13 @@ class TestGPoint:
         assert pt.G == g_eval(2.0, REF_P, REF_C)
         G0, Ginf = g_limits(REF_P, REF_C)
         assert Ginf <= pt.G <= G0
+
+    @pytest.mark.parametrize("U", [0.0, 5e-324])
+    def test_zero_variance_energy_takes_the_limit(self, U):
+        p = ModelParams(0.0, 1.0, 1e-5)  # U*(U+kappa) underflows at U = 5e-324
+        pt = g_point(U, p, REF_C)
+        assert pt.G == g_eval(U, p, REF_C) == g_limits(p, REF_C)[0]
+        assert pt.g == g_root(U, p, REF_C)
 
 
 class TestSolveGamma:

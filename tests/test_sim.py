@@ -291,7 +291,10 @@ class TestMonteCarlo:
         cfg0, _ = pair(Constant(0.01), reps=3, t_max=5)
         with pytest.raises(HorizonExhausted) as info:
             run_arm(cfg0, cal)
-        assert info.value.rep_index is None
+        err = info.value
+        assert (err.t, err.gamma) == (5, cal.gamma)
+        assert err.U == float(np.cumsum(np.full(5, 0.01) ** 2)[-1])
+        assert err.U < err.gamma
 
     def test_stop_at_zero_report(self):
         cal = solve_gamma(2.5, P, C)  # prior decision H1, estimate 0
