@@ -249,7 +249,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "gamma": cal.gamma,
         "C": cal.C,
         "C_max": admissible_cost_bound(p, c),
-        "G_at_gamma": None if cal.gamma is None else gfunc.g_eval(cal.gamma, p, c),
+        "G_at_gamma": cal.G,
         "target": target,
         "decision": cal.decision,
         "estimate": cal.estimate,

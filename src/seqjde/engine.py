@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import gfunc, stats
 from .errors import HorizonExhausted
@@ -60,15 +61,7 @@ def run_sequential(stream: Iterable[tuple[float, float]], cal: Calibration,
 
     gamma = cal.gamma
     s = stats.init()
-    it: Iterator[tuple[float, float]] = iter(stream)
-    while s.t < t_max:
-        try:
-            y, h = next(it)
-        except StopIteration:
-            raise HorizonExhausted(
-                f"stream ended after {s.t} samples with energy {s.U} < {gamma}",
-                t=s.t, U=s.U, gamma=gamma,
-            ) from None
+    for y, h in itertools.islice(stream, t_max):
         s = stats.update(s, y, h)
         if s.U >= gamma:
             if not (math.isfinite(s.U) and math.isfinite(s.V)):
@@ -81,7 +74,6 @@ def run_sequential(stream: Iterable[tuple[float, float]], cal: Calibration,
                 U_T=s.U, V_T=s.V, logL_T=logL,
                 predicted_cost=predicted_cost(s.U, p, c),
             )
-    raise HorizonExhausted(
-        f"energy {s.U} still below threshold {gamma} after t_max={t_max} samples",
-        t=s.t, U=s.U, gamma=gamma,
-    )
+    message = (f"stream ended after {s.t} samples with energy {s.U} < {gamma}" if s.t < t_max
+               else f"energy {s.U} still below threshold {gamma} after t_max={t_max} samples")
+    raise HorizonExhausted(message, t=s.t, U=s.U, gamma=gamma)

@@ -67,7 +67,8 @@ class Calibration:
     In the OBSERVE regime sampling continues until the running energy reaches
     ``gamma``.  In the STOP_AT_ZERO regime the constraint is already met by
     prior information: the decision (and, when it is H1, the prior-mean
-    estimate) is fixed before any observation.
+    estimate) is fixed before any observation.  ``G`` is ``G(gamma)`` as the
+    calibration accepted it, and None in the STOP_AT_ZERO regime.
     """
 
     C: float
@@ -75,6 +76,7 @@ class Calibration:
     gamma: float | None = None
     decision: Hypothesis | None = None
     estimate: float | None = None
+    G: float | None = None
 
     def __post_init__(self):
         if self.regime is Regime.OBSERVE:
@@ -83,7 +85,7 @@ class Calibration:
             if self.decision is not None or self.estimate is not None:
                 raise ValueError("observe regime carries no prior decision")
         else:
-            if self.gamma is not None:
+            if self.gamma is not None or self.G is not None:
                 raise ValueError("stop-at-zero regime carries no threshold")
             if self.decision is None:
                 raise ValueError("stop-at-zero regime requires a decision")
@@ -491,4 +493,4 @@ def solve_gamma(C: float, p: ModelParams, c: CostWeights) -> Calibration:
         raise NumericalError(
             f"threshold bisection stalled at gamma={gamma} with residual above tolerance"
         )
-    return Calibration(C=C, regime=Regime.OBSERVE, gamma=gamma)
+    return Calibration(C=C, regime=Regime.OBSERVE, gamma=gamma, G=G)

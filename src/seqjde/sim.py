@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from . import engine, stats
+from . import engine, gfunc, stats
 from .errors import ChannelFileError, HorizonExhausted, InvalidCosts
 from .gfunc import Calibration, Regime
 from .model import CostWeights, Hypothesis, ModelParams, is_finite_real
@@ -252,58 +252,20 @@ def _stopping_index(h: np.ndarray, cal: Calibration, t_max: int) -> tuple[int, f
     return idx + 1, float(energy[idx])
 
 
-def _stop(cfg: ScenarioConfig, cal: Calibration) -> tuple[int, float, float]:
-    """``(T, U_T, predicted cost)`` on the run's gain path, which both arms share."""
-    h = gen_channel(cfg.channel, cfg.master_seed, cfg.t_max)
-    T, U_T = _stopping_index(h, cal, cfg.t_max)
-    return T, U_T, engine.predicted_cost(U_T, cfg.params, cfg.costs)
+def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig],
+             cal: Calibration) -> tuple[ArmSamples, ArmSamples]:
+    """Draw every replication of both arms from the exact law of their terminal statistic.
 
-
-def _draw_arm(cfg: ScenarioConfig, cal: Calibration, T: int, U_T: float,
-              predicted: float) -> ArmSamples:
-    p, c, n = cfg.params, cfg.costs, cfg.reps
-    arm = _H1_STREAM if cfg.truth is Hypothesis.H1 else _H0_STREAM
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, _TERMINAL_STREAM, arm]))
-    x = rng.normal(p.mu_x, p.sigma_x, size=n) if cfg.truth is Hypothesis.H1 else np.zeros(n)
-
-    if cal.regime is Regime.OBSERVE:
-        V = rng.normal(x * U_T, p.sigma * math.sqrt(U_T))
-        terminal = stats.SufficientStats(t=T, U=U_T, V=V)
-        logL = stats.log_likelihood_ratio(terminal, p)
-        xhat = stats.estimate(terminal, p)
-        decision = stats.accepts_alternative(logL, xhat, c)
-    else:
-        V, logL = np.zeros(n), np.zeros(n)
-        prior = stats.estimate(stats.init(), p) if cal.estimate is None else cal.estimate
-        xhat = np.full(n, prior)
-        decision = np.full(n, cal.decision is Hypothesis.H1)
-    return ArmSamples(
-        truth=cfg.truth, T=T, U_T=U_T, predicted=predicted,
-        x=x, V=V, logL=logL, xhat=xhat, decision=decision,
-    )
-
-
-def run_arm(cfg: ScenarioConfig, cal: Calibration) -> ArmSamples:
-    """Draw every replication of one truth arm from the exact law of its terminal statistic.
-
-    The shared gain path fixes T and U_T, so a replication is just the
-    amplitude x (0 under H0, N(mu_x, sigma_x^2) under H1) and
-    V_T ~ N(x*U_T, sigma^2*U_T).  One stream per arm,
-    ``SeedSequence([master_seed, 3, arm])``, draws all amplitudes (H1 only),
-    then all V_T.  Log likelihood ratio, estimate and decision are the
+    ``cfg_pair`` is an ``(H0 scenario, H1 scenario)`` pair that agrees on every
+    other field.  The gain path, and with it T, U_T and the predicted cost, is
+    computed once for both arms; the path is freed before any arm is drawn.
+    A replication is then just the amplitude x (0 under H0,
+    N(mu_x, sigma_x^2) under H1) and V_T ~ N(x*U_T, sigma^2*U_T).  One stream
+    per arm, ``SeedSequence([master_seed, 3, arm])``, draws all amplitudes (H1
+    only), then all V_T.  Log likelihood ratio, estimate and decision are the
     ``stats`` functions at (T, U_T, V_T), once for the whole arm; in the prior
     regime nothing is observed and they are the calibration's, as the engine
     returns them.
-    """
-    return _draw_arm(cfg, cal, *_stop(cfg, cal))
-
-
-def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig],
-             cal: Calibration) -> tuple[ArmSamples, ArmSamples]:
-    """Run both arms of an ``(H0 scenario, H1 scenario)`` pair that agree on every other field.
-
-    The gain path, and with it T, U_T and the predicted cost, is computed once
-    for both arms.
     """
     cfg0, cfg1 = cfg_pair
     if cfg0.truth is not Hypothesis.H0 or cfg1.truth is not Hypothesis.H1:
@@ -311,8 +273,30 @@ def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig],
     for field in ("params", "costs", "channel", "master_seed", "t_max", "reps"):
         if getattr(cfg0, field) != getattr(cfg1, field):
             raise ValueError(f"config pair must share {field}")
-    stop = _stop(cfg0, cal)
-    return _draw_arm(cfg0, cal, *stop), _draw_arm(cfg1, cal, *stop)
+    p, c, n = cfg0.params, cfg0.costs, cfg0.reps
+    T, U_T = _stopping_index(gen_channel(cfg0.channel, cfg0.master_seed, cfg0.t_max),
+                             cal, cfg0.t_max)
+    predicted = engine.predicted_cost(U_T, p, c)
+
+    arms = []
+    for truth, arm in ((Hypothesis.H0, _H0_STREAM), (Hypothesis.H1, _H1_STREAM)):
+        seed = np.random.SeedSequence([cfg0.master_seed, _TERMINAL_STREAM, arm])
+        rng = np.random.default_rng(seed)
+        x = rng.normal(p.mu_x, p.sigma_x, size=n) if truth is Hypothesis.H1 else np.zeros(n)
+        if cal.regime is Regime.OBSERVE:
+            V = rng.normal(x * U_T, p.sigma * math.sqrt(U_T))
+            terminal = stats.SufficientStats(t=T, U=U_T, V=V)
+            logL = stats.log_likelihood_ratio(terminal, p)
+            xhat = stats.estimate(terminal, p)
+            decision = stats.accepts_alternative(logL, xhat, c)
+        else:
+            V, logL = np.zeros(n), np.zeros(n)
+            prior = stats.estimate(stats.init(), p) if cal.estimate is None else cal.estimate
+            xhat = np.full(n, prior)
+            decision = np.full(n, cal.decision is Hypothesis.H1)
+        arms.append(ArmSamples(truth=truth, T=T, U_T=U_T, predicted=predicted,
+                               x=x, V=V, logL=logL, xhat=xhat, decision=decision))
+    return arms[0], arms[1]
 
 
 def cost_report(arm1: ArmSamples, d0: np.ndarray, d1: np.ndarray,
@@ -354,7 +338,7 @@ def monte_carlo(cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibratio
     """Estimate the combined cost of the calibrated triplet on a shared gain path.
 
     Draws every replication's terminal statistic under each truth with
-    ``run_arm``; the stopping index and terminal energy are common to all
+    ``run_arms``; the stopping index and terminal energy are common to all
     replications because the gain path is shared.  ``workers`` has no
     effect: it is accepted for compatibility, and identical configs give
     bit-identical reports.
@@ -380,18 +364,35 @@ def separate_decisions(arm: ArmSamples, c: CostWeights) -> np.ndarray:
     return stats.accepts_alternative(arm.logL, arm.xhat, _separate_costs(c))
 
 
+def separate_predicted_cost(U_T: float, p: ModelParams, c: CostWeights) -> float:
+    """Combined cost attained by the separate test at terminal energy U_T.
+
+    G over the separate test's region (the joint rule's at ce = 0) under the
+    full costs, as ``engine.predicted_cost`` is over the optimal region.  Where
+    nothing is observed it is the cost of the separate test's prior decision.
+    """
+    sep = _separate_costs(c)
+    if U_T * (U_T + p.kappa) == 0.0:
+        h1 = stats.accepts_alternative(0.0, p.mu_x, sep)
+        G = c.c0 - c.c1 - c.ce * p.mu_x**2 if h1 else 0.0
+    else:
+        G = gfunc.g_eval_region(U_T, *gfunc.region(U_T, p, sep), p, c)
+    return G + c.c1 + c.ce * (p.mu_x**2 + p.sigma_x**2)
+
+
 def compare_schemes(
     cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibration, workers: int = 1,
 ) -> tuple[CostReport, CostReport]:
     """Joint rule versus the separate detect-then-estimate baseline.
 
     Both schemes share the stopping index, the estimator, and every
-    replication draw; only the decision rule differs.  ``workers`` has no
-    effect; it is accepted for compatibility.
+    replication draw; only the decision rule differs, and each report's
+    ``predicted`` is its own scheme's exact cost.  ``workers`` has no effect;
+    it is accepted for compatibility.
     """
     arm0, arm1 = run_arms(cfg_pair, cal)
-    c = cfg_pair[1].costs
+    p, c = cfg_pair[1].params, cfg_pair[1].costs
     joint = cost_report(arm1, arm0.decision, arm1.decision, c, cal.C)
     separate = cost_report(arm1, separate_decisions(arm0, c), separate_decisions(arm1, c),
                            c, cal.C)
-    return joint, separate
+    return joint, replace(separate, predicted=separate_predicted_cost(arm1.U_T, p, c))

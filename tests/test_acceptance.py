@@ -34,7 +34,7 @@ from seqjde import (
     run_sequential,
     solve_gamma,
 )
-from seqjde.sim import run_arm, run_arms, separate_decisions
+from seqjde.sim import run_arms, separate_decisions
 from seqjde.cli import main as cli_main
 from test_gfunc import oracle_root
 
@@ -161,8 +161,7 @@ def test_criterion_05_martingale_monte_carlo():
     ok = True
     detail = []
     for channel in (Constant(1.0), Ar1(0.9, 0.3, 0.3)):
-        cfg0, _ = scenario_pair(channel, p, REF_C, reps=N_MC, seed=11, t_max=200)
-        arm0 = run_arm(cfg0, cal)
+        arm0 = run_arms(scenario_pair(channel, p, REF_C, reps=N_MC, seed=11, t_max=200), cal)[0]
         assert arm0.U_T < p.kappa, "test config must keep U_T below kappa"
         lrs = np.exp(arm0.logL)
         se = float(lrs.std(ddof=1) / math.sqrt(len(lrs)))
@@ -175,8 +174,7 @@ def test_criterion_05_martingale_monte_carlo():
 
 def test_criterion_06_mse_identity():
     cal = solve_gamma(1.5, REF_P, REF_C)
-    _, cfg1 = scenario_pair(Constant(1.0), REF_P, REF_C, reps=N_MC)
-    arm1 = run_arm(cfg1, cal)
+    arm1 = run_arms(scenario_pair(Constant(1.0), REF_P, REF_C, reps=N_MC), cal)[1]
     pv = REF_P.sigma**2 / (arm1.U_T + REF_P.kappa)
     d = arm1.decision
     err_d1 = np.where(d, (arm1.xhat - arm1.x) ** 2, 0.0)

@@ -84,6 +84,21 @@ class TestRunSequential:
         with pytest.raises(HorizonExhausted):
             run_sequential(iter([(0.0, 1.0)]), observe(5.0), P, C, t_max=50)
 
+    @pytest.mark.parametrize("n, message", [
+        (0, "stream ended after 0 samples with energy 0.0 < 5.0"),
+        (2, "stream ended after 2 samples with energy 2.0 < 5.0"),
+        (3, "energy 3.0 still below threshold 5.0 after t_max=3 samples"),
+        (10, "energy 3.0 still below threshold 5.0 after t_max=3 samples"),
+    ])
+    def test_horizon_message_names_the_cause(self, n, message):
+        # a stream as long as t_max exhausts the horizon, not the stream
+        stream = iter([(0.0, 1.0)] * n)
+        with pytest.raises(HorizonExhausted) as info:
+            run_sequential(stream, observe(5.0), P, C, t_max=3)
+        assert str(info.value) == message
+        assert info.value.t == min(n, 3)
+        assert len(list(stream)) == max(n - 3, 0)  # nothing read past t_max
+
     @pytest.mark.parametrize("pairs", [[(0.0, 1e300)], [(1e300, 1e200), (1e300, 1e200)]])
     def test_overflowing_sums_raise(self, pairs):
         # U or V at inf gave log(0) in the likelihood ratio: a ValueError traceback

@@ -355,7 +355,9 @@ class TestGEvalQuadrature:
 
 
 class TestGEvalRegion:
-    @pytest.mark.parametrize("p, c", COST_CONFIGS)
+    @pytest.mark.parametrize("p, c", COST_CONFIGS + [
+        (ModelParams(*model), CostWeights(*costs)) for model, costs, _ in QUADRATURE_PINS
+    ])
     def test_joint_region_costs_no_more_than_separate(self, p, c):
         # the abstract's claim, exactly: at every energy the joint test's
         # region has a G no larger than the separate test's (the ce = 0
@@ -479,6 +481,14 @@ class TestSolveGamma:
         assert cal.regime is Regime.OBSERVE
         assert abs(g_eval(cal.gamma, REF_P, c) - (0.6 - 1.0)) <= 1e-9
 
+    @pytest.mark.parametrize("C", [0.2, 1.0, 1.5, 1.9, 2.5])
+    def test_carries_g_at_gamma(self, C):
+        cal = solve_gamma(C, REF_P, REF_C)
+        if cal.regime is Regime.OBSERVE:
+            assert cal.G == g_eval(cal.gamma, REF_P, REF_C)
+        else:
+            assert cal.G is None
+
 
 class TestCalibrationType:
     def test_observe_requires_positive_gamma(self):
@@ -493,6 +503,15 @@ class TestCalibrationType:
         with pytest.raises(ValueError):
             Calibration(C=5.0, regime=Regime.STOP_AT_ZERO,
                         decision=Hypothesis.H0, estimate=1.0)
+
+    def test_observe_carries_no_prior_decision(self):
+        with pytest.raises(ValueError, match="no prior decision"):
+            Calibration(C=1.0, regime=Regime.OBSERVE, gamma=2.0, decision=Hypothesis.H0)
+
+    @pytest.mark.parametrize("field", [{"gamma": 2.0}, {"G": -0.5}], ids=["gamma", "G"])
+    def test_stop_at_zero_carries_no_threshold(self, field):
+        with pytest.raises(ValueError, match="no threshold"):
+            Calibration(C=5.0, regime=Regime.STOP_AT_ZERO, decision=Hypothesis.H0, **field)
 
 
 def test_ndtr_matches_scipy_bitwise():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,15 +21,18 @@ from seqjde import (
     compare_schemes,
     decide,
     estimate,
+    g_eval_region,
     gen_channel,
     log_likelihood_ratio,
     monte_carlo,
+    predicted_cost,
+    region,
     run_sequential,
     sample_scenario,
     separate_decide,
     solve_gamma,
 )
-from seqjde.sim import ArmSamples, cost_report, run_arm, run_arms, separate_decisions
+from seqjde.sim import ArmSamples, cost_report, run_arms, separate_decisions
 
 P = ModelParams(0.0, 1.0, 1.0)
 C = CostWeights(1.0, 1.0, 1.0)
@@ -113,6 +117,14 @@ class TestGenChannel:
         h = gen_channel(Ar1(0.9, 0.3, 0.3), 3, 5000)
         r = np.corrcoef(h[:-1], h[1:])[0, 1]
         assert r > 0.8
+
+    def test_rejects_empty_horizon(self):
+        with pytest.raises(ValueError, match="t_max"):
+            gen_channel(Constant(1.0), 0, 0)
+
+    def test_rejects_unknown_model(self):
+        with pytest.raises(TypeError, match="unknown channel model"):
+            gen_channel(P, 0, 5)
 
 
 class TestFromFile:
@@ -288,9 +300,8 @@ class TestMonteCarlo:
     def test_horizon_exhaustion_names_no_replication(self):
         # the stopping index is a property of the shared gain path
         cal = solve_gamma(1.5, P, C)
-        cfg0, _ = pair(Constant(0.01), reps=3, t_max=5)
         with pytest.raises(HorizonExhausted) as info:
-            run_arm(cfg0, cal)
+            run_arms(pair(Constant(0.01), reps=3, t_max=5), cal)
         err = info.value
         assert (err.t, err.gamma) == (5, cal.gamma)
         assert err.U == float(np.cumsum(np.full(5, 0.01) ** 2)[-1])
@@ -331,7 +342,7 @@ class TestSeparateDecide:
         s = SufficientStats(1, 1.0, 0.0)
         with pytest.raises(InvalidCosts):
             separate_decide(s, P, CostWeights(1.0, 0.0, 1.0))
-        arm = run_arm(pair(Constant(1.0), reps=3)[0], solve_gamma(1.5, P, C))
+        arm = run_arms(pair(Constant(1.0), reps=3), solve_gamma(1.5, P, C))[0]
         with pytest.raises(InvalidCosts):
             separate_decisions(arm, CostWeights(1.0, 0.0, 1.0))
 
@@ -400,3 +411,37 @@ class TestCompareSchemes:
             other_mean, other_se = aux_cost(d0, d1)
             pooled = math.sqrt(joint_se**2 + other_se**2)
             assert joint_mean <= other_mean + 3 * pooled
+
+    @pytest.mark.parametrize("params, costs, C", [
+        (ModelParams(0.5, 0.8, 1.2), CostWeights(1.0, 1.0, 1.0), 0.82),
+        (ModelParams(1.0, 1.0, 1.0), CostWeights(1.0, 0.2, 5.0), 3.0),
+        (ModelParams(1.0, 1.0, 1.0), CostWeights(1.0, 0.2, 5.0), 6.0),  # prior: H0 beside H1
+        (ModelParams(1.0, 1.0, 1.0), CostWeights(0.1, 0.2, 5.0), 6.0),  # prior: both decide H1
+    ])
+    def test_separate_predicted_is_its_exact_cost(self, params, costs, C):
+        # G over the ce = 0 region under the full costs; with no observation,
+        # the LRT at likelihood ratio 1 decides H1 exactly when c0 <= c1
+        cal = solve_gamma(C, params, costs)
+        joint, sep = compare_schemes(pair(Constant(1.0), params=params, costs=costs, reps=50),
+                                     cal)
+        U = 0.0 if cal.gamma is None else float(math.ceil(cal.gamma))  # unit gains
+        if U == 0.0:
+            G = costs.c0 - costs.c1 - costs.ce * params.mu_x**2 if costs.c0 <= costs.c1 else 0.0
+        else:
+            G = g_eval_region(U, *region(U, params, replace(costs, ce=0.0)), params, costs)
+        assert sep.predicted == G + costs.c1 + costs.ce * (params.mu_x**2 + params.sigma_x**2)
+        assert joint.predicted == predicted_cost(U, params, costs)
+        assert joint.predicted <= sep.predicted
+
+    @pytest.mark.parametrize("costs, C", [(CostWeights(1.0, 1.0, 1.0), 0.82),
+                                          (CostWeights(1.0, 0.2, 5.0), 2.1)])
+    @pytest.mark.parametrize("channel", [Constant(1.0), IidGaussian(1.0), Rayleigh(0.8),
+                                         Ar1(0.9, 0.5, 0.5)], ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_separate_monte_carlo_matches_its_predicted_cost(self, costs, C, channel, seed):
+        params = ModelParams(0.5, 0.8, 1.2)
+        cal = solve_gamma(C, params, costs)
+        joint, sep = compare_schemes(pair(channel, params=params, costs=costs, reps=20_000,
+                                          seed=seed, t_max=2000), cal)
+        assert abs(sep.combined - sep.predicted) <= 4 * sep.combined_se
+        assert joint.predicted < sep.predicted

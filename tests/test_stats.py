@@ -213,7 +213,7 @@ class TestDecide:
             assert decide(s, p, c) is linear
 
     def test_array_rule_equals_scalar_decide(self):
-        # each point's (p, c, U) with its own V and every 10th point's V, as run_arm
+        # each point's (p, c, U) with its own V and every 10th point's V, as run_arms
         # holds one energy per arm
         points = list(random_points())
         others = [s.V for _, _, s in points[::10]]
