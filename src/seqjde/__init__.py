@@ -20,6 +20,7 @@ from .gfunc import (
     Calibration,
     GPoint,
     Regime,
+    bracket_gamma,
     g_eval,
     g_eval_quadrature,
     g_eval_quadrature_region,
@@ -83,6 +84,7 @@ __all__ = [
     "SufficientStats",
     "TripletOutcome",
     "admissible_cost_bound",
+    "bracket_gamma",
     "compare_schemes",
     "decide",
     "estimate",

@@ -59,7 +59,7 @@ def run_sequential(stream: Iterable[tuple[float, float]], cal: Calibration,
             predicted_cost=predicted_cost(0.0, p, c),
         )
 
-    gamma = cal.gamma
+    gamma = cal.solved().gamma
     s = stats.init()
     for y, h in itertools.islice(stream, t_max):
         s = stats.update(s, y, h)

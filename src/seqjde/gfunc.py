@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InfeasibleConstraint, InvalidCosts, NumericalError, QuadratureNonConvergence
 from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound
@@ -37,7 +37,10 @@ _MAXLOG = 7.09782712893383996843e2
 # on the threshold equation.
 _G_ROOT_XTOL = 1e-10
 _GAMMA_RESIDUAL_TOL = 1e-12
+# Accepted residual: absolute, or relative to the cost scale where that is
+# larger, since G and its rounding grow with the costs.
 _GAMMA_RESIDUAL_MAX = 1e-10
+_GAMMA_RESIDUAL_REL = 1e-13
 _MAX_BISECT = 500
 # Halvings that take any float bracket down to adjacent floats: its width
 # shrinks from at most 2**1025 to at least 2**-1074.
@@ -69,6 +72,10 @@ class Calibration:
     prior information: the decision (and, when it is H1, the prior-mean
     estimate) is fixed before any observation.  ``G`` is ``G(gamma)`` as the
     calibration accepted it, and None in the STOP_AT_ZERO regime.
+
+    An OBSERVE calibration may instead carry a ``search`` that has bracketed
+    gamma but not finished bisecting it (see ``bracket_gamma``); ``gamma`` and
+    ``G`` are then None, and ``solved()`` runs the search to its end.
     """
 
     C: float
@@ -77,20 +84,90 @@ class Calibration:
     decision: Hypothesis | None = None
     estimate: float | None = None
     G: float | None = None
+    search: ThresholdSearch | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.regime is Regime.OBSERVE:
-            if self.gamma is None or not (self.gamma > 0):
+            if self.search is not None:
+                if self.gamma is not None or self.G is not None:
+                    raise ValueError("a pending threshold search carries no threshold")
+            elif self.gamma is None or not (self.gamma > 0):
                 raise ValueError("observe regime requires gamma > 0")
             if self.decision is not None or self.estimate is not None:
                 raise ValueError("observe regime carries no prior decision")
         else:
-            if self.gamma is not None or self.G is not None:
+            if self.gamma is not None or self.G is not None or self.search is not None:
                 raise ValueError("stop-at-zero regime carries no threshold")
             if self.decision is None:
                 raise ValueError("stop-at-zero regime requires a decision")
             if (self.estimate is not None) != (self.decision is Hypothesis.H1):
                 raise ValueError("estimate present iff decision is H1")
+
+    def solved(self) -> Calibration:
+        """This calibration with its threshold search, if any, run to the end."""
+        if self.search is None:
+            return self
+        gamma, G = self.search.drain()
+        return Calibration(C=self.C, regime=Regime.OBSERVE, gamma=gamma, G=G)
+
+
+class ThresholdSearch:
+    """Bisection for the threshold gamma, advanced one halving at a time.
+
+    Starts from a bracket ``(lo, hi]`` of gamma with ``G(hi) = G_hi``, as
+    ``bracket_gamma``'s doubling finds it; each ``halve`` is one step of the
+    bisection, so the drained search returns the same gamma and G
+    bit for bit whether it was run in one go or step by step.  After every
+    step ``lo < gamma <= hi`` holds, where gamma is the drained search's value,
+    and ``G_hi`` is G at ``hi``.  Once ``done``, ``hi`` is gamma and ``G_hi``
+    its accepted G.
+    """
+
+    def __init__(self, target: float, lo: float, hi: float, G_hi: float,
+                 p: ModelParams, c: CostWeights):
+        self.lo, self.hi, self.G_hi = lo, hi, G_hi
+        self.done = False
+        self._target, self._p, self._c = target, p, c
+        self._steps = 0
+
+    def halve(self) -> None:
+        """Take the bisection's next step; G is kept at every candidate, so the
+        accepted gamma's residual is not recomputed.  A done search stays put."""
+        if self.done:
+            return
+        lo, hi = self.lo, self.hi
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            self._accept(hi, self.G_hi)
+            return
+        G = g_eval(mid, self._p, self._c)
+        residual = G - self._target
+        if abs(residual) <= _GAMMA_RESIDUAL_TOL:
+            self._accept(mid, G)
+            return
+        if residual > 0.0:
+            self.lo = mid
+        else:
+            self.hi, self.G_hi = mid, G
+        self._steps += 1
+        if self._steps == _MAX_BISECT:
+            gamma = 0.5 * (self.lo + self.hi)
+            self._accept(gamma, g_eval(gamma, self._p, self._c))
+
+    def drain(self) -> tuple[float, float]:
+        """Halve until gamma is accepted; returns ``(gamma, G(gamma))``."""
+        while not self.done:
+            self.halve()
+        return self.hi, self.G_hi
+
+    def _accept(self, gamma: float, G: float) -> None:
+        p, c = self._p, self._c
+        scale = c.c0 + c.c1 + c.ce * (p.mu_x**2 + p.sigma_x**2)
+        if abs(G - self._target) > max(_GAMMA_RESIDUAL_MAX, _GAMMA_RESIDUAL_REL * scale):
+            raise NumericalError(
+                f"threshold bisection stalled at gamma={gamma} with residual above tolerance"
+            )
+        self.hi, self.G_hi, self.done = gamma, G, True
 
 
 def _validate_costs(c: CostWeights) -> None:
@@ -431,16 +508,13 @@ def g_point(U: float, p: ModelParams, c: CostWeights) -> GPoint:
     return GPoint(U=U, g=g, V1=V1, V2=V2, G=G)
 
 
-def solve_gamma(C: float, p: ModelParams, c: CostWeights) -> Calibration:
-    """Calibrate the energy threshold for combined-cost level C.
+def bracket_gamma(C: float, p: ModelParams, c: CostWeights) -> Calibration:
+    """``solve_gamma``'s calibration, with the threshold bracketed but not yet bisected.
 
-    For ``C >= C_max`` no observation is needed and the prior decision rule
-    applies.  Otherwise the unique ``gamma > 0`` with
-    ``G(gamma) = C - c1 - ce*(mu_x^2 + sigma_x^2)`` is found by doubling the
-    upper bracket until it straddles the target and bisecting; strict
-    monotonicity of G guarantees the bracket.  The accepted root satisfies
-    ``|G(gamma) - target| <= 1e-10``.  NumericalError: C so small that the
-    target rounds to G's infinite-energy limit, where no gamma is determined.
+    Runs the regime choice and the doubling, and defers every halving to the
+    returned calibration's ``search``: a caller that only needs to know which
+    side of gamma some energies fall on halves only until they are decided.
+    Raises what ``solve_gamma`` raises before its bisection.
     """
     if isinstance(C, bool) or not isinstance(C, (int, float)) or not math.isfinite(C) or C <= 0:
         raise InfeasibleConstraint(
@@ -468,29 +542,21 @@ def solve_gamma(C: float, p: ModelParams, c: CostWeights) -> Calibration:
         hi *= 2.0
     else:
         raise NumericalError(f"no upper bracket for the threshold at C={C}")
+    return Calibration(C=C, regime=Regime.OBSERVE,
+                       search=ThresholdSearch(target, lo, hi, G_hi, p, c))
 
-    # G is kept at every candidate, so the accepted gamma's residual is not recomputed
-    gamma = None
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            gamma, G = hi, G_hi
-            break
-        G = g_eval(mid, p, c)
-        residual = G - target
-        if abs(residual) <= _GAMMA_RESIDUAL_TOL:
-            gamma = mid
-            break
-        if residual > 0.0:
-            lo = mid
-        else:
-            hi, G_hi = mid, G
-    if gamma is None:
-        gamma = 0.5 * (lo + hi)
-        G = g_eval(gamma, p, c)
 
-    if abs(G - target) > _GAMMA_RESIDUAL_MAX:
-        raise NumericalError(
-            f"threshold bisection stalled at gamma={gamma} with residual above tolerance"
-        )
-    return Calibration(C=C, regime=Regime.OBSERVE, gamma=gamma, G=G)
+def solve_gamma(C: float, p: ModelParams, c: CostWeights) -> Calibration:
+    """Calibrate the energy threshold for combined-cost level C.
+
+    For ``C >= C_max`` no observation is needed and the prior decision rule
+    applies.  Otherwise the unique ``gamma > 0`` with
+    ``G(gamma) = C - c1 - ce*(mu_x^2 + sigma_x^2)`` is found by doubling the
+    upper bracket until it straddles the target and bisecting; strict
+    monotonicity of G guarantees the bracket.  The accepted root satisfies
+    ``|G(gamma) - target| <= max(1e-10, 1e-13*S)``, with S the cost scale
+    ``c0 + c1 + ce*(mu_x^2 + sigma_x^2)``.  NumericalError: C so small that
+    the target rounds to G's infinite-energy limit, where no gamma is
+    determined.
+    """
+    return bracket_gamma(C, p, c).solved()

@@ -236,18 +236,33 @@ def _stopping_index(h: np.ndarray, cal: Calibration, t_max: int) -> tuple[int, f
     """First index t with cumulative energy >= gamma, and that energy U_t.
 
     Returns (0, 0.0) in the prior regime.  ``np.cumsum`` adds in the
-    engine's order, so the energy is the engine's ``U_T`` bit for bit.
+    engine's order, so the energy is the engine's ``U_T`` bit for bit.  A
+    calibration with a pending search is halved only while some energy lies
+    strictly between its bracket ends ``lo < gamma <= hi``: after that every
+    energy is on the same side of ``hi`` as of gamma, so T is fixed.  On horizon
+    exhaustion the search is drained, so the error names the exact gamma.
     """
     if cal.regime is Regime.STOP_AT_ZERO:
         return 0, 0.0
     energy = np.cumsum(h * h)
-    idx = int(np.searchsorted(energy, cal.gamma, side="left"))
+    search = cal.search
+    if search is None:
+        bound = cal.gamma
+    else:
+        while not search.done:
+            inside = np.searchsorted(energy, search.lo, side="right")
+            if inside == len(energy) or energy[inside] >= search.hi:
+                break
+            search.halve()
+        bound = search.hi
+    idx = int(np.searchsorted(energy, bound, side="left"))
     if idx >= len(energy):
         # a property of the shared gain path, not of any one replication
+        gamma = cal.solved().gamma
         raise HorizonExhausted(
             f"gain path energy {energy[-1] if len(energy) else 0.0} never reaches "
-            f"threshold {cal.gamma} within t_max={t_max}",
-            t=t_max, U=float(energy[-1]) if len(energy) else 0.0, gamma=cal.gamma,
+            f"threshold {gamma} within t_max={t_max}",
+            t=t_max, U=float(energy[-1]) if len(energy) else 0.0, gamma=gamma,
         )
     return idx + 1, float(energy[idx])
 

@@ -318,6 +318,20 @@ class TestSimulate:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("command", ["montecarlo", "compare"])
+    def test_horizon_exhaustion_names_the_exact_gamma(self, tmp_path, capsys, command):
+        cfg = write_config(
+            tmp_path,
+            overrides={"channel": {"type": "constant", "h": 0.01},
+                       "mc": {"reps": 10, "master_seed": 1, "t_max": 5}},
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.json")]) == 4
+        cli_cfg = cli.load_config(cfg)
+        gamma = gfunc.solve_gamma(1.5, cli_cfg.params, cli_cfg.costs).gamma
+        energy = float(np.cumsum(np.full(5, 0.01) ** 2)[-1])
+        assert capsys.readouterr().err == (f"seqjde: gain path energy {energy} never reaches "
+                                           f"threshold {gamma} within t_max=5\n")
+
     def test_report_fields_and_rep_csv(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "mc.json"
@@ -436,17 +450,36 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("command", ["calibrate", "montecarlo", "compare"])
     def test_calibrated_commands_solve_few_roots(self, tmp_path, root_solves, command):
-        # the calibration's roots, G at gamma among them; montecarlo adds the
-        # predicted cost's root, and compare also the separate test's region
-        extra = {"calibrate": 0, "montecarlo": 1, "compare": 2}[command]
+        # calibrate bisects to the end, G at gamma among its roots.  On the unit
+        # gain the Monte Carlo commands solve one root to bracket gamma in
+        # (0, 1], which already fixes T = 1, then the predicted cost's root,
+        # and compare also the separate test's region
         cfg = write_config(tmp_path)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o.json")]) == 0
         solves = len(root_solves)
         root_solves.clear()
         cli_cfg = cli.load_config(cfg)
         gfunc.solve_gamma(cli_cfg.constraint_C, cli_cfg.params, cli_cfg.costs)
-        assert solves == len(root_solves) + extra
         assert len(root_solves) <= 39
+        assert solves == {"calibrate": len(root_solves), "montecarlo": 2, "compare": 3}[command]
+
+    @pytest.mark.parametrize("C, channel, lazy, drained", [
+        (1.5, {"type": "constant", "h": 1.0}, 2, 40),
+        (1.5, {"type": "ar1", "phi": 0.9, "innov_std": 0.5, "init_std": 0.5}, 5, 40),
+        (0.2, {"type": "constant", "h": 1.0}, 15, 42),
+        (0.2, {"type": "rayleigh", "scale": 0.8}, 15, 42),
+    ])
+    def test_montecarlo_halves_only_until_t_is_fixed(self, tmp_path, root_solves,
+                                                     C, channel, lazy, drained):
+        # drained: the calibration's roots plus the predicted cost's, which is
+        # what montecarlo solved when it calibrated eagerly
+        cfg = write_config(tmp_path, overrides={"channel": channel}, constraint_C=C)
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 0
+        solves = len(root_solves)
+        root_solves.clear()
+        cli_cfg = cli.load_config(cfg)
+        gfunc.solve_gamma(C, cli_cfg.params, cli_cfg.costs)
+        assert (solves, len(root_solves) + 1) == (lazy, drained)
 
     @pytest.mark.parametrize("command", ["montecarlo", "compare"])
     def test_one_gain_path_per_run(self, tmp_path, monkeypatch, command):
@@ -462,6 +495,31 @@ class TestWorkCounts:
             "channel": {"type": "ar1", "phi": 0.9, "innov_std": 0.5, "init_std": 0.5}})
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o.json")]) == 0
         assert len(paths) == 1
+
+
+class TestScaleInvariance:
+    """Scaling every cost and C by one factor leaves gamma, and every exit code, as it is."""
+
+    @pytest.mark.parametrize("model, costs, C", [
+        ({"mu_x": 0.0, "sigma_x": 1.0, "sigma": 1.0}, (1.0, 1.0, 1.0), 1.5),
+        ({"mu_x": 0.5, "sigma_x": 0.8, "sigma": 1.2}, (1.0, 1.0, 1.0), 0.3),
+        ({"mu_x": 1.0, "sigma_x": 1.0, "sigma": 1.0}, (1.0, 0.2, 5.0), 1.1),
+    ])
+    def test_scaled_costs_calibrate_alike(self, tmp_path, model, costs, C):
+        gammas = {}
+        for k in range(-2, 13):
+            s = 10.0**k
+            cfg = write_config(tmp_path, overrides={
+                "model": model,
+                "costs": dict(zip(("c0", "c1", "ce"), (s * v for v in costs))),
+            }, constraint_C=s * C)
+            for command in ("calibrate", "montecarlo", "compare"):
+                out = tmp_path / f"{command}.json"
+                assert main([command, "--config", cfg, "--out", str(out), *(
+                    [] if command == "calibrate" else ["--reps", "20"])]) == 0, (k, command)
+            gammas[k] = json.loads((tmp_path / "calibrate.json").read_text())["gamma"]
+        for k, gamma in gammas.items():
+            assert gamma == pytest.approx(gammas[0], rel=1e-9), k
 
 
 class TestOutput:

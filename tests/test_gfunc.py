@@ -14,6 +14,8 @@ from seqjde import (
     NumericalError,
     QuadratureNonConvergence,
     Regime,
+    admissible_cost_bound,
+    bracket_gamma,
     g_eval,
     g_eval_quadrature,
     g_eval_region,
@@ -490,6 +492,59 @@ class TestSolveGamma:
             assert cal.G is None
 
 
+class TestBracketGamma:
+    """The threshold search run step by step is the calibration's bisection."""
+
+    @pytest.mark.parametrize("p, c", COST_CONFIGS)
+    @pytest.mark.parametrize("frac", [0.95, 0.6, 0.3, 0.05])
+    def test_drained_search_is_solve_gamma(self, root_solves, p, c, frac):
+        C = frac * admissible_cost_bound(p, c)
+        cal = solve_gamma(C, p, c)
+        eager = list(root_solves)
+        root_solves.clear()
+        lazy = bracket_gamma(C, p, c)
+        assert lazy.gamma is None and lazy.G is None
+        solved = lazy.solved()
+        assert (solved.gamma, solved.G) == (cal.gamma, cal.G)
+        assert solved == cal
+        assert root_solves == eager  # the same energies, in the same order
+
+    @pytest.mark.parametrize("p, c", COST_CONFIGS)
+    def test_bracket_holds_gamma_after_every_step(self, p, c):
+        C = 0.4 * admissible_cost_bound(p, c)
+        gamma = solve_gamma(C, p, c).gamma
+        search = bracket_gamma(C, p, c).search
+        steps = 0
+        while not search.done:
+            assert search.lo < gamma <= search.hi
+            assert search.G_hi == g_eval(search.hi, p, c)
+            search.halve()
+            steps += 1
+        assert steps > 10
+        assert search.hi == gamma
+
+    def test_prior_regime_has_no_search(self):
+        cal = bracket_gamma(2.5, REF_P, REF_C)
+        assert cal.search is None
+        assert cal.solved() is cal == solve_gamma(2.5, REF_P, REF_C)
+
+    def test_raises_what_solve_gamma_raises(self):
+        for bad in (0.0, math.nan):
+            with pytest.raises(InfeasibleConstraint):
+                bracket_gamma(bad, REF_P, REF_C)
+        with pytest.raises(NumericalError, match="not determined"):
+            bracket_gamma(1e-17, REF_P, REF_C)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e9, 1e12])
+    def test_acceptance_bound_grows_with_the_cost_scale(self, scale):
+        # at C = 1.5*scale the bisection ends on a residual of a few ulps of
+        # the scale, above the absolute 1e-10; gamma does not depend on scale
+        c = CostWeights(scale, scale, scale)
+        cal = solve_gamma(1.5 * scale, REF_P, c)
+        assert cal.gamma == pytest.approx(solve_gamma(1.5, REF_P, REF_C).gamma, rel=1e-9)
+        assert abs(cal.G - (1.5 * scale - 2.0 * scale)) <= 1e-13 * 3.0 * scale
+
+
 class TestCalibrationType:
     def test_observe_requires_positive_gamma(self):
         with pytest.raises(ValueError):
@@ -512,6 +567,15 @@ class TestCalibrationType:
     def test_stop_at_zero_carries_no_threshold(self, field):
         with pytest.raises(ValueError, match="no threshold"):
             Calibration(C=5.0, regime=Regime.STOP_AT_ZERO, decision=Hypothesis.H0, **field)
+
+    @pytest.mark.parametrize("field", [{"gamma": 0.5}, {"G": -0.5}], ids=["gamma", "G"])
+    def test_pending_search_carries_no_threshold(self, field):
+        search = bracket_gamma(1.5, REF_P, REF_C).search
+        with pytest.raises(ValueError, match="no threshold"):
+            Calibration(C=1.5, regime=Regime.OBSERVE, search=search, **field)
+        with pytest.raises(ValueError, match="no threshold"):
+            Calibration(C=5.0, regime=Regime.STOP_AT_ZERO, decision=Hypothesis.H0,
+                        search=search)
 
 
 def test_ndtr_matches_scipy_bitwise():

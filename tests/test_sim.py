@@ -18,6 +18,8 @@ from seqjde import (
     Rayleigh,
     ScenarioConfig,
     SufficientStats,
+    admissible_cost_bound,
+    bracket_gamma,
     compare_schemes,
     decide,
     estimate,
@@ -32,7 +34,7 @@ from seqjde import (
     separate_decide,
     solve_gamma,
 )
-from seqjde.sim import ArmSamples, cost_report, run_arms, separate_decisions
+from seqjde.sim import ArmSamples, _stopping_index, cost_report, run_arms, separate_decisions
 
 P = ModelParams(0.0, 1.0, 1.0)
 C = CostWeights(1.0, 1.0, 1.0)
@@ -445,3 +447,111 @@ class TestCompareSchemes:
                                           seed=seed, t_max=2000), cal)
         assert abs(sep.combined - sep.predicted) <= 4 * sep.combined_se
         assert joint.predicted < sep.predicted
+
+
+def _eager_stop(h: np.ndarray, gamma: float) -> tuple[int, float]:
+    """(T, U_T) against the drained threshold: the first cumulative energy >= gamma."""
+    energy = np.cumsum(h * h)
+    idx = int(np.searchsorted(energy, gamma, side="left"))
+    return idx + 1, float(energy[idx])
+
+
+def _path_through(v: float, first: float, tail: int = 20) -> list[float]:
+    """Gains whose cumulative energy is just below ``first``, then exactly ``v``
+    (``first <= v``), then grows by ``tail`` unit gains."""
+    for k in range(1, 200):  # a few first gains leave a gap that a square fills exactly
+        h0 = math.sqrt(first) * (1.0 - k * 1e-9)
+        e1 = h0 * h0
+        h1 = math.sqrt(v - e1)
+        for h1 in (h1, math.nextafter(h1, 0.0), math.nextafter(h1, math.inf)):
+            if e1 + h1 * h1 == v:
+                return [h0, h1] + [1.0] * tail
+    raise AssertionError(f"no two-gain path reaches {v!r} exactly")
+
+
+def _write_gains(path, gains) -> FromFile:
+    path.write_text("".join(f"{g!r}\n" for g in gains))
+    return FromFile(str(path))
+
+
+LAZY_COSTS = [
+    (P, C),
+    (ModelParams(1.0, 1.0, 1.0), CostWeights(1.0, 0.2, 5.0)),
+    (ModelParams(-0.3, 1.5, 0.7), CostWeights(1.0, 1.0, 0.0)),
+]
+
+
+class TestLazyThreshold:
+    """A pending threshold search gives the drained threshold's T and U_T bit for bit."""
+
+    @pytest.mark.parametrize("p, c", LAZY_COSTS)
+    @pytest.mark.parametrize("frac", [0.95, 0.6, 0.3, 0.1, 0.03])
+    @pytest.mark.parametrize("kind", ["constant", "iid_gaussian", "rayleigh", "ar1", "from_file"])
+    def test_stopping_index_matches_drained_threshold(self, tmp_path, root_solves,
+                                                      p, c, frac, kind):
+        t_max = 5000
+        channel = {
+            "constant": Constant(1.0),
+            "iid_gaussian": IidGaussian(1.0),
+            "rayleigh": Rayleigh(0.8),
+            "ar1": Ar1(0.9, 0.5, 0.5),
+            "from_file": None,
+        }[kind]
+        if channel is None:
+            gains = np.random.default_rng(5).standard_t(3, size=t_max)
+            channel = _write_gains(tmp_path / "gains.txt", gains.tolist())
+        Cc = frac * admissible_cost_bound(p, c)
+        cal = solve_gamma(Cc, p, c)
+        eager_solves = len(root_solves)
+        for seed in (3, 4):
+            h = gen_channel(channel, seed, t_max)
+            root_solves.clear()
+            lazy = bracket_gamma(Cc, p, c)
+            stop = _stopping_index(h, lazy, t_max)
+            assert len(root_solves) <= eager_solves
+            assert stop == _eager_stop(h, cal.gamma)
+            assert lazy.solved() == cal
+
+    @pytest.mark.parametrize("where", ["gamma", "below", "above", "first_hi",
+                                       "step5_lo", "step5_hi", "step20_lo", "step20_hi"])
+    @pytest.mark.parametrize("Cc", [1.9, 1.5, 0.5])
+    def test_energy_on_the_threshold_or_a_bracket_end(self, tmp_path, where, Cc):
+        cal = solve_gamma(Cc, P, C)
+        search = bracket_gamma(Cc, P, C).search
+        ends = {"first_hi": search.hi}
+        for step in range(1, 21):
+            search.halve()
+            if step in (5, 20):
+                ends[f"step{step}_lo"], ends[f"step{step}_hi"] = search.lo, search.hi
+        ends.update(gamma=cal.gamma, below=math.nextafter(cal.gamma, -math.inf),
+                    above=math.nextafter(cal.gamma, math.inf))
+        v = ends[where]
+        assert v > 0.0
+        # the first energy is below gamma, so the exact hit decides T
+        channel = _write_gains(tmp_path / "gains.txt", _path_through(v, min(v, cal.gamma)))
+        h = gen_channel(channel, 0, 22)
+        assert np.cumsum(h * h)[1] == v
+        T, U_T = _stopping_index(h, bracket_gamma(Cc, P, C), 22)
+        assert (T, U_T) == _eager_stop(h, cal.gamma)
+        assert T == (2 if v >= cal.gamma else 3)
+        lazy = run_arms(pair(channel, reps=50, t_max=22), bracket_gamma(Cc, P, C))
+        eager = run_arms(pair(channel, reps=50, t_max=22), cal)
+        for a, b in zip(lazy, eager):
+            assert (a.T, a.U_T, a.predicted) == (b.T, b.U_T, b.predicted)
+            for name in ("x", "V", "logL", "xhat", "decision"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_horizon_exhaustion_names_the_drained_gamma(self):
+        cal = solve_gamma(1.5, P, C)
+        errors = []
+        for c in (cal, bracket_gamma(1.5, P, C)):
+            with pytest.raises(HorizonExhausted) as info:
+                run_arms(pair(Constant(0.01), reps=3, t_max=5), c)
+            errors.append(info.value)
+        assert str(errors[0]) == str(errors[1])
+        assert errors[1].gamma == cal.gamma
+
+    def test_public_calls_accept_both_calibrations(self):
+        cfgs = pair(Ar1(0.9, 0.5, 0.5), reps=300)
+        for run in (monte_carlo, compare_schemes):
+            assert run(cfgs, bracket_gamma(0.5, P, C)) == run(cfgs, solve_gamma(0.5, P, C))
