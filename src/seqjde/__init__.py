@@ -20,7 +20,6 @@ from .gfunc import (
     Calibration,
     GPoint,
     Regime,
-    bracket_gamma,
     g_eval,
     g_eval_quadrature,
     g_eval_quadrature_region,
@@ -30,6 +29,8 @@ from .gfunc import (
     g_root,
     region,
     solve_gamma,
+    stopping_rule,
+    threshold_bound,
 )
 from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound
 from .sim import (
@@ -45,7 +46,6 @@ from .sim import (
     gen_channel,
     monte_carlo,
     sample_scenario,
-    separate_decide,
 )
 from .stats import (
     SufficientStats,
@@ -53,7 +53,6 @@ from .stats import (
     estimate,
     init,
     log_likelihood_ratio,
-    posterior_variance,
     update,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "SufficientStats",
     "TripletOutcome",
     "admissible_cost_bound",
-    "bracket_gamma",
     "compare_schemes",
     "decide",
     "estimate",
@@ -99,12 +97,12 @@ __all__ = [
     "init",
     "log_likelihood_ratio",
     "monte_carlo",
-    "posterior_variance",
     "predicted_cost",
     "region",
     "run_sequential",
     "sample_scenario",
-    "separate_decide",
     "solve_gamma",
+    "stopping_rule",
+    "threshold_bound",
     "update",
 ]

@@ -340,7 +340,7 @@ def _rep_lines(arm0: sim.ArmSamples, arm1: sim.ArmSamples):
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     cfg = _mc_config(args)
-    cal = gfunc.bracket_gamma(cfg.constraint_C, cfg.params, cfg.costs)
+    cal = gfunc.stopping_rule(cfg.constraint_C, cfg.params, cfg.costs)
     arm0, arm1 = sim.run_arms(_scenario_pair(cfg), cal)
     report = sim.cost_report(arm1, arm0.decision, arm1.decision, cfg.costs, cal.C)
     _write_json(_report_dict(report), args.out)
@@ -350,7 +350,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _mc_config(args)
-    cal = gfunc.bracket_gamma(cfg.constraint_C, cfg.params, cfg.costs)
+    cal = gfunc.stopping_rule(cfg.constraint_C, cfg.params, cfg.costs)
     joint, separate = sim.compare_schemes(_scenario_pair(cfg), cal)
     diff = joint.combined - separate.combined
     diff_se = math.sqrt(joint.combined_se**2 + separate.combined_se**2)

@@ -41,9 +41,10 @@ def run_sequential(stream: Iterable[tuple[float, float]], cal: Calibration,
     """Consume (y, h) pairs until the running energy reaches the threshold.
 
     Stops at the first t with ``U_t >= gamma``, then applies the decision
-    rule and, on H1, the estimator, at exactly that index.  The stop-at-zero
-    regime returns immediately with the prior decision and consumes nothing.
-    Keeps O(1) state; the stream is never buffered.
+    rule and, on H1, the estimator, at exactly that index.  An unsolved
+    ``stopping_rule`` is solved first.  The stop-at-zero regime returns
+    immediately with the prior decision and consumes nothing.  Keeps O(1)
+    state; the stream is never buffered.
 
     Raises HorizonExhausted if the energy has not crossed after ``t_max``
     samples or the stream ends early, and OverflowError if the running sums
@@ -59,7 +60,7 @@ def run_sequential(stream: Iterable[tuple[float, float]], cal: Calibration,
             predicted_cost=predicted_cost(0.0, p, c),
         )
 
-    gamma = cal.solved().gamma
+    gamma = cal.gamma if cal.gamma is not None else gfunc.solve_gamma(cal.C, p, c).gamma
     s = stats.init()
     for y, h in itertools.islice(stream, t_max):
         s = stats.update(s, y, h)

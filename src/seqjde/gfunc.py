@@ -23,7 +23,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from .errors import InfeasibleConstraint, InvalidCosts, NumericalError, QuadratureNonConvergence
 from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound
@@ -33,8 +36,8 @@ _SQRT1_2 = math.sqrt(0.5)
 # Cephes MAXLOG = log(DBL_MAX); its erfc returns 0 once x*x exceeds it
 _MAXLOG = 7.09782712893383996843e2
 
-# Bisection tolerances: absolute on the root of the margin equation, residual
-# on the threshold equation.
+# Bisection tolerances: absolute on the root of the margin equation; on the
+# threshold equation's residual, relative to min(1, cost scale).
 _G_ROOT_XTOL = 1e-10
 _GAMMA_RESIDUAL_TOL = 1e-12
 # Accepted residual: absolute, or relative to the cost scale where that is
@@ -65,7 +68,7 @@ class GPoint:
 
 @dataclass(frozen=True)
 class Calibration:
-    """Solved stopping rule for a constraint level C.
+    """Stopping rule for a constraint level C.
 
     In the OBSERVE regime sampling continues until the running energy reaches
     ``gamma``.  In the STOP_AT_ZERO regime the constraint is already met by
@@ -73,9 +76,9 @@ class Calibration:
     estimate) is fixed before any observation.  ``G`` is ``G(gamma)`` as the
     calibration accepted it, and None in the STOP_AT_ZERO regime.
 
-    An OBSERVE calibration may instead carry a ``search`` that has bracketed
-    gamma but not finished bisecting it (see ``bracket_gamma``); ``gamma`` and
-    ``G`` are then None, and ``solved()`` runs the search to its end.
+    An OBSERVE rule from ``stopping_rule`` leaves ``gamma`` and ``G`` as None:
+    its threshold is resolved where it is used, by ``solve_gamma`` or, as far
+    as one gain path needs it, by ``threshold_bound``.
     """
 
     C: float
@@ -84,90 +87,23 @@ class Calibration:
     decision: Hypothesis | None = None
     estimate: float | None = None
     G: float | None = None
-    search: ThresholdSearch | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.regime is Regime.OBSERVE:
-            if self.search is not None:
-                if self.gamma is not None or self.G is not None:
-                    raise ValueError("a pending threshold search carries no threshold")
-            elif self.gamma is None or not (self.gamma > 0):
+            if self.gamma is None:
+                if self.G is not None:
+                    raise ValueError("an unsolved rule carries no threshold, so no G")
+            elif not (self.gamma > 0):
                 raise ValueError("observe regime requires gamma > 0")
             if self.decision is not None or self.estimate is not None:
                 raise ValueError("observe regime carries no prior decision")
         else:
-            if self.gamma is not None or self.G is not None or self.search is not None:
+            if self.gamma is not None or self.G is not None:
                 raise ValueError("stop-at-zero regime carries no threshold")
             if self.decision is None:
                 raise ValueError("stop-at-zero regime requires a decision")
             if (self.estimate is not None) != (self.decision is Hypothesis.H1):
                 raise ValueError("estimate present iff decision is H1")
-
-    def solved(self) -> Calibration:
-        """This calibration with its threshold search, if any, run to the end."""
-        if self.search is None:
-            return self
-        gamma, G = self.search.drain()
-        return Calibration(C=self.C, regime=Regime.OBSERVE, gamma=gamma, G=G)
-
-
-class ThresholdSearch:
-    """Bisection for the threshold gamma, advanced one halving at a time.
-
-    Starts from a bracket ``(lo, hi]`` of gamma with ``G(hi) = G_hi``, as
-    ``bracket_gamma``'s doubling finds it; each ``halve`` is one step of the
-    bisection, so the drained search returns the same gamma and G
-    bit for bit whether it was run in one go or step by step.  After every
-    step ``lo < gamma <= hi`` holds, where gamma is the drained search's value,
-    and ``G_hi`` is G at ``hi``.  Once ``done``, ``hi`` is gamma and ``G_hi``
-    its accepted G.
-    """
-
-    def __init__(self, target: float, lo: float, hi: float, G_hi: float,
-                 p: ModelParams, c: CostWeights):
-        self.lo, self.hi, self.G_hi = lo, hi, G_hi
-        self.done = False
-        self._target, self._p, self._c = target, p, c
-        self._steps = 0
-
-    def halve(self) -> None:
-        """Take the bisection's next step; G is kept at every candidate, so the
-        accepted gamma's residual is not recomputed.  A done search stays put."""
-        if self.done:
-            return
-        lo, hi = self.lo, self.hi
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            self._accept(hi, self.G_hi)
-            return
-        G = g_eval(mid, self._p, self._c)
-        residual = G - self._target
-        if abs(residual) <= _GAMMA_RESIDUAL_TOL:
-            self._accept(mid, G)
-            return
-        if residual > 0.0:
-            self.lo = mid
-        else:
-            self.hi, self.G_hi = mid, G
-        self._steps += 1
-        if self._steps == _MAX_BISECT:
-            gamma = 0.5 * (self.lo + self.hi)
-            self._accept(gamma, g_eval(gamma, self._p, self._c))
-
-    def drain(self) -> tuple[float, float]:
-        """Halve until gamma is accepted; returns ``(gamma, G(gamma))``."""
-        while not self.done:
-            self.halve()
-        return self.hi, self.G_hi
-
-    def _accept(self, gamma: float, G: float) -> None:
-        p, c = self._p, self._c
-        scale = c.c0 + c.c1 + c.ce * (p.mu_x**2 + p.sigma_x**2)
-        if abs(G - self._target) > max(_GAMMA_RESIDUAL_MAX, _GAMMA_RESIDUAL_REL * scale):
-            raise NumericalError(
-                f"threshold bisection stalled at gamma={gamma} with residual above tolerance"
-            )
-        self.hi, self.G_hi, self.done = gamma, G, True
 
 
 def _validate_costs(c: CostWeights) -> None:
@@ -508,13 +444,12 @@ def g_point(U: float, p: ModelParams, c: CostWeights) -> GPoint:
     return GPoint(U=U, g=g, V1=V1, V2=V2, G=G)
 
 
-def bracket_gamma(C: float, p: ModelParams, c: CostWeights) -> Calibration:
-    """``solve_gamma``'s calibration, with the threshold bracketed but not yet bisected.
+def stopping_rule(C: float, p: ModelParams, c: CostWeights) -> Calibration:
+    """The regime and prior decision for constraint level C, with gamma left unsolved.
 
-    Runs the regime choice and the doubling, and defers every halving to the
-    returned calibration's ``search``: a caller that only needs to know which
-    side of gamma some energies fall on halves only until they are decided.
-    Raises what ``solve_gamma`` raises before its bisection.
+    For ``C >= C_max`` no observation is needed and the prior decision rule
+    applies.  Otherwise the rule is OBSERVE with ``gamma`` and ``G`` None.
+    Runs every check of ``solve_gamma`` that needs no margin root.
     """
     if isinstance(C, bool) or not isinstance(C, (int, float)) or not math.isfinite(C) or C <= 0:
         raise InfeasibleConstraint(
@@ -533,6 +468,25 @@ def bracket_gamma(C: float, p: ModelParams, c: CostWeights) -> Calibration:
     if target <= g_limits(p, c)[1]:  # C is lost in rounding: G is flat there
         raise NumericalError(f"threshold not determined: C={C!r} gives target {target!r}, "
                              "which rounds to G's infinite-energy limit")
+    return Calibration(C=C, regime=Regime.OBSERVE)
+
+
+def _bisect(C: float, p: ModelParams, c: CostWeights,
+            settled: Callable[[float, float], bool] | None = None) -> tuple[float, float]:
+    """The threshold of an OBSERVE ``stopping_rule``, and G there.
+
+    Doubles the upper bracket end from 1 until ``G(hi) <= target``, then
+    bisects ``(lo, hi]``, which holds gamma throughout.  It stops at a
+    midpoint within ``1e-12*min(1, S)`` of the target (S the cost scale
+    ``c0 + c1 + ce*(mu_x^2 + sigma_x^2)``, since G scales with the costs), at
+    adjacent floats, or after 500 halvings, and checks the accepted residual.
+    G is kept at every candidate, so the accepted gamma's is not recomputed.
+
+    ``settled(lo, hi)`` is asked before each halving; where it holds, the
+    bracket's ``(hi, G(hi))`` is returned instead.  Up to that point the
+    bisection solves the same energies, in the same order, as without it.
+    """
+    target = C - c.c1 - c.ce * (p.mu_x**2 + p.sigma_x**2)
     lo, hi = 0.0, 1.0
     for _ in range(_MAX_BISECT):
         G_hi = g_eval(hi, p, c)
@@ -542,21 +496,66 @@ def bracket_gamma(C: float, p: ModelParams, c: CostWeights) -> Calibration:
         hi *= 2.0
     else:
         raise NumericalError(f"no upper bracket for the threshold at C={C}")
-    return Calibration(C=C, regime=Regime.OBSERVE,
-                       search=ThresholdSearch(target, lo, hi, G_hi, p, c))
+
+    scale = c.c0 + c.c1 + c.ce * (p.mu_x**2 + p.sigma_x**2)
+    early = _GAMMA_RESIDUAL_TOL * min(1.0, scale)
+    for _ in range(_MAX_BISECT):
+        if settled is not None and settled(lo, hi):
+            return hi, G_hi
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            gamma, G = hi, G_hi
+            break
+        G = g_eval(mid, p, c)
+        if abs(G - target) <= early:
+            gamma = mid
+            break
+        if G > target:
+            lo = mid
+        else:
+            hi, G_hi = mid, G
+    else:
+        gamma = 0.5 * (lo + hi)
+        G = g_eval(gamma, p, c)
+
+    if abs(G - target) > max(_GAMMA_RESIDUAL_MAX, _GAMMA_RESIDUAL_REL * scale):
+        raise NumericalError(
+            f"threshold bisection stalled at gamma={gamma} with residual above tolerance"
+        )
+    return gamma, G
 
 
 def solve_gamma(C: float, p: ModelParams, c: CostWeights) -> Calibration:
     """Calibrate the energy threshold for combined-cost level C.
 
-    For ``C >= C_max`` no observation is needed and the prior decision rule
-    applies.  Otherwise the unique ``gamma > 0`` with
-    ``G(gamma) = C - c1 - ce*(mu_x^2 + sigma_x^2)`` is found by doubling the
-    upper bracket until it straddles the target and bisecting; strict
-    monotonicity of G guarantees the bracket.  The accepted root satisfies
-    ``|G(gamma) - target| <= max(1e-10, 1e-13*S)``, with S the cost scale
-    ``c0 + c1 + ce*(mu_x^2 + sigma_x^2)``.  NumericalError: C so small that
-    the target rounds to G's infinite-energy limit, where no gamma is
-    determined.
+    ``stopping_rule`` with, in the OBSERVE regime, the unique ``gamma > 0``
+    with ``G(gamma) = C - c1 - ce*(mu_x^2 + sigma_x^2)``, found by doubling
+    the upper bracket until it straddles the target and bisecting; strict
+    monotonicity of G guarantees the bracket.  The bisection stops within
+    ``1e-12*min(1, S)`` of the target, or at adjacent floats, and the accepted
+    root satisfies ``|G(gamma) - target| <= max(1e-10, 1e-13*S)``, with S the
+    cost scale ``c0 + c1 + ce*(mu_x^2 + sigma_x^2)``.  NumericalError: C so
+    small that the target rounds to G's infinite-energy limit, where no gamma
+    is determined.
     """
-    return bracket_gamma(C, p, c).solved()
+    rule = stopping_rule(C, p, c)
+    if rule.regime is Regime.STOP_AT_ZERO:
+        return rule
+    gamma, G = _bisect(C, p, c)
+    return Calibration(C=C, regime=Regime.OBSERVE, gamma=gamma, G=G)
+
+
+def threshold_bound(energy: np.ndarray, C: float, p: ModelParams, c: CostWeights) -> float:
+    """A threshold that splits the nondecreasing ``energy`` exactly where gamma does.
+
+    The bisection of ``solve_gamma`` at level C, for an OBSERVE rule, stopped
+    as soon as the first energy above its lower end ``lo`` is at or above its
+    upper end ``hi``: every energy then lies on the same side of ``hi`` as of
+    gamma, so the first index reaching either is the same.  Where no energy
+    exceeds ``lo`` it runs to the end and returns gamma itself.
+    """
+    def settled(lo: float, hi: float) -> bool:
+        inside = np.searchsorted(energy, lo, side="right")
+        return inside < len(energy) and energy[inside] >= hi
+
+    return _bisect(C, p, c, settled)[0]

@@ -232,33 +232,23 @@ class ArmSamples:
         return err_d1, err_d0
 
 
-def _stopping_index(h: np.ndarray, cal: Calibration, t_max: int) -> tuple[int, float]:
+def _stopping_index(h: np.ndarray, cal: Calibration, p: ModelParams, c: CostWeights,
+                    t_max: int) -> tuple[int, float]:
     """First index t with cumulative energy >= gamma, and that energy U_t.
 
     Returns (0, 0.0) in the prior regime.  ``np.cumsum`` adds in the
-    engine's order, so the energy is the engine's ``U_T`` bit for bit.  A
-    calibration with a pending search is halved only while some energy lies
-    strictly between its bracket ends ``lo < gamma <= hi``: after that every
-    energy is on the same side of ``hi`` as of gamma, so T is fixed.  On horizon
-    exhaustion the search is drained, so the error names the exact gamma.
+    engine's order, so the energy is the engine's ``U_T`` bit for bit.  An
+    unsolved rule's threshold is resolved only as far as this path needs
+    (``gfunc.threshold_bound``), which gives the same T; on horizon exhaustion
+    that is the exact gamma, so the error names it.
     """
     if cal.regime is Regime.STOP_AT_ZERO:
         return 0, 0.0
     energy = np.cumsum(h * h)
-    search = cal.search
-    if search is None:
-        bound = cal.gamma
-    else:
-        while not search.done:
-            inside = np.searchsorted(energy, search.lo, side="right")
-            if inside == len(energy) or energy[inside] >= search.hi:
-                break
-            search.halve()
-        bound = search.hi
-    idx = int(np.searchsorted(energy, bound, side="left"))
+    gamma = cal.gamma if cal.gamma is not None else gfunc.threshold_bound(energy, cal.C, p, c)
+    idx = int(np.searchsorted(energy, gamma, side="left"))
     if idx >= len(energy):
         # a property of the shared gain path, not of any one replication
-        gamma = cal.solved().gamma
         raise HorizonExhausted(
             f"gain path energy {energy[-1] if len(energy) else 0.0} never reaches "
             f"threshold {gamma} within t_max={t_max}",
@@ -290,7 +280,7 @@ def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig],
             raise ValueError(f"config pair must share {field}")
     p, c, n = cfg0.params, cfg0.costs, cfg0.reps
     T, U_T = _stopping_index(gen_channel(cfg0.channel, cfg0.master_seed, cfg0.t_max),
-                             cal, cfg0.t_max)
+                             cal, p, c, cfg0.t_max)
     predicted = engine.predicted_cost(U_T, p, c)
 
     arms = []
@@ -369,13 +359,11 @@ def _separate_costs(c: CostWeights) -> CostWeights:
     return replace(c, ce=0.0)
 
 
-def separate_decide(s: stats.SufficientStats, p: ModelParams, c: CostWeights) -> Hypothesis:
-    """Estimation-blind baseline: the joint rule with ce = 0, an LRT at threshold c0/c1."""
-    return stats.decide(s, p, _separate_costs(c))
-
-
 def separate_decisions(arm: ArmSamples, c: CostWeights) -> np.ndarray:
-    """``separate_decide`` applied to every replication of an arm (True is H1)."""
+    """Estimation-blind baseline on every replication of an arm (True is H1).
+
+    The joint rule with ce = 0: a likelihood ratio test at threshold c0/c1.
+    """
     return stats.accepts_alternative(arm.logL, arm.xhat, _separate_costs(c))
 
 

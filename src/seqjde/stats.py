@@ -47,11 +47,6 @@ def estimate(s: SufficientStats, p: ModelParams) -> float:
     return (s.V + p.mu_x * k) / (s.U + k)
 
 
-def posterior_variance(s: SufficientStats, p: ModelParams) -> float:
-    """Conditional variance of the amplitude given the history: sigma^2 / (U + kappa)."""
-    return p.sigma**2 / (s.U + p.kappa)
-
-
 def log_likelihood_ratio(s: SufficientStats, p: ModelParams) -> float:
     """Log of the marginal likelihood ratio of the y-history given the gains.
 

@@ -507,7 +507,7 @@ class TestScaleInvariance:
     ])
     def test_scaled_costs_calibrate_alike(self, tmp_path, model, costs, C):
         gammas = {}
-        for k in range(-2, 13):
+        for k in range(-10, 13):
             s = 10.0**k
             cfg = write_config(tmp_path, overrides={
                 "model": model,

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -15,7 +16,6 @@ from seqjde import (
     QuadratureNonConvergence,
     Regime,
     admissible_cost_bound,
-    bracket_gamma,
     g_eval,
     g_eval_quadrature,
     g_eval_region,
@@ -25,6 +25,8 @@ from seqjde import (
     gfunc,
     region,
     solve_gamma,
+    stopping_rule,
+    threshold_bound,
 )
 
 REF_P = ModelParams(0.0, 1.0, 1.0)
@@ -493,7 +495,7 @@ class TestSolveGamma:
 
 
 class TestBracketGamma:
-    """The threshold search run step by step is the calibration's bisection."""
+    """The threshold bisection, asked before each halving whether its bracket settles."""
 
     @pytest.mark.parametrize("p, c", COST_CONFIGS)
     @pytest.mark.parametrize("frac", [0.95, 0.6, 0.3, 0.05])
@@ -502,38 +504,46 @@ class TestBracketGamma:
         cal = solve_gamma(C, p, c)
         eager = list(root_solves)
         root_solves.clear()
-        lazy = bracket_gamma(C, p, c)
-        assert lazy.gamma is None and lazy.G is None
-        solved = lazy.solved()
-        assert (solved.gamma, solved.G) == (cal.gamma, cal.G)
-        assert solved == cal
+        rule = stopping_rule(C, p, c)
+        assert rule.gamma is None and rule.G is None
+        assert root_solves == []
+        # a path that never reaches gamma settles no bracket
+        never = np.array([0.25, 0.5]) * cal.gamma
+        assert threshold_bound(never, C, p, c) == cal.gamma
         assert root_solves == eager  # the same energies, in the same order
+        assert gfunc._bisect(C, p, c) == (cal.gamma, cal.G)
+        assert Calibration(C=C, regime=Regime.OBSERVE, gamma=cal.gamma, G=cal.G) == cal
 
     @pytest.mark.parametrize("p, c", COST_CONFIGS)
     def test_bracket_holds_gamma_after_every_step(self, p, c):
         C = 0.4 * admissible_cost_bound(p, c)
         gamma = solve_gamma(C, p, c).gamma
-        search = bracket_gamma(C, p, c).search
-        steps = 0
-        while not search.done:
-            assert search.lo < gamma <= search.hi
-            assert search.G_hi == g_eval(search.hi, p, c)
-            search.halve()
-            steps += 1
-        assert steps > 10
-        assert search.hi == gamma
+        brackets = []
+
+        def recording(lo, hi):
+            brackets.append((lo, hi))
+            return False
+
+        assert gfunc._bisect(C, p, c, recording)[0] == gamma
+        assert len(brackets) > 10
+        for step, (lo, hi) in enumerate(brackets):
+            assert lo < gamma <= hi
+            # settled after this many halvings, it returns the bracket's upper end and G there
+            calls = itertools.count()
+            settled = lambda lo, hi: next(calls) == step
+            assert gfunc._bisect(C, p, c, settled) == (hi, g_eval(hi, p, c))
 
     def test_prior_regime_has_no_search(self):
-        cal = bracket_gamma(2.5, REF_P, REF_C)
-        assert cal.search is None
-        assert cal.solved() is cal == solve_gamma(2.5, REF_P, REF_C)
+        cal = stopping_rule(2.5, REF_P, REF_C)
+        assert cal.regime is Regime.STOP_AT_ZERO
+        assert cal == solve_gamma(2.5, REF_P, REF_C)
 
     def test_raises_what_solve_gamma_raises(self):
         for bad in (0.0, math.nan):
             with pytest.raises(InfeasibleConstraint):
-                bracket_gamma(bad, REF_P, REF_C)
+                stopping_rule(bad, REF_P, REF_C)
         with pytest.raises(NumericalError, match="not determined"):
-            bracket_gamma(1e-17, REF_P, REF_C)
+            stopping_rule(1e-17, REF_P, REF_C)
 
     @pytest.mark.parametrize("scale", [1e6, 1e9, 1e12])
     def test_acceptance_bound_grows_with_the_cost_scale(self, scale):
@@ -570,12 +580,15 @@ class TestCalibrationType:
 
     @pytest.mark.parametrize("field", [{"gamma": 0.5}, {"G": -0.5}], ids=["gamma", "G"])
     def test_pending_search_carries_no_threshold(self, field):
-        search = bracket_gamma(1.5, REF_P, REF_C).search
+        # an unsolved rule leaves both to be resolved where it is used
+        (name, _), = field.items()
+        assert getattr(stopping_rule(1.5, REF_P, REF_C), name) is None
         with pytest.raises(ValueError, match="no threshold"):
-            Calibration(C=1.5, regime=Regime.OBSERVE, search=search, **field)
+            Calibration(C=5.0, regime=Regime.STOP_AT_ZERO, decision=Hypothesis.H0, **field)
+
+    def test_unsolved_rule_carries_no_G(self):
         with pytest.raises(ValueError, match="no threshold"):
-            Calibration(C=5.0, regime=Regime.STOP_AT_ZERO, decision=Hypothesis.H0,
-                        search=search)
+            Calibration(C=1.5, regime=Regime.OBSERVE, G=-0.5)
 
 
 def test_ndtr_matches_scipy_bitwise():

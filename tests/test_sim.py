@@ -19,20 +19,20 @@ from seqjde import (
     ScenarioConfig,
     SufficientStats,
     admissible_cost_bound,
-    bracket_gamma,
     compare_schemes,
     decide,
     estimate,
     g_eval_region,
     gen_channel,
+    gfunc,
     log_likelihood_ratio,
     monte_carlo,
     predicted_cost,
     region,
     run_sequential,
     sample_scenario,
-    separate_decide,
     solve_gamma,
+    stopping_rule,
 )
 from seqjde.sim import ArmSamples, _stopping_index, cost_report, run_arms, separate_decisions
 
@@ -317,33 +317,43 @@ class TestMonteCarlo:
         assert rep.predicted == 2.0  # cost bound attained at zero energy
 
 
+def _separate(s: SufficientStats, p: ModelParams, c: CostWeights) -> Hypothesis:
+    """``separate_decisions`` on a one-replication arm that stopped at history ``s``."""
+    arm = ArmSamples(truth=Hypothesis.H1, T=s.t, U_T=s.U, predicted=0.0, x=np.zeros(1),
+                     V=np.array([s.V]), logL=np.array([log_likelihood_ratio(s, p)]),
+                     xhat=np.array([estimate(s, p)]), decision=np.zeros(1, dtype=bool))
+    return Hypothesis.H1 if separate_decisions(arm, c)[0] else Hypothesis.H0
+
+
 class TestSeparateDecide:
+    """The separate test's decisions: the joint rule with ce = 0."""
+
     def test_tie_goes_to_h1(self):
         s = SufficientStats(0, 0.0, 0.0)
-        assert separate_decide(s, P, CostWeights(1.0, 1.0, 5.0)) is Hypothesis.H1
+        assert _separate(s, P, CostWeights(1.0, 1.0, 5.0)) is Hypothesis.H1
 
     def test_agrees_with_joint_rule_when_ce_zero(self):
         costs = CostWeights(1.4, 0.7, 0.0)
         rng = np.random.default_rng(5)
         for _ in range(200):
             s = SufficientStats(2, float(rng.uniform(0, 10)), float(rng.normal(0, 3)))
-            assert separate_decide(s, P, costs) is decide(s, P, costs)
+            assert _separate(s, P, costs) is decide(s, P, costs)
 
     def test_disagreement_example(self):
         s = SufficientStats(1, 1.0, 2.0)
         costs = CostWeights(1.0, 0.2, 0.5)
-        assert separate_decide(s, P, costs) is Hypothesis.H0
+        assert _separate(s, P, costs) is Hypothesis.H0
         assert decide(s, P, costs) is Hypothesis.H1
 
     def test_denormal_false_alarm_cost(self):
         # ln(c0/c1) underflowed to log(0); the joint rule compares ln c0 with logL + ln c1
         s = SufficientStats(1, 1.0, 0.0)
-        assert separate_decide(s, P, CostWeights(5e-324, 3.0, 1.0)) is Hypothesis.H1
+        assert _separate(s, P, CostWeights(5e-324, 3.0, 1.0)) is Hypothesis.H1
 
     def test_requires_positive_detection_costs(self):
         s = SufficientStats(1, 1.0, 0.0)
         with pytest.raises(InvalidCosts):
-            separate_decide(s, P, CostWeights(1.0, 0.0, 1.0))
+            _separate(s, P, CostWeights(1.0, 0.0, 1.0))
         arm = run_arms(pair(Constant(1.0), reps=3), solve_gamma(1.5, P, C))[0]
         with pytest.raises(InvalidCosts):
             separate_decisions(arm, CostWeights(1.0, 0.0, 1.0))
@@ -356,7 +366,7 @@ class TestSeparateDecide:
                                  t_max=200), cal):
             d = separate_decisions(arm, costs)
             assert d.tolist() == [
-                separate_decide(SufficientStats(arm.T, arm.U_T, v), params, costs)
+                decide(SufficientStats(arm.T, arm.U_T, v), params, replace(costs, ce=0.0))
                 is Hypothesis.H1 for v in arm.V.tolist()
             ]
             accepted += int(d.sum())
@@ -482,7 +492,7 @@ LAZY_COSTS = [
 
 
 class TestLazyThreshold:
-    """A pending threshold search gives the drained threshold's T and U_T bit for bit."""
+    """An unsolved rule gives the solved threshold's T and U_T bit for bit."""
 
     @pytest.mark.parametrize("p, c", LAZY_COSTS)
     @pytest.mark.parametrize("frac", [0.95, 0.6, 0.3, 0.1, 0.03])
@@ -506,23 +516,27 @@ class TestLazyThreshold:
         for seed in (3, 4):
             h = gen_channel(channel, seed, t_max)
             root_solves.clear()
-            lazy = bracket_gamma(Cc, p, c)
-            stop = _stopping_index(h, lazy, t_max)
+            lazy = stopping_rule(Cc, p, c)
+            stop = _stopping_index(h, lazy, p, c, t_max)
             assert len(root_solves) <= eager_solves
             assert stop == _eager_stop(h, cal.gamma)
-            assert lazy.solved() == cal
+            assert lazy == stopping_rule(Cc, p, c) and lazy.gamma is None
 
     @pytest.mark.parametrize("where", ["gamma", "below", "above", "first_hi",
                                        "step5_lo", "step5_hi", "step20_lo", "step20_hi"])
     @pytest.mark.parametrize("Cc", [1.9, 1.5, 0.5])
     def test_energy_on_the_threshold_or_a_bracket_end(self, tmp_path, where, Cc):
         cal = solve_gamma(Cc, P, C)
-        search = bracket_gamma(Cc, P, C).search
-        ends = {"first_hi": search.hi}
-        for step in range(1, 21):
-            search.halve()
-            if step in (5, 20):
-                ends[f"step{step}_lo"], ends[f"step{step}_hi"] = search.lo, search.hi
+        brackets = []
+
+        def recording(lo, hi):  # asked before each halving
+            brackets.append((lo, hi))
+            return False
+
+        gfunc._bisect(Cc, P, C, recording)
+        ends = {"first_hi": brackets[0][1]}
+        for step in (5, 20):
+            ends[f"step{step}_lo"], ends[f"step{step}_hi"] = brackets[step]
         ends.update(gamma=cal.gamma, below=math.nextafter(cal.gamma, -math.inf),
                     above=math.nextafter(cal.gamma, math.inf))
         v = ends[where]
@@ -531,10 +545,10 @@ class TestLazyThreshold:
         channel = _write_gains(tmp_path / "gains.txt", _path_through(v, min(v, cal.gamma)))
         h = gen_channel(channel, 0, 22)
         assert np.cumsum(h * h)[1] == v
-        T, U_T = _stopping_index(h, bracket_gamma(Cc, P, C), 22)
+        T, U_T = _stopping_index(h, stopping_rule(Cc, P, C), P, C, 22)
         assert (T, U_T) == _eager_stop(h, cal.gamma)
         assert T == (2 if v >= cal.gamma else 3)
-        lazy = run_arms(pair(channel, reps=50, t_max=22), bracket_gamma(Cc, P, C))
+        lazy = run_arms(pair(channel, reps=50, t_max=22), stopping_rule(Cc, P, C))
         eager = run_arms(pair(channel, reps=50, t_max=22), cal)
         for a, b in zip(lazy, eager):
             assert (a.T, a.U_T, a.predicted) == (b.T, b.U_T, b.predicted)
@@ -544,7 +558,7 @@ class TestLazyThreshold:
     def test_horizon_exhaustion_names_the_drained_gamma(self):
         cal = solve_gamma(1.5, P, C)
         errors = []
-        for c in (cal, bracket_gamma(1.5, P, C)):
+        for c in (cal, stopping_rule(1.5, P, C)):
             with pytest.raises(HorizonExhausted) as info:
                 run_arms(pair(Constant(0.01), reps=3, t_max=5), c)
             errors.append(info.value)
@@ -554,4 +568,34 @@ class TestLazyThreshold:
     def test_public_calls_accept_both_calibrations(self):
         cfgs = pair(Ar1(0.9, 0.5, 0.5), reps=300)
         for run in (monte_carlo, compare_schemes):
-            assert run(cfgs, bracket_gamma(0.5, P, C)) == run(cfgs, solve_gamma(0.5, P, C))
+            assert run(cfgs, stopping_rule(0.5, P, C)) == run(cfgs, solve_gamma(0.5, P, C))
+
+    @pytest.mark.parametrize("run", [monte_carlo, compare_schemes, run_arms],
+                             ids=lambda f: f.__name__)
+    def test_reused_rule_runs_alike(self, root_solves, run):
+        # the rule is a plain value: a second run redoes the first's work exactly
+        cfgs = pair(Rayleigh(0.8), reps=300)
+        rule = stopping_rule(0.2, P, C)
+        results, solves = [], []
+        for _ in range(2):
+            root_solves.clear()
+            results.append(run(cfgs, rule))
+            solves.append(len(root_solves))
+        assert solves[0] == solves[1] > 2
+        assert rule == stopping_rule(0.2, P, C) and rule.gamma is None
+        if run is run_arms:
+            for a, b in zip(*results):
+                assert (a.T, a.U_T, a.predicted) == (b.T, b.U_T, b.predicted)
+                for name in ("x", "V", "logL", "xhat", "decision"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name))
+        else:
+            assert results[0] == results[1]
+
+    @pytest.mark.parametrize("truth", [Hypothesis.H0, Hypothesis.H1])
+    @pytest.mark.parametrize("Cc", [1.9, 1.5, 0.5, 2.5])
+    def test_run_sequential_solves_an_unsolved_rule(self, truth, Cc):
+        cfg = pair(Ar1(0.9, 0.5, 0.5), reps=1)[truth is Hypothesis.H1]
+        _, y, h = sample_scenario(cfg, 0)
+        outcomes = [run_sequential(zip(y.tolist(), h.tolist()), cal, P, C, cfg.t_max)
+                    for cal in (stopping_rule(Cc, P, C), solve_gamma(Cc, P, C))]
+        assert outcomes[0] == outcomes[1]

@@ -14,7 +14,6 @@ from seqjde import (
     estimate,
     init,
     log_likelihood_ratio,
-    posterior_variance,
     update,
 )
 from seqjde.stats import accepts_alternative
@@ -97,22 +96,6 @@ class TestEstimator:
         lam = U / (U + p.kappa)
         blended = lam * (V / U) + (1 - lam) * mu
         assert estimate(s, p) == pytest.approx(blended, rel=1e-9, abs=1e-9)
-
-
-class TestPosteriorVariance:
-    def test_prior_variance_at_zero_energy(self):
-        p = ModelParams(0.0, 1.0, 1.0)
-        assert posterior_variance(init(), p) == 1.0
-
-    def test_direct_substitution(self):
-        p = ModelParams(0.0, 1.0, 1.0)
-        assert posterior_variance(SufficientStats(3, 3.0, 0.0), p) == 0.25
-
-    def test_shrinks_with_energy(self):
-        p = ModelParams(0.0, 1.0, 1.0)
-        v1 = posterior_variance(SufficientStats(1, 1.0, 0.0), p)
-        v2 = posterior_variance(SufficientStats(2, 2.0, 0.0), p)
-        assert v1 == 0.5 and v2 == pytest.approx(1 / 3)
 
 
 class TestLogLikelihoodRatio:
