@@ -295,7 +295,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if not math.isfinite(args.x_override):
             raise ConfigError(f"--x-override must be finite, got {args.x_override}")
         y = y + (args.x_override - x) * h
-        x = args.x_override
 
     cal = gfunc.solve_gamma(cfg.constraint_C, p, c)
     y_list, h_list = y.tolist(), h.tolist()

@@ -215,7 +215,6 @@ def sample_scenario(cfg: ScenarioConfig, rep_index: int) -> tuple[float, np.ndar
 class ArmSamples:
     """Per-replication terminal data for one truth arm (shared T and U_T)."""
 
-    truth: Hypothesis
     T: int
     U_T: float
     predicted: float
@@ -232,27 +231,25 @@ class ArmSamples:
         return err_d1, err_d0
 
 
-def _stopping_index(h: np.ndarray, cal: Calibration, p: ModelParams, c: CostWeights,
-                    t_max: int) -> tuple[int, float]:
-    """First index t with cumulative energy >= gamma, and that energy U_t.
+def _stopping_index(h: np.ndarray, cal: Calibration, p: ModelParams,
+                    c: CostWeights) -> tuple[int, float]:
+    """First index t with cumulative energy >= gamma on the gain path ``h``, and that energy U_t.
 
-    Returns (0, 0.0) in the prior regime.  ``np.cumsum`` adds in the
-    engine's order, so the energy is the engine's ``U_T`` bit for bit.  An
-    unsolved rule's threshold is resolved only as far as this path needs
+    ``cal`` is an OBSERVE rule and ``len(h)`` the horizon.  ``np.cumsum`` adds
+    in the engine's order, so the energy is the engine's ``U_T`` bit for bit.
+    An unsolved rule's threshold is resolved only as far as this path needs
     (``gfunc.threshold_bound``), which gives the same T; on horizon exhaustion
     that is the exact gamma, so the error names it.
     """
-    if cal.regime is Regime.STOP_AT_ZERO:
-        return 0, 0.0
     energy = np.cumsum(h * h)
     gamma = cal.gamma if cal.gamma is not None else gfunc.threshold_bound(energy, cal.C, p, c)
     idx = int(np.searchsorted(energy, gamma, side="left"))
     if idx >= len(energy):
         # a property of the shared gain path, not of any one replication
         raise HorizonExhausted(
-            f"gain path energy {energy[-1] if len(energy) else 0.0} never reaches "
-            f"threshold {gamma} within t_max={t_max}",
-            t=t_max, U=float(energy[-1]) if len(energy) else 0.0, gamma=gamma,
+            f"gain path energy {energy[-1]} never reaches "
+            f"threshold {gamma} within t_max={len(h)}",
+            t=len(h), U=float(energy[-1]), gamma=gamma,
         )
     return idx + 1, float(energy[idx])
 
@@ -263,7 +260,8 @@ def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig],
 
     ``cfg_pair`` is an ``(H0 scenario, H1 scenario)`` pair that agrees on every
     other field.  The gain path, and with it T, U_T and the predicted cost, is
-    computed once for both arms; the path is freed before any arm is drawn.
+    computed once for both arms; the path is freed before any arm is drawn.  A
+    stop-at-zero rule reads no channel: its (T, U_T) is (0, 0.0).
     A replication is then just the amplitude x (0 under H0,
     N(mu_x, sigma_x^2) under H1) and V_T ~ N(x*U_T, sigma^2*U_T).  One stream
     per arm, ``SeedSequence([master_seed, 3, arm])``, draws all amplitudes (H1
@@ -273,14 +271,12 @@ def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig],
     returns them.
     """
     cfg0, cfg1 = cfg_pair
-    if cfg0.truth is not Hypothesis.H0 or cfg1.truth is not Hypothesis.H1:
-        raise ValueError("config pair must be (H0 scenario, H1 scenario)")
-    for field in ("params", "costs", "channel", "master_seed", "t_max", "reps"):
-        if getattr(cfg0, field) != getattr(cfg1, field):
-            raise ValueError(f"config pair must share {field}")
+    if cfg0.truth is not Hypothesis.H0 or replace(cfg0, truth=Hypothesis.H1) != cfg1:
+        raise ValueError("config pair must be (H0 scenario, H1 scenario) sharing all other fields")
     p, c, n = cfg0.params, cfg0.costs, cfg0.reps
-    T, U_T = _stopping_index(gen_channel(cfg0.channel, cfg0.master_seed, cfg0.t_max),
-                             cal, p, c, cfg0.t_max)
+    observe = cal.regime is Regime.OBSERVE
+    T, U_T = (_stopping_index(gen_channel(cfg0.channel, cfg0.master_seed, cfg0.t_max), cal, p, c)
+              if observe else (0, 0.0))
     predicted = engine.predicted_cost(U_T, p, c)
 
     arms = []
@@ -288,7 +284,7 @@ def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig],
         seed = np.random.SeedSequence([cfg0.master_seed, _TERMINAL_STREAM, arm])
         rng = np.random.default_rng(seed)
         x = rng.normal(p.mu_x, p.sigma_x, size=n) if truth is Hypothesis.H1 else np.zeros(n)
-        if cal.regime is Regime.OBSERVE:
+        if observe:
             V = rng.normal(x * U_T, p.sigma * math.sqrt(U_T))
             terminal = stats.SufficientStats(t=T, U=U_T, V=V)
             logL = stats.log_likelihood_ratio(terminal, p)
@@ -299,7 +295,7 @@ def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig],
             prior = stats.estimate(stats.init(), p) if cal.estimate is None else cal.estimate
             xhat = np.full(n, prior)
             decision = np.full(n, cal.decision is Hypothesis.H1)
-        arms.append(ArmSamples(truth=truth, T=T, U_T=U_T, predicted=predicted,
+        arms.append(ArmSamples(T=T, U_T=U_T, predicted=predicted,
                                x=x, V=V, logL=logL, xhat=xhat, decision=decision))
     return arms[0], arms[1]
 

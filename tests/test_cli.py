@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import seqjde
-from seqjde import Hypothesis, cli, gfunc, sim
+from seqjde import cli, gfunc, sim
 from seqjde.cli import main
 
 BASE_CONFIG = {
@@ -332,6 +332,23 @@ class TestMonteCarlo:
         assert capsys.readouterr().err == (f"seqjde: gain path energy {energy} never reaches "
                                            f"threshold {gamma} within t_max=5\n")
 
+    @pytest.mark.parametrize("command", ["montecarlo", "compare"])
+    def test_stop_at_zero_reads_no_channel(self, tmp_path, capsys, command):
+        # C = 2.5 is above C_max = 2 on this model: the test decides from the
+        # prior, so a channel file that does not exist is never opened
+        outputs = {}
+        for kind, channel in (("constant", {"type": "constant", "h": 1.0}),
+                              ("missing", {"type": "from_file",
+                                           "path": str(tmp_path / "no_such_gains.txt")})):
+            cfg = write_config(tmp_path, overrides={"channel": channel}, constraint_C=2.5)
+            out = tmp_path / kind / "o.json"
+            out.parent.mkdir()
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            outputs[kind] = {p.name: p.read_bytes() for p in sorted(out.parent.iterdir())}
+        assert capsys.readouterr().err == ""
+        assert outputs["missing"] == outputs["constant"]
+        assert "o.json" in outputs["constant"]
+
     def test_report_fields_and_rep_csv(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "mc.json"
@@ -380,10 +397,8 @@ class TestMonteCarlo:
         x, xhat = values[0][:n], values[1][::-1][:n].copy()
         decision = {"mixed": np.arange(n) % 3 == 1, "H0": np.zeros(n, bool),
                     "H1": np.ones(n, bool)}[decided]
-        arms = [sim.ArmSamples(truth=truth, T=3, U_T=2.0, predicted=1.0,
-                               x=x, V=xhat, logL=xhat, xhat=xhat,
-                               decision=decision)
-                for truth in (Hypothesis.H0, Hypothesis.H1)]
+        arms = [sim.ArmSamples(T=3, U_T=2.0, predicted=1.0, x=x, V=xhat, logL=xhat,
+                               xhat=xhat, decision=decision)] * 2
 
         def f_string_writer(arm0, arm1):
             yield "rep,arm,x,decision,estimate,sq_err\n"
@@ -481,8 +496,13 @@ class TestWorkCounts:
         gfunc.solve_gamma(C, cli_cfg.params, cli_cfg.costs)
         assert (solves, len(root_solves) + 1) == (lazy, drained)
 
-    @pytest.mark.parametrize("command", ["montecarlo", "compare"])
-    def test_one_gain_path_per_run(self, tmp_path, monkeypatch, command):
+    @pytest.mark.parametrize("command, C, runs", [
+        pytest.param(command, C, runs, id=command + tag)
+        for C, runs, tag in ((1.5, 1, ""), (2.5, 0, "-stop_at_zero"))
+        for command in ("montecarlo", "compare")
+    ])
+    def test_one_gain_path_per_run(self, tmp_path, monkeypatch, command, C, runs):
+        # a rule that stops at zero reads no gain, so it generates no path
         paths = []
         gen_channel = sim.gen_channel
 
@@ -492,9 +512,10 @@ class TestWorkCounts:
 
         monkeypatch.setattr(sim, "gen_channel", counting)
         cfg = write_config(tmp_path, overrides={
-            "channel": {"type": "ar1", "phi": 0.9, "innov_std": 0.5, "init_std": 0.5}})
+            "channel": {"type": "ar1", "phi": 0.9, "innov_std": 0.5, "init_std": 0.5}},
+            constraint_C=C)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o.json")]) == 0
-        assert len(paths) == 1
+        assert len(paths) == runs
 
 
 class TestScaleInvariance:
@@ -681,6 +702,18 @@ def test_benchmark_reads_only_existing_names():
     # the traced mode passes (pair, cal, workers) positionally
     for fn in (seqjde.sim.monte_carlo, seqjde.sim.compare_schemes):
         inspect.signature(fn).bind(None, None, 1)
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; this catches newer
+    # grammar (such as ``except*``) on a newer interpreter
+    root = Path(__file__).resolve().parents[1]
+    files = sorted(f for d in ("src", "tests", "tools", "bench") for f in (root / d).rglob("*.py"))
+    assert len(files) >= 20
+    for f in files:
+        ast.parse(f.read_text(), filename=str(f), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
 class TestNumericFormatting:

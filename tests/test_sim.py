@@ -231,7 +231,7 @@ class TestSampleScenario:
                     outs.append(run_sequential(zip(y.tolist(), h.tolist()), cal, P, C, cfg.t_max))
                     xs.append(x)
                 engine_arms.append(ArmSamples(
-                    truth=cfg.truth, T=outs[0].T, U_T=outs[0].U_T,
+                    T=outs[0].T, U_T=outs[0].U_T,
                     predicted=outs[0].predicted_cost, x=np.array(xs),
                     V=np.array([o.V_T for o in outs]), logL=np.array([o.logL_T for o in outs]),
                     xhat=np.array([0.0 if o.estimate is None else o.estimate for o in outs]),
@@ -319,7 +319,7 @@ class TestMonteCarlo:
 
 def _separate(s: SufficientStats, p: ModelParams, c: CostWeights) -> Hypothesis:
     """``separate_decisions`` on a one-replication arm that stopped at history ``s``."""
-    arm = ArmSamples(truth=Hypothesis.H1, T=s.t, U_T=s.U, predicted=0.0, x=np.zeros(1),
+    arm = ArmSamples(T=s.t, U_T=s.U, predicted=0.0, x=np.zeros(1),
                      V=np.array([s.V]), logL=np.array([log_likelihood_ratio(s, p)]),
                      xhat=np.array([estimate(s, p)]), decision=np.zeros(1, dtype=bool))
     return Hypothesis.H1 if separate_decisions(arm, c)[0] else Hypothesis.H0
@@ -517,7 +517,7 @@ class TestLazyThreshold:
             h = gen_channel(channel, seed, t_max)
             root_solves.clear()
             lazy = stopping_rule(Cc, p, c)
-            stop = _stopping_index(h, lazy, p, c, t_max)
+            stop = _stopping_index(h, lazy, p, c)
             assert len(root_solves) <= eager_solves
             assert stop == _eager_stop(h, cal.gamma)
             assert lazy == stopping_rule(Cc, p, c) and lazy.gamma is None
@@ -545,7 +545,7 @@ class TestLazyThreshold:
         channel = _write_gains(tmp_path / "gains.txt", _path_through(v, min(v, cal.gamma)))
         h = gen_channel(channel, 0, 22)
         assert np.cumsum(h * h)[1] == v
-        T, U_T = _stopping_index(h, stopping_rule(Cc, P, C), P, C, 22)
+        T, U_T = _stopping_index(h, stopping_rule(Cc, P, C), P, C)
         assert (T, U_T) == _eager_stop(h, cal.gamma)
         assert T == (2 if v >= cal.gamma else 3)
         lazy = run_arms(pair(channel, reps=50, t_max=22), stopping_rule(Cc, P, C))
