@@ -24,6 +24,8 @@ from .errors import HorizonExhausted, NumericalError, QuadratureNonConvergence, 
 from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound
 
 _GTABLE_QUAD_TOL = 1e-9
+# reps.csv rows formatted per block: bounds the Python floats held by the writer
+_REP_BLOCK = 1024
 # exit codes of the library errors; every other SeqjdeError is a config error (2)
 _EXIT_CODES = {NumericalError: 3, QuadratureNonConvergence: 3, HorizonExhausted: 4}
 
@@ -324,17 +326,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _rep_lines(arm0: sim.ArmSamples, arm1: sim.ArmSamples):
-    """reps.csv: one line per replication, the H0 arm first; no estimate where H0 is decided."""
+    """reps.csv: one line per replication, the H0 arm first; no estimate where H0 is decided.
+
+    Yields the header, then one string per block of at most ``_REP_BLOCK`` rows
+    of an arm, formatted by one ``%``, so the Python floats alive at a time do
+    not grow with the number of replications.
+    """
     yield "rep,arm,x,decision,estimate,sq_err\n"
     for tag, arm in enumerate((arm0, arm1)):
-        # one of the two squared errors is zero in each row, so their sum is the other
-        err_d1, err_d0 = arm.squared_errors(arm.decision)
-        columns = (arm.x.tolist(), arm.decision.tolist(), arm.xhat.tolist(),
-                   (err_d1 + err_d0).tolist())
-        h1 = f"%d,{tag:d},%.17g,1,%.17g,%.17g\n"
-        h0 = f"%d,{tag:d},%.17g,0,,%.17g\n"
-        for rep, (x, d, xhat, err) in enumerate(zip(*columns)):
-            yield h1 % (rep, x, xhat, err) if d else h0 % (rep, x, err)
+        rows = (f"%d,{tag:d},%.17g,0,,%.17g\n", f"%d,{tag:d},%.17g,1,%.17g,%.17g\n")
+        for start in range(0, len(arm.x), _REP_BLOCK):
+            block = slice(start, start + _REP_BLOCK)
+            x, xhat, d = arm.x[block], arm.xhat[block], arm.decision[block]
+            # the squared error of the other decision is +0.0, so this is
+            # err_d1 + err_d0 of ArmSamples.squared_errors bit for bit
+            sq_err = np.where(d, (xhat - x) ** 2, x**2)
+            # object dtype keeps rep a Python int, which %d formats faster than a float
+            rep = np.arange(start, start + len(x), dtype=object)
+            keep = np.ones((len(x), 4), dtype=bool)
+            keep[:, 2] = d  # no estimate cell where H0 is decided
+            cells = np.column_stack((rep, x, xhat, sq_err))[keep].tolist()
+            yield "".join(map(rows.__getitem__, d.tolist())) % tuple(cells)
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:

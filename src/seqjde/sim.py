@@ -32,6 +32,8 @@ _H0_STREAM = 0
 _H1_STREAM = 1
 _CHANNEL_STREAM = 2
 _TERMINAL_STREAM = 3
+# AR(1) innovations converted to Python floats per block of this many steps
+_AR1_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -175,9 +177,16 @@ def gen_channel(model: ChannelModel, seed: int, t_max: int) -> np.ndarray:
     elif isinstance(model, Ar1):
         innov = rng.normal(0.0, model.innov_std, size=t_max)
         h = np.empty(t_max)
-        h[0] = rng.normal(0.0, model.init_std)
-        for t in range(1, t_max):
-            h[t] = model.phi * h[t - 1] + innov[t]
+        phi, prev = model.phi, rng.normal(0.0, model.init_std)
+        h[0] = prev
+        # Python floats round as NumPy scalars do, and make inf - inf a silent
+        # nan (refused below) rather than a RuntimeWarning; one block at a time
+        # bounds the floats alive
+        for start in range(1, t_max, _AR1_BLOCK):
+            block = innov[start:start + _AR1_BLOCK].tolist()
+            for i, e in enumerate(block):
+                prev = block[i] = phi * prev + e
+            h[start:start + len(block)] = block
     else:
         raise TypeError(f"unknown channel model: {model!r}")
     # a scale near the float limit makes rng.normal return inf without a warning
@@ -300,35 +309,47 @@ def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig],
     return arms[0], arms[1]
 
 
+def _mean_var(a: np.ndarray) -> tuple[np.float64, np.float64]:
+    """Mean and ddof=1 variance of ``a``, bit for bit ``np.mean(a)`` and ``np.var(a, ddof=1)``.
+
+    It takes the steps of numpy's own ``_var`` but sums ``a`` once for both, so
+    an overflow raises at the same step with the same message.
+    """
+    n = len(a)
+    m = np.add.reduce(a) / n
+    dev = a - m
+    return m, np.add.reduce(np.square(dev)) / (n - 1)
+
+
 def cost_report(arm1: ArmSamples, d0: np.ndarray, d1: np.ndarray,
                 c: CostWeights, constraint_C: float) -> CostReport:
     """Cost report for decisions ``d0`` on the H0 arm and ``d1`` on the H1 arm ``arm1``."""
     n0 = len(d0)
     n1 = len(d1)
-    p0 = float(np.mean(d0))
+    # np.mean of a bool array is this count over n
+    p0 = float(np.count_nonzero(d0) / n0)
     p0_se = math.sqrt(p0 * (1.0 - p0) / n0)
     miss = ~d1
-    p1 = float(np.mean(miss))
+    p1 = float(np.count_nonzero(miss) / n1)
     p1_se = math.sqrt(p1 * (1.0 - p1) / n1)
 
     err_d1, err_d0 = arm1.squared_errors(d1)
-    mse_d1 = float(np.mean(err_d1))
-    mse_d1_se = float(np.std(err_d1, ddof=1) / math.sqrt(n1))
-    mse_d0 = float(np.mean(err_d0))
-    mse_d0_se = float(np.std(err_d0, ddof=1) / math.sqrt(n1))
+    mse_d1, var_d1 = _mean_var(err_d1)
+    mse_d0, var_d0 = _mean_var(err_d0)
+    mse_d1, mse_d0 = float(mse_d1), float(mse_d0)
 
     combined = c.c0 * p0 + c.c1 * p1 + c.ce * (mse_d1 + mse_d0)
     h1_cost = c.c1 * miss + c.ce * (err_d1 + err_d0)
-    combined_var = (c.c0**2) * np.var(d0.astype(float), ddof=1) / n0 \
-        + np.var(h1_cost, ddof=1) / n1
+    combined_var = (c.c0**2) * _mean_var(d0.astype(float))[1] / n0 \
+        + _mean_var(h1_cost)[1] / n1
     combined_se = math.sqrt(float(combined_var))
 
     return CostReport(
         reps=n1,
         p0_d1=p0, p0_d1_se=p0_se,
         p1_d0=p1, p1_d0_se=p1_se,
-        mse_d1=mse_d1, mse_d1_se=mse_d1_se,
-        mse_d0=mse_d0, mse_d0_se=mse_d0_se,
+        mse_d1=mse_d1, mse_d1_se=math.sqrt(var_d1) / math.sqrt(n1),
+        mse_d0=mse_d0, mse_d0_se=math.sqrt(var_d0) / math.sqrt(n1),
         combined=combined, combined_se=combined_se,
         predicted=arm1.predicted, constraint_C=constraint_C,
     )

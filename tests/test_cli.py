@@ -147,6 +147,19 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("seqjde: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["simulate", "--truth", "H1"], ["montecarlo"],
+                                         ["compare"]], ids=lambda argv: argv[0])
+    def test_non_finite_ar1_gain_is_a_one_line_error(self, tmp_path, capsys, command):
+        # an infinite innovation made the recursion inf - inf, which printed a
+        # RuntimeWarning before the message
+        cfg = write_config(tmp_path, overrides={
+            "channel": {"type": "ar1", "phi": 0.5, "innov_std": 1.7976931348623157e308,
+                        "init_std": 1.0},
+            "mc": {"reps": 10, "master_seed": 2, "t_max": 50}})
+        assert main(command + ["--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err == ("seqjde: a config value overflows a float: "
+                                           "Ar1 channel drew a gain that is not finite\n")
+
 
 class TestCalibrate:
     def test_observe_regime_output(self, tmp_path):
@@ -386,13 +399,19 @@ class TestMonteCarlo:
         assert d1["reps"] == d2["reps"] == 100
         assert d1["combined"]["value"] != d2["combined"]["value"]
 
-    @pytest.mark.parametrize("n, decided", [(72, "mixed"), (72, "H0"), (72, "H1"), (2, "mixed")])
+    @pytest.mark.parametrize("n, decided", [
+        (72, "mixed"), (72, "H0"), (72, "H1"), (2, "mixed"),
+        (cli._REP_BLOCK - 1, "mixed"), (cli._REP_BLOCK, "mixed"), (cli._REP_BLOCK + 1, "mixed"),
+        (2 * cli._REP_BLOCK + 1, "mixed"), (2 * cli._REP_BLOCK + 1, "H0"),
+        (2 * cli._REP_BLOCK + 1, "H1")])
     def test_rep_lines_match_the_f_string_writer(self, n, decided):
-        # the %-templates must print what the per-row f-string printed
+        # the block %-templates must print what the per-row f-string printed,
+        # also across block boundaries
         specials = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                     0.1, 1 / 3, 0.0, -1.5]
         rng = np.random.default_rng(20261018)
-        bits = rng.integers(0, 2**64, size=(2, 64), dtype=np.uint64, endpoint=False)
+        size = max(64, n)
+        bits = rng.integers(0, 2**64, size=(2, size), dtype=np.uint64, endpoint=False)
         values = [np.array(specials + row.view(np.float64).tolist()) for row in bits]
         x, xhat = values[0][:n], values[1][::-1][:n].copy()
         decision = {"mixed": np.arange(n) % 3 == 1, "H0": np.zeros(n, bool),
@@ -410,10 +429,11 @@ class TestMonteCarlo:
                     estimate = f"{xhat:.17g}" if d else ""
                     yield f"{rep:d},{tag:d},{x:.17g},{d:d},{estimate},{err:.17g}\n"
 
-        with np.errstate(over="ignore"):  # big values square to inf
-            expect = list(f_string_writer(*arms))
-            got = list(cli._rep_lines(*arms))
-        assert len(got) == 1 + 2 * n
+        # big values square to inf; past 2048 random bit patterns some are inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            expect = "".join(f_string_writer(*arms))
+            got = "".join(cli._rep_lines(*arms))
+        assert got.count("\n") == 1 + 2 * n
         assert got == expect
 
     @pytest.mark.parametrize("command", ["montecarlo", "compare"])
@@ -572,6 +592,8 @@ _PINNED_RUNS = [
     (["simulate", "--truth", "H1", "--x-override", "0.7"], "sx.json"),
     (["montecarlo", "--reps", "40", "--seed", "3"], "mc.json"),
     (["compare", "--reps", "40", "--seed", "3"], "cmp.json"),
+    # more than two blocks of reps.csv rows per arm
+    (["montecarlo", "--reps", "2500", "--seed", "3"], "mcbig.json"),
 ]
 _PINNED_SHA256 = {
     "cal.json": "5dfb41f0b2ab80c04daf790b065ef105275f2e91438f9c8c70bd955fadd457ba",
@@ -580,6 +602,8 @@ _PINNED_SHA256 = {
     "log.csv": "1c83ff9b9b4a6761c67806a4d79d14270c0e5e39215f064bd473479131d756cf",
     "mc.json": "1a945becda38bc365b6d2e48899d13281bb8cd0debd29712f805d9a68a4a9e82",
     "mc.reps.csv": "689da422287b7fdb26b38bd70d9c985b2ff2299903ae7d7e49343d2eb6f822cd",
+    "mcbig.json": "4f0c02fd69ce73386621e119abc5a9c22905a8ff4a79934a1f795d0f71b6b2a6",
+    "mcbig.reps.csv": "f2132a6c152198a0fbb222a861eecb5d18e318a56802cbb1f518b6da398c5abb",
     "s0.json": "9772939491739aa35ba57d92a1f9740f210c8b4d349366ac4146d0da6a3b1fbb",
     "s0.trace.csv": "ab018ed16cdbcf8bbd8d5aa0d5733bf7614cb774bf1249043bb78392c1fa929b",
     "s1.json": "33046b7af0a6d1823c8e9a7c89d47e360c097aa2a81588f63aca960f3ee48640",

@@ -1,8 +1,12 @@
 import math
-from dataclasses import replace
+import struct
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqjde import (
     Ar1,
@@ -34,7 +38,16 @@ from seqjde import (
     solve_gamma,
     stopping_rule,
 )
-from seqjde.sim import ArmSamples, _stopping_index, cost_report, run_arms, separate_decisions
+from seqjde.sim import (
+    _AR1_BLOCK,
+    _CHANNEL_STREAM,
+    ArmSamples,
+    CostReport,
+    _stopping_index,
+    cost_report,
+    run_arms,
+    separate_decisions,
+)
 
 P = ModelParams(0.0, 1.0, 1.0)
 C = CostWeights(1.0, 1.0, 1.0)
@@ -114,6 +127,25 @@ class TestGenChannel:
         # rng.normal returns inf without a warning once std * z passes the float limit
         with pytest.raises(OverflowError, match="not finite"):
             gen_channel(IidGaussian(1.7976931348623157e308), 1, 200)
+
+    def test_non_finite_ar1_gain_is_an_overflow_without_a_warning(self):
+        # an infinite innovation makes the recursion inf - inf: a silent nan on
+        # Python floats, which gen_channel refuses, not a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="not finite"):
+                gen_channel(Ar1(0.5, 1.7976931348623157e308, 1.0), 2, 50)
+
+    @pytest.mark.parametrize("t_max", [1, 2, _AR1_BLOCK, _AR1_BLOCK + 1, 2 * _AR1_BLOCK + 2])
+    def test_ar1_matches_the_numpy_scalar_recursion(self, t_max):
+        m = Ar1(0.9, 0.5, 0.5)
+        rng = np.random.default_rng(np.random.SeedSequence([7, _CHANNEL_STREAM]))
+        innov = rng.normal(0.0, m.innov_std, size=t_max)
+        ref = np.empty(t_max)
+        ref[0] = rng.normal(0.0, m.init_std)
+        for t in range(1, t_max):
+            ref[t] = m.phi * ref[t - 1] + innov[t]
+        assert gen_channel(m, 7, t_max).tobytes() == ref.tobytes()
 
     def test_ar1_is_autocorrelated(self):
         h = gen_channel(Ar1(0.9, 0.3, 0.3), 3, 5000)
@@ -315,6 +347,74 @@ class TestMonteCarlo:
         assert rep.p0_d1 == 1.0
         assert rep.p1_d0 == 0.0
         assert rep.predicted == 2.0  # cost bound attained at zero energy
+
+
+def _reference_cost_report(arm1: ArmSamples, d0: np.ndarray, d1: np.ndarray,
+                           c: CostWeights, constraint_C: float) -> CostReport:
+    """``cost_report`` with ``np.mean``, ``np.std`` and ``np.var``, each summing on its own."""
+    n0 = len(d0)
+    n1 = len(d1)
+    p0 = float(np.mean(d0))
+    p0_se = math.sqrt(p0 * (1.0 - p0) / n0)
+    miss = ~d1
+    p1 = float(np.mean(miss))
+    p1_se = math.sqrt(p1 * (1.0 - p1) / n1)
+    err_d1, err_d0 = arm1.squared_errors(d1)
+    mse_d1 = float(np.mean(err_d1))
+    mse_d1_se = float(np.std(err_d1, ddof=1) / math.sqrt(n1))
+    mse_d0 = float(np.mean(err_d0))
+    mse_d0_se = float(np.std(err_d0, ddof=1) / math.sqrt(n1))
+    combined = c.c0 * p0 + c.c1 * p1 + c.ce * (mse_d1 + mse_d0)
+    h1_cost = c.c1 * miss + c.ce * (err_d1 + err_d0)
+    combined_var = (c.c0**2) * np.var(d0.astype(float), ddof=1) / n0 \
+        + np.var(h1_cost, ddof=1) / n1
+    return CostReport(
+        reps=n1, p0_d1=p0, p0_d1_se=p0_se, p1_d0=p1, p1_d0_se=p1_se,
+        mse_d1=mse_d1, mse_d1_se=mse_d1_se, mse_d0=mse_d0, mse_d0_se=mse_d0_se,
+        combined=combined, combined_se=math.sqrt(float(combined_var)),
+        predicted=arm1.predicted, constraint_C=constraint_C,
+    )
+
+
+def _report_outcome(report_fn, *args):
+    """Every field's bits, or the overflow raised under ``over="raise"``."""
+    with np.errstate(over="raise"):
+        try:
+            report = report_fn(*args)
+        except (FloatingPointError, OverflowError) as exc:
+            # older NumPy squares np.var's deviations with np.multiply, newer
+            # with np.square; the two round alike
+            return type(exc), str(exc).replace("multiply", "square")
+    return [(f.name, type(getattr(report, f.name)), struct.pack("<d", getattr(report, f.name)))
+            for f in fields(report)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 3, 250, 1001]),
+       decided=st.sampled_from(["H0", "H1", "mixed"]),
+       exponent=st.integers(-300, 300),
+       costs=st.tuples(*[st.sampled_from([1e-3, 0.2, 1.0, 5.0, 1e3])] * 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_cost_report_keeps_the_bits_of_mean_std_and_var(n, decided, exponent, costs, seed):
+    # the joint report and compare's separate one, on amplitudes and estimates
+    # of magnitude 10^exponent, 1e-300..1e300, spread by a further 10^+-3
+    rng = np.random.default_rng(seed)
+    c = CostWeights(*costs)
+
+    def arm(truth_h1):
+        scale = 10.0**exponent * 10.0 ** rng.uniform(-3, 3, size=n)
+        x = rng.normal(size=n) * scale if truth_h1 else np.zeros(n)
+        decision = {"H0": np.zeros(n, bool), "H1": np.ones(n, bool),
+                    "mixed": rng.permutation(np.arange(n) % 2 == 1)}[decided]
+        return ArmSamples(T=1, U_T=1.0, predicted=1.25, x=x, V=np.zeros(n),
+                          logL=rng.normal(size=n), xhat=rng.normal(size=n) * scale,
+                          decision=decision)
+
+    arm0, arm1 = arm(False), arm(True)
+    separate = separate_decisions(arm0, c), separate_decisions(arm1, c)
+    for d0, d1 in ((arm0.decision, arm1.decision), separate):
+        args = (arm1, d0, d1, c, 1.5)
+        assert _report_outcome(cost_report, *args) == _report_outcome(_reference_cost_report, *args)
 
 
 def _separate(s: SufficientStats, p: ModelParams, c: CostWeights) -> Hypothesis:
