@@ -6,7 +6,7 @@ estimation-aware decision rule and the posterior-mean estimator at the time
 of stopping, and validates the closed-form combined cost by Monte Carlo.
 """
 
-from .engine import TripletOutcome, predicted_cost, run_sequential
+from .engine import TripletOutcome, run_sequential
 from .errors import (
     ChannelFileError,
     HorizonExhausted,
@@ -19,7 +19,6 @@ from .errors import (
 from .gfunc import (
     Calibration,
     GPoint,
-    Regime,
     g_eval,
     g_eval_quadrature,
     g_eval_quadrature_region,
@@ -27,6 +26,7 @@ from .gfunc import (
     g_limits,
     g_point,
     g_root,
+    predicted_cost,
     region,
     solve_gamma,
     stopping_rule,
@@ -77,7 +77,6 @@ __all__ = [
     "NumericalError",
     "QuadratureNonConvergence",
     "Rayleigh",
-    "Regime",
     "ScenarioConfig",
     "SeqjdeError",
     "SufficientStats",

@@ -34,6 +34,14 @@ class ConfigError(SeqjdeError):
     """The run configuration is malformed or violates a precondition."""
 
 
+def _check_count(name: str, n: int, low: int = 1) -> None:
+    """ConfigError unless ``n >= low`` and NumPy can address the bytes of ``n`` doubles."""
+    if n < low:
+        raise ConfigError(f"{name} must be >= {low}, got {n}")
+    if n > sys.maxsize // 8:
+        raise ConfigError(f"{name} is a size too large to allocate, got {n}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     u_min: float
@@ -49,8 +57,7 @@ class GridSpec:
             raise ValueError(f"grid needs 0 <= u_min < u_max, got [{self.u_min}, {self.u_max}]")
         if self.spacing == "log" and self.u_min <= 0:
             raise ValueError("log spacing needs u_min > 0")
-        if self.points < 2:
-            raise ValueError(f"grid.points must be >= 2, got {self.points}")
+        _check_count("grid.points", self.points, 2)
 
     def values(self) -> np.ndarray:
         if self.spacing == "log":
@@ -65,9 +72,10 @@ class McSpec:
     t_max: int
 
     def __post_init__(self):
-        for name, low in (("reps", 1), ("t_max", 1), ("master_seed", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"mc.{name} must be >= {low}, got {getattr(self, name)}")
+        _check_count("mc.reps", self.reps)
+        _check_count("mc.t_max", self.t_max)
+        if self.master_seed < 0:
+            raise ValueError(f"mc.master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -225,8 +233,8 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     reps = getattr(args, "reps", None)
     if seed is not None and seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
-    if reps is not None and reps < 1:
-        raise ConfigError(f"--reps must be >= 1, got {reps}")
+    if reps is not None:
+        _check_count("--reps", reps)
     overrides = {"master_seed": seed, "reps": reps}
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
@@ -245,14 +253,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     p, c = cfg.params, cfg.costs
     cal = gfunc.solve_gamma(cfg.constraint_C, p, c)
-    target = cfg.constraint_C - c.c1 - c.ce * (p.mu_x**2 + p.sigma_x**2)
     doc = {
-        "regime": cal.regime.value,
+        "regime": "observe" if cal.decision is None else "stop_at_zero",
         "gamma": cal.gamma,
         "C": cal.C,
         "C_max": admissible_cost_bound(p, c),
         "G_at_gamma": cal.G,
-        "target": target,
+        "target": gfunc.threshold_target(cfg.constraint_C, p, c),
         "decision": cal.decision,
         "estimate": cal.estimate,
     }
@@ -338,14 +345,11 @@ def _rep_lines(arm0: sim.ArmSamples, arm1: sim.ArmSamples):
         for start in range(0, len(arm.x), _REP_BLOCK):
             block = slice(start, start + _REP_BLOCK)
             x, xhat, d = arm.x[block], arm.xhat[block], arm.decision[block]
-            # the squared error of the other decision is +0.0, so this is
-            # err_d1 + err_d0 of ArmSamples.squared_errors bit for bit
-            sq_err = np.where(d, (xhat - x) ** 2, x**2)
             # object dtype keeps rep a Python int, which %d formats faster than a float
             rep = np.arange(start, start + len(x), dtype=object)
             keep = np.ones((len(x), 4), dtype=bool)
             keep[:, 2] = d  # no estimate cell where H0 is decided
-            cells = np.column_stack((rep, x, xhat, sq_err))[keep].tolist()
+            cells = np.column_stack((rep, x, xhat, sim.squared_error(x, xhat, d)))[keep].tolist()
             yield "".join(map(rows.__getitem__, d.tolist())) % tuple(cells)
 
 
@@ -424,6 +428,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OverflowError, FloatingPointError) as exc:
         # a config value too large for float arithmetic: mu_x**2, float(10**400), h = 1e300
         print(f"seqjde: a config value overflows a float: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # an array of mc.reps, mc.t_max or grid.points doubles that memory cannot hold
+        print(f"seqjde: a size is too large to allocate: {exc}", file=sys.stderr)
         return 2
     except SeqjdeError as exc:
         print(f"seqjde: {exc}", file=sys.stderr)

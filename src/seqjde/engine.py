@@ -9,7 +9,7 @@ from typing import Iterable
 
 from . import gfunc, stats
 from .errors import HorizonExhausted
-from .gfunc import Calibration, Regime
+from .gfunc import Calibration, predicted_cost
 from .model import CostWeights, Hypothesis, ModelParams
 
 
@@ -18,8 +18,7 @@ class TripletOutcome:
     """Realized stopping index, decision, estimate, and terminal statistics.
 
     ``estimate`` is present exactly when the decision is H1.
-    ``predicted_cost`` is the closed-form combined cost implied by the
-    terminal energy, ``G(U_T) + c1 + ce*(mu_x^2 + sigma_x^2)``.
+    ``predicted_cost`` is ``gfunc.predicted_cost`` at the terminal energy.
     """
 
     T: int
@@ -31,19 +30,14 @@ class TripletOutcome:
     predicted_cost: float
 
 
-def predicted_cost(U_T: float, p: ModelParams, c: CostWeights) -> float:
-    """Combined cost attained by the optimal triplet at terminal energy U_T."""
-    return gfunc.g_eval(U_T, p, c) + c.c1 + c.ce * (p.mu_x**2 + p.sigma_x**2)
-
-
 def run_sequential(stream: Iterable[tuple[float, float]], cal: Calibration,
                    p: ModelParams, c: CostWeights, t_max: int) -> TripletOutcome:
     """Consume (y, h) pairs until the running energy reaches the threshold.
 
     Stops at the first t with ``U_t >= gamma``, then applies the decision
     rule and, on H1, the estimator, at exactly that index.  An unsolved
-    ``stopping_rule`` is solved first.  The stop-at-zero regime returns
-    immediately with the prior decision and consumes nothing.  Keeps O(1)
+    ``stopping_rule`` is solved first.  A rule with a prior decision returns
+    it immediately and consumes nothing.  Keeps O(1)
     state; the stream is never buffered.
 
     Raises HorizonExhausted if the energy has not crossed after ``t_max``
@@ -53,7 +47,7 @@ def run_sequential(stream: Iterable[tuple[float, float]], cal: Calibration,
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
 
-    if cal.regime is Regime.STOP_AT_ZERO:
+    if cal.decision is not None:
         return TripletOutcome(
             T=0, decision=cal.decision, estimate=cal.estimate,
             U_T=0.0, V_T=0.0, logL_T=0.0,

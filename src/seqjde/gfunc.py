@@ -21,7 +21,6 @@ imports SciPy.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -50,11 +49,6 @@ _MAX_BISECT = 500
 _MAX_HALVINGS = 2200
 
 
-class Regime(enum.Enum):
-    OBSERVE = "observe"
-    STOP_AT_ZERO = "stop_at_zero"
-
-
 @dataclass(frozen=True)
 class GPoint:
     """One row of a G-table: root, region endpoints, and value at energy U."""
@@ -70,40 +64,31 @@ class GPoint:
 class Calibration:
     """Stopping rule for a constraint level C.
 
-    In the OBSERVE regime sampling continues until the running energy reaches
-    ``gamma``.  In the STOP_AT_ZERO regime the constraint is already met by
-    prior information: the decision (and, when it is H1, the prior-mean
-    estimate) is fixed before any observation.  ``G`` is ``G(gamma)`` as the
-    calibration accepted it, and None in the STOP_AT_ZERO regime.
-
-    An OBSERVE rule from ``stopping_rule`` leaves ``gamma`` and ``G`` as None:
-    its threshold is resolved where it is used, by ``solve_gamma`` or, as far
-    as one gain path needs it, by ``threshold_bound``.
+    A rule with a prior ``decision`` stops at zero: the constraint is already
+    met by prior information, so the decision (and, when it is H1, the
+    prior-mean estimate) is fixed before any observation and there is no
+    threshold.  Any other rule samples until the running energy reaches
+    ``gamma``; ``G`` is ``G(gamma)`` as the calibration accepted it.  From
+    ``stopping_rule`` both are None: the threshold is resolved where it is
+    used, by ``solve_gamma`` or, as far as one gain path needs it, by
+    ``threshold_bound``.
     """
 
     C: float
-    regime: Regime
     gamma: float | None = None
     decision: Hypothesis | None = None
     estimate: float | None = None
     G: float | None = None
 
     def __post_init__(self):
-        if self.regime is Regime.OBSERVE:
-            if self.gamma is None:
-                if self.G is not None:
-                    raise ValueError("an unsolved rule carries no threshold, so no G")
-            elif not (self.gamma > 0):
-                raise ValueError("observe regime requires gamma > 0")
-            if self.decision is not None or self.estimate is not None:
-                raise ValueError("observe regime carries no prior decision")
-        else:
-            if self.gamma is not None or self.G is not None:
-                raise ValueError("stop-at-zero regime carries no threshold")
-            if self.decision is None:
-                raise ValueError("stop-at-zero regime requires a decision")
-            if (self.estimate is not None) != (self.decision is Hypothesis.H1):
-                raise ValueError("estimate present iff decision is H1")
+        if self.decision is not None and (self.gamma is not None or self.G is not None):
+            raise ValueError("a prior decision carries no threshold")
+        if self.gamma is None and self.G is not None:
+            raise ValueError("an unsolved rule carries no threshold, so no G")
+        if self.gamma is not None and not self.gamma > 0:
+            raise ValueError("a threshold requires gamma > 0")
+        if (self.estimate is not None) != (self.decision is Hypothesis.H1):
+            raise ValueError("estimate present iff decision is H1")
 
 
 def _validate_costs(c: CostWeights) -> None:
@@ -224,6 +209,21 @@ def g_limits(p: ModelParams, c: CostWeights) -> tuple[float, float]:
     G0 = min(c.c0 - c.c1 - c.ce * p.mu_x**2, 0.0)
     Ginf = -c.c1 - c.ce * (p.mu_x**2 + p.sigma_x**2)
     return G0, Ginf
+
+
+def threshold_target(C: float, p: ModelParams, c: CostWeights) -> float:
+    """The value ``C - c1 - ce*(mu_x^2 + sigma_x^2)`` that G takes at the threshold for level C."""
+    return C - c.c1 - c.ce * (p.mu_x**2 + p.sigma_x**2)
+
+
+def combined_cost(G: float, p: ModelParams, c: CostWeights) -> float:
+    """Combined cost ``G + c1 + ce*(mu_x^2 + sigma_x^2)`` of a test with G value ``G``."""
+    return G + c.c1 + c.ce * (p.mu_x**2 + p.sigma_x**2)
+
+
+def predicted_cost(U_T: float, p: ModelParams, c: CostWeights) -> float:
+    """Combined cost attained by the optimal triplet at terminal energy U_T."""
+    return combined_cost(g_eval(U_T, p, c), p, c)
 
 
 def _norm_pdf(z: float) -> float:
@@ -445,10 +445,10 @@ def g_point(U: float, p: ModelParams, c: CostWeights) -> GPoint:
 
 
 def stopping_rule(C: float, p: ModelParams, c: CostWeights) -> Calibration:
-    """The regime and prior decision for constraint level C, with gamma left unsolved.
+    """The rule for constraint level C, with gamma left unsolved.
 
-    For ``C >= C_max`` no observation is needed and the prior decision rule
-    applies.  Otherwise the rule is OBSERVE with ``gamma`` and ``G`` None.
+    For ``C >= C_max`` no observation is needed and the rule carries the
+    prior decision.  Otherwise it carries none, and ``gamma`` and ``G`` are None.
     Runs every check of ``solve_gamma`` that needs no margin root.
     """
     if isinstance(C, bool) or not isinstance(C, (int, float)) or not math.isfinite(C) or C <= 0:
@@ -460,20 +460,19 @@ def stopping_rule(C: float, p: ModelParams, c: CostWeights) -> Calibration:
     c_max = admissible_cost_bound(p, c)
     if C >= c_max:
         if c.c0 <= c.c1 + c.ce * p.mu_x**2:
-            return Calibration(C=C, regime=Regime.STOP_AT_ZERO,
-                               decision=Hypothesis.H1, estimate=p.mu_x)
-        return Calibration(C=C, regime=Regime.STOP_AT_ZERO, decision=Hypothesis.H0)
+            return Calibration(C=C, decision=Hypothesis.H1, estimate=p.mu_x)
+        return Calibration(C=C, decision=Hypothesis.H0)
 
-    target = C - c.c1 - c.ce * (p.mu_x**2 + p.sigma_x**2)
+    target = threshold_target(C, p, c)
     if target <= g_limits(p, c)[1]:  # C is lost in rounding: G is flat there
         raise NumericalError(f"threshold not determined: C={C!r} gives target {target!r}, "
                              "which rounds to G's infinite-energy limit")
-    return Calibration(C=C, regime=Regime.OBSERVE)
+    return Calibration(C=C)
 
 
 def _bisect(C: float, p: ModelParams, c: CostWeights,
             settled: Callable[[float, float], bool] | None = None) -> tuple[float, float]:
-    """The threshold of an OBSERVE ``stopping_rule``, and G there.
+    """The threshold of a ``stopping_rule`` without a prior decision, and G there.
 
     Doubles the upper bracket end from 1 until ``G(hi) <= target``, then
     bisects ``(lo, hi]``, which holds gamma throughout.  It stops at a
@@ -486,7 +485,7 @@ def _bisect(C: float, p: ModelParams, c: CostWeights,
     bracket's ``(hi, G(hi))`` is returned instead.  Up to that point the
     bisection solves the same energies, in the same order, as without it.
     """
-    target = C - c.c1 - c.ce * (p.mu_x**2 + p.sigma_x**2)
+    target = threshold_target(C, p, c)
     lo, hi = 0.0, 1.0
     for _ in range(_MAX_BISECT):
         G_hi = g_eval(hi, p, c)
@@ -528,8 +527,8 @@ def _bisect(C: float, p: ModelParams, c: CostWeights,
 def solve_gamma(C: float, p: ModelParams, c: CostWeights) -> Calibration:
     """Calibrate the energy threshold for combined-cost level C.
 
-    ``stopping_rule`` with, in the OBSERVE regime, the unique ``gamma > 0``
-    with ``G(gamma) = C - c1 - ce*(mu_x^2 + sigma_x^2)``, found by doubling
+    ``stopping_rule`` with, where it has no prior decision, the unique
+    ``gamma > 0`` with ``G(gamma) = threshold_target(C)``, found by doubling
     the upper bracket until it straddles the target and bisecting; strict
     monotonicity of G guarantees the bracket.  The bisection stops within
     ``1e-12*min(1, S)`` of the target, or at adjacent floats, and the accepted
@@ -539,16 +538,16 @@ def solve_gamma(C: float, p: ModelParams, c: CostWeights) -> Calibration:
     is determined.
     """
     rule = stopping_rule(C, p, c)
-    if rule.regime is Regime.STOP_AT_ZERO:
+    if rule.decision is not None:
         return rule
     gamma, G = _bisect(C, p, c)
-    return Calibration(C=C, regime=Regime.OBSERVE, gamma=gamma, G=G)
+    return Calibration(C=C, gamma=gamma, G=G)
 
 
 def threshold_bound(energy: np.ndarray, C: float, p: ModelParams, c: CostWeights) -> float:
     """A threshold that splits the nondecreasing ``energy`` exactly where gamma does.
 
-    The bisection of ``solve_gamma`` at level C, for an OBSERVE rule, stopped
+    The bisection of ``solve_gamma`` at level C, for a rule that observes, stopped
     as soon as the first energy above its lower end ``lo`` is at or above its
     upper end ``hi``: every energy then lies on the same side of ``hi`` as of
     gamma, so the first index reaching either is the same.  Where no energy

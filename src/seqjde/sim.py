@@ -20,9 +20,9 @@ from typing import Union
 
 import numpy as np
 
-from . import engine, gfunc, stats
+from . import gfunc, stats
 from .errors import ChannelFileError, HorizonExhausted, InvalidCosts
-from .gfunc import Calibration, Regime
+from .gfunc import Calibration
 from .model import CostWeights, Hypothesis, ModelParams, is_finite_real
 
 # Stream tags keeping the draws independent: sample_scenario keys a
@@ -233,18 +233,17 @@ class ArmSamples:
     xhat: np.ndarray
     decision: np.ndarray  # bool, the estimation-aware rule
 
-    def squared_errors(self, decision: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-replication ``(xhat - x)^2`` where ``decision`` is H1 and ``x^2`` where it is H0."""
-        err_d1 = np.where(decision, (self.xhat - self.x) ** 2, 0.0)
-        err_d0 = np.where(decision, 0.0, self.x**2)
-        return err_d1, err_d0
+
+def squared_error(x: np.ndarray, xhat: np.ndarray, decision: np.ndarray) -> np.ndarray:
+    """Per-replication ``(xhat - x)^2`` where ``decision`` is H1 and ``x^2`` where it is H0."""
+    return np.where(decision, (xhat - x) ** 2, x**2)
 
 
 def _stopping_index(h: np.ndarray, cal: Calibration, p: ModelParams,
                     c: CostWeights) -> tuple[int, float]:
     """First index t with cumulative energy >= gamma on the gain path ``h``, and that energy U_t.
 
-    ``cal`` is an OBSERVE rule and ``len(h)`` the horizon.  ``np.cumsum`` adds
+    ``cal`` has no prior decision and ``len(h)`` is the horizon.  ``np.cumsum`` adds
     in the engine's order, so the energy is the engine's ``U_T`` bit for bit.
     An unsolved rule's threshold is resolved only as far as this path needs
     (``gfunc.threshold_bound``), which gives the same T; on horizon exhaustion
@@ -283,10 +282,10 @@ def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig],
     if cfg0.truth is not Hypothesis.H0 or replace(cfg0, truth=Hypothesis.H1) != cfg1:
         raise ValueError("config pair must be (H0 scenario, H1 scenario) sharing all other fields")
     p, c, n = cfg0.params, cfg0.costs, cfg0.reps
-    observe = cal.regime is Regime.OBSERVE
+    observe = cal.decision is None
     T, U_T = (_stopping_index(gen_channel(cfg0.channel, cfg0.master_seed, cfg0.t_max), cal, p, c)
               if observe else (0, 0.0))
-    predicted = engine.predicted_cost(U_T, p, c)
+    predicted = gfunc.predicted_cost(U_T, p, c)
 
     arms = []
     for truth, arm in ((Hypothesis.H0, _H0_STREAM), (Hypothesis.H1, _H1_STREAM)):
@@ -333,13 +332,13 @@ def cost_report(arm1: ArmSamples, d0: np.ndarray, d1: np.ndarray,
     p1 = float(np.count_nonzero(miss) / n1)
     p1_se = math.sqrt(p1 * (1.0 - p1) / n1)
 
-    err_d1, err_d0 = arm1.squared_errors(d1)
-    mse_d1, var_d1 = _mean_var(err_d1)
-    mse_d0, var_d0 = _mean_var(err_d0)
+    sq_err = squared_error(arm1.x, arm1.xhat, d1)
+    mse_d1, var_d1 = _mean_var(np.where(d1, sq_err, 0.0))
+    mse_d0, var_d0 = _mean_var(np.where(d1, 0.0, sq_err))
     mse_d1, mse_d0 = float(mse_d1), float(mse_d0)
 
     combined = c.c0 * p0 + c.c1 * p1 + c.ce * (mse_d1 + mse_d0)
-    h1_cost = c.c1 * miss + c.ce * (err_d1 + err_d0)
+    h1_cost = c.c1 * miss + c.ce * sq_err
     combined_var = (c.c0**2) * _mean_var(d0.astype(float))[1] / n0 \
         + _mean_var(h1_cost)[1] / n1
     combined_se = math.sqrt(float(combined_var))
@@ -388,7 +387,7 @@ def separate_predicted_cost(U_T: float, p: ModelParams, c: CostWeights) -> float
     """Combined cost attained by the separate test at terminal energy U_T.
 
     G over the separate test's region (the joint rule's at ce = 0) under the
-    full costs, as ``engine.predicted_cost`` is over the optimal region.  Where
+    full costs, as ``gfunc.predicted_cost`` is over the optimal region.  Where
     nothing is observed it is the cost of the separate test's prior decision.
     """
     sep = _separate_costs(c)
@@ -397,7 +396,7 @@ def separate_predicted_cost(U_T: float, p: ModelParams, c: CostWeights) -> float
         G = c.c0 - c.c1 - c.ce * p.mu_x**2 if h1 else 0.0
     else:
         G = gfunc.g_eval_region(U_T, *gfunc.region(U_T, p, sep), p, c)
-    return G + c.c1 + c.ce * (p.mu_x**2 + p.sigma_x**2)
+    return gfunc.combined_cost(G, p, c)
 
 
 def compare_schemes(

@@ -20,7 +20,6 @@ from seqjde import (
     IidGaussian,
     ModelParams,
     Rayleigh,
-    Regime,
     ScenarioConfig,
     compare_schemes,
     estimate,
@@ -228,7 +227,7 @@ def test_criterion_08_joint_beats_separate():
 
 
 def test_criterion_09_stopping_ignores_observations():
-    cal = Calibration(C=1.0, regime=Regime.OBSERVE, gamma=4.0)
+    cal = Calibration(C=1.0, gamma=4.0)
     rng = np.random.default_rng(99)
     ok = True
     for _ in range(100):

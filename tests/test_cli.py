@@ -422,7 +422,8 @@ class TestMonteCarlo:
         def f_string_writer(arm0, arm1):
             yield "rep,arm,x,decision,estimate,sq_err\n"
             for tag, arm in enumerate((arm0, arm1)):
-                err_d1, err_d0 = arm.squared_errors(arm.decision)
+                err_d1 = np.where(arm.decision, (arm.xhat - arm.x) ** 2, 0.0)
+                err_d0 = np.where(arm.decision, 0.0, arm.x**2)
                 columns = (arm.x.tolist(), arm.decision.tolist(), arm.xhat.tolist(),
                            (err_d1 + err_d0).tolist())
                 for rep, (x, d, xhat, err) in enumerate(zip(*columns)):
@@ -863,3 +864,30 @@ def test_fuzzed_configs_end_in_a_known_exit_code(raw):
             # a run that succeeds prints no nan
             assert code != 0 or not any("nan" in out.read_text()
                                         for out in Path(tmp).glob("out*")), argv
+
+
+@pytest.mark.parametrize("argv, key, size", [
+    (["montecarlo"], "mc.reps", 10**15),
+    (["compare"], "mc.reps", 10**15),
+    (["montecarlo", "--reps", str(10**15)], None, None),
+    (["compare", "--reps", str(10**15)], None, None),
+    (["montecarlo"], "mc.t_max", 10**15),
+    (["simulate", "--truth", "H1"], "mc.t_max", 10**15),
+    (["gtable"], "grid.points", 10**15),
+    (["montecarlo"], "mc.t_max", 2**70),
+    (["simulate", "--truth", "H0"], "mc.t_max", 2**70),
+])
+def test_sizes_too_large_to_allocate_are_config_errors(tmp_path, capsys, argv, key, size):
+    # sizes NumPy refuses before it touches memory: 10**15 doubles are 8 PB,
+    # and 2**70 is past the largest length it can index
+    raw = {**json.loads(json.dumps(BASE_CONFIG)),
+           "grid": {"u_min": 0.001, "u_max": 10.0, "points": 4, "spacing": "log"}}
+    if key is not None:
+        section, name = key.split(".")
+        raw[section][name] = size
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("seqjde: ") and err.count("\n") == 1 and "too large to allocate" in err
+    assert list(tmp_path.glob("out*")) == []

@@ -7,7 +7,6 @@ from seqjde import (
     HorizonExhausted,
     Hypothesis,
     ModelParams,
-    Regime,
     g_eval,
     predicted_cost,
     run_sequential,
@@ -19,7 +18,7 @@ C = CostWeights(1.0, 1.0, 1.0)
 
 
 def observe(gamma):
-    return Calibration(C=1.0, regime=Regime.OBSERVE, gamma=gamma)
+    return Calibration(C=1.0, gamma=gamma)
 
 
 class TestRunSequential:
@@ -43,8 +42,7 @@ class TestRunSequential:
                 consumed.append(k)
                 yield (1.0, 1.0)
 
-        cal = Calibration(C=2.5, regime=Regime.STOP_AT_ZERO,
-                          decision=Hypothesis.H1, estimate=0.0)
+        cal = Calibration(C=2.5, decision=Hypothesis.H1, estimate=0.0)
         out = run_sequential(stream(), cal, P, C, t_max=10)
         assert out.T == 0
         assert out.decision is Hypothesis.H1

@@ -14,7 +14,6 @@ from seqjde import (
     ModelParams,
     NumericalError,
     QuadratureNonConvergence,
-    Regime,
     admissible_cost_bound,
     g_eval,
     g_eval_quadrature,
@@ -425,7 +424,6 @@ class TestGPoint:
 class TestSolveGamma:
     def test_stop_at_zero_decides_h1_at_tie(self):
         cal = solve_gamma(2.5, REF_P, REF_C)
-        assert cal.regime is Regime.STOP_AT_ZERO
         assert cal.decision is Hypothesis.H1
         assert cal.estimate == 0.0
 
@@ -433,17 +431,16 @@ class TestSolveGamma:
         p = ModelParams(0.5, 1.0, 1.0)
         c = CostWeights(5.0, 1.0, 1.0)
         cal = solve_gamma(100.0, p, c)
-        assert cal.regime is Regime.STOP_AT_ZERO
         assert cal.decision is Hypothesis.H0
         assert cal.estimate is None
 
     def test_boundary_constraint_maps_to_stop_at_zero(self):
         cal = solve_gamma(2.0, REF_P, REF_C)  # C == C_max exactly
-        assert cal.regime is Regime.STOP_AT_ZERO
+        assert cal.decision is not None
 
     def test_observe_residual(self):
         cal = solve_gamma(1.5, REF_P, REF_C)
-        assert cal.regime is Regime.OBSERVE
+        assert cal.decision is None
         target = 1.5 - 1.0 - 1.0
         assert abs(g_eval(cal.gamma, REF_P, REF_C) - target) <= 1e-9
 
@@ -476,22 +473,33 @@ class TestSolveGamma:
 
     def test_smallest_resolved_target_still_calibrates(self):
         cal = solve_gamma(1e-14, REF_P, REF_C)
-        assert cal.regime is Regime.OBSERVE
+        assert cal.decision is None
         assert cal.gamma == pytest.approx(4.75e29, rel=1e-2)
 
     def test_ce_zero_pure_detection_threshold(self):
         c = CostWeights(1.0, 1.0, 0.0)
         cal = solve_gamma(0.6, REF_P, c)  # C_max = 1
-        assert cal.regime is Regime.OBSERVE
+        assert cal.decision is None
         assert abs(g_eval(cal.gamma, REF_P, c) - (0.6 - 1.0)) <= 1e-9
 
     @pytest.mark.parametrize("C", [0.2, 1.0, 1.5, 1.9, 2.5])
     def test_carries_g_at_gamma(self, C):
         cal = solve_gamma(C, REF_P, REF_C)
-        if cal.regime is Regime.OBSERVE:
+        if cal.decision is None:
             assert cal.G == g_eval(cal.gamma, REF_P, REF_C)
         else:
             assert cal.G is None
+
+
+@pytest.mark.parametrize("p, c", COST_CONFIGS)
+@pytest.mark.parametrize("frac", [0.95, 0.3, 0.01])
+def test_cost_at_the_threshold_is_C(p, c, frac):
+    # threshold_target and combined_cost are the two directions of one identity
+    C = frac * admissible_cost_bound(p, c)
+    cal = solve_gamma(C, p, c)
+    assert abs(cal.G - gfunc.threshold_target(C, p, c)) <= 1e-10
+    assert gfunc.predicted_cost(cal.gamma, p, c) == gfunc.combined_cost(cal.G, p, c)
+    assert gfunc.combined_cost(gfunc.threshold_target(C, p, c), p, c) == pytest.approx(C, rel=1e-15)
 
 
 class TestBracketGamma:
@@ -512,7 +520,7 @@ class TestBracketGamma:
         assert threshold_bound(never, C, p, c) == cal.gamma
         assert root_solves == eager  # the same energies, in the same order
         assert gfunc._bisect(C, p, c) == (cal.gamma, cal.G)
-        assert Calibration(C=C, regime=Regime.OBSERVE, gamma=cal.gamma, G=cal.G) == cal
+        assert Calibration(C=C, gamma=cal.gamma, G=cal.G) == cal
 
     @pytest.mark.parametrize("p, c", COST_CONFIGS)
     def test_bracket_holds_gamma_after_every_step(self, p, c):
@@ -535,7 +543,7 @@ class TestBracketGamma:
 
     def test_prior_regime_has_no_search(self):
         cal = stopping_rule(2.5, REF_P, REF_C)
-        assert cal.regime is Regime.STOP_AT_ZERO
+        assert cal.decision is not None
         assert cal == solve_gamma(2.5, REF_P, REF_C)
 
     def test_raises_what_solve_gamma_raises(self):
@@ -558,25 +566,18 @@ class TestBracketGamma:
 class TestCalibrationType:
     def test_observe_requires_positive_gamma(self):
         with pytest.raises(ValueError):
-            Calibration(C=1.0, regime=Regime.OBSERVE, gamma=0.0)
-
-    def test_stop_at_zero_requires_decision(self):
-        with pytest.raises(ValueError):
-            Calibration(C=5.0, regime=Regime.STOP_AT_ZERO)
+            Calibration(C=1.0, gamma=0.0)
 
     def test_estimate_only_with_h1(self):
         with pytest.raises(ValueError):
-            Calibration(C=5.0, regime=Regime.STOP_AT_ZERO,
-                        decision=Hypothesis.H0, estimate=1.0)
-
-    def test_observe_carries_no_prior_decision(self):
-        with pytest.raises(ValueError, match="no prior decision"):
-            Calibration(C=1.0, regime=Regime.OBSERVE, gamma=2.0, decision=Hypothesis.H0)
+            Calibration(C=5.0, decision=Hypothesis.H0, estimate=1.0)
+        with pytest.raises(ValueError):
+            Calibration(C=1.0, gamma=2.0, estimate=1.0)
 
     @pytest.mark.parametrize("field", [{"gamma": 2.0}, {"G": -0.5}], ids=["gamma", "G"])
     def test_stop_at_zero_carries_no_threshold(self, field):
         with pytest.raises(ValueError, match="no threshold"):
-            Calibration(C=5.0, regime=Regime.STOP_AT_ZERO, decision=Hypothesis.H0, **field)
+            Calibration(C=5.0, decision=Hypothesis.H0, **field)
 
     @pytest.mark.parametrize("field", [{"gamma": 0.5}, {"G": -0.5}], ids=["gamma", "G"])
     def test_pending_search_carries_no_threshold(self, field):
@@ -584,11 +585,11 @@ class TestCalibrationType:
         (name, _), = field.items()
         assert getattr(stopping_rule(1.5, REF_P, REF_C), name) is None
         with pytest.raises(ValueError, match="no threshold"):
-            Calibration(C=5.0, regime=Regime.STOP_AT_ZERO, decision=Hypothesis.H0, **field)
+            Calibration(C=5.0, decision=Hypothesis.H0, **field)
 
     def test_unsolved_rule_carries_no_G(self):
         with pytest.raises(ValueError, match="no threshold"):
-            Calibration(C=1.5, regime=Regime.OBSERVE, G=-0.5)
+            Calibration(C=1.5, G=-0.5)
 
 
 def test_ndtr_matches_scipy_bitwise():

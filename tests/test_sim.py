@@ -359,7 +359,8 @@ def _reference_cost_report(arm1: ArmSamples, d0: np.ndarray, d1: np.ndarray,
     miss = ~d1
     p1 = float(np.mean(miss))
     p1_se = math.sqrt(p1 * (1.0 - p1) / n1)
-    err_d1, err_d0 = arm1.squared_errors(d1)
+    err_d1 = np.where(d1, (arm1.xhat - arm1.x) ** 2, 0.0)
+    err_d0 = np.where(d1, 0.0, arm1.x**2)
     mse_d1 = float(np.mean(err_d1))
     mse_d1_se = float(np.std(err_d1, ddof=1) / math.sqrt(n1))
     mse_d0 = float(np.mean(err_d0))
