@@ -3,8 +3,9 @@
 Subcommands: calibrate, gtable, simulate, montecarlo, compare.  Every
 subcommand is a pure function of the config file bytes and the flags, and all
 numeric output carries 17 significant digits so doubles round-trip exactly.
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 horizon
-exhaustion.
+simulate, montecarlo and compare find the stop from the gains alone
+(``sim.stopping_index``); simulate then draws only the noise up to it.
+Exit codes: 0 success, 2 config error, 3 numerical failure, 4 horizon exhaustion.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,9 @@ from .errors import HorizonExhausted, NumericalError, QuadratureNonConvergence, 
 from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound
 
 _GTABLE_QUAD_TOL = 1e-9
-# reps.csv rows formatted per block: bounds the Python floats held by the writer
+# reps.csv and trace rows formatted per block: bounds the Python floats held by a writer
 _REP_BLOCK = 1024
+_TRACE_ROW = "%d" + ",%.17g" * 6 + "\n"
 # exit codes of the library errors; every other SeqjdeError is a config error (2)
 _EXIT_CODES = {NumericalError: 3, QuadratureNonConvergence: 3, HorizonExhausted: 4}
 
@@ -208,16 +210,11 @@ def _write_json(obj: dict, path: str) -> None:
 
 
 def _report_dict(r: sim.CostReport) -> dict:
-    return {
-        "reps": r.reps,
-        "p0_d1": {"value": r.p0_d1, "stderr": r.p0_d1_se},
-        "p1_d0": {"value": r.p1_d0, "stderr": r.p1_d0_se},
-        "mse_d1": {"value": r.mse_d1, "stderr": r.mse_d1_se},
-        "mse_d0": {"value": r.mse_d0, "stderr": r.mse_d0_se},
-        "combined": {"value": r.combined, "stderr": r.combined_se},
-        "predicted": r.predicted,
-        "constraint_C": r.constraint_C,
-    }
+    """The report's fields in order, each estimate paired with its ``_se`` field."""
+    doc = {name: v for name, v in vars(r).items() if not name.endswith("_se")}
+    for name in ("p0_d1", "p1_d0", "mse_d1", "mse_d0", "combined"):
+        doc[name] = {"value": doc[name], "stderr": getattr(r, f"{name}_se")}
+    return doc
 
 
 def _scenario_pair(cfg: RunConfig) -> tuple[sim.ScenarioConfig, sim.ScenarioConfig]:
@@ -297,36 +294,31 @@ def cmd_gtable(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
+    xo = args.x_override
+    if xo is not None and not math.isfinite(xo):
+        raise ConfigError(f"--x-override must be finite, got {xo}")
     p, c = cfg.params, cfg.costs
-    scen = _scenario_pair(cfg)[Hypothesis[args.truth].value]
-    x, y, h = sim.sample_scenario(scen, 0)
-    if args.x_override is not None:
-        if not math.isfinite(args.x_override):
-            raise ConfigError(f"--x-override must be finite, got {args.x_override}")
-        y = y + (args.x_override - x) * h
+    cal = gfunc.stopping_rule(cfg.constraint_C, p, c)
+    y = h = np.empty(0)  # a stop-at-zero rule reads no channel
+    if cal.decision is None:
+        h = sim.gen_channel(cfg.channel, cfg.master_seed, cfg.t_max)
+        h = h[:sim.stopping_index(h, cal, p, c)[0]].copy()
+        x, y = sim.sample_observations(_scenario_pair(cfg)[Hypothesis[args.truth].value], 0, h)
+        if xo is not None:
+            y = y + (xo - x) * h
 
-    cal = gfunc.solve_gamma(cfg.constraint_C, p, c)
-    y_list, h_list = y.tolist(), h.tolist()
-    out = engine.run_sequential(zip(y_list, h_list), cal, p, c, cfg.t_max)
-
-    doc = {
-        "T": out.T,
-        "decision": out.decision,
-        "estimate": out.estimate,
-        "U_T": out.U_T,
-        "V_T": out.V_T,
-        "logL_T": out.logL_T,
-        "predicted_cost": out.predicted_cost,
-    }
-    _write_json(doc, args.out)
+    run = stats.running(y, h)  # row t after t steps, row 0 before any
+    last = stats.SufficientStats(*(a[-1].item() for a in (run.t, run.U, run.V)))
+    _write_json(asdict(engine.outcome(last, cal, p, c)), args.out)
+    with np.errstate(over="ignore"):  # an overflow is an inf, as in the engine's Python floats
+        logL, xhat = stats.log_likelihood_ratio(run, p), stats.estimate(run, p)
+    table = (run.t[1:], h, y, run.U[1:], run.V[1:], logL[1:], xhat[1:])  # rows t = 1..T
 
     def trace():
         yield "t,h,y,U,V,logL,xhat\n"
-        s = stats.init()
-        for y, h in zip(y_list[:out.T], h_list):
-            s = stats.update(s, y, h)
-            yield (f"{s.t:d},{h:.17g},{y:.17g},{s.U:.17g},{s.V:.17g},"
-                   f"{stats.log_likelihood_ratio(s, p):.17g},{stats.estimate(s, p):.17g}\n")
+        for start in range(0, len(h), _REP_BLOCK):
+            cells = np.column_stack([a[start:start + _REP_BLOCK] for a in table])
+            yield _TRACE_ROW * len(cells) % tuple(cells.ravel().tolist())
 
     _write_lines(Path(args.out).with_suffix(".trace.csv"), trace())
     return 0

@@ -1,4 +1,4 @@
-"""Single-pass runner for the optimal stop/decide/estimate triplet."""
+"""Single-pass runner for the optimal stop/decide/estimate triplet, and its outcome at a stop."""
 
 from __future__ import annotations
 
@@ -30,15 +30,29 @@ class TripletOutcome:
     predicted_cost: float
 
 
+def outcome(s: stats.SufficientStats, cal: Calibration, p: ModelParams,
+            c: CostWeights) -> TripletOutcome:
+    """The decision and, on H1, the estimate on stopping at history ``s`` (``stats.init()``
+    under a prior decision); OverflowError if the running sums there are not finite."""
+    if cal.decision is None and not (math.isfinite(s.U) and math.isfinite(s.V)):
+        raise OverflowError(f"running sums overflow a float at t={s.t}")
+    cost = predicted_cost(s.U, p, c)  # first: a NumericalError where U leaves G's range
+    decision, xhat, logL = cal.decision, cal.estimate, 0.0
+    if decision is None:
+        logL, xhat = stats.log_likelihood_ratio(s, p), stats.estimate(s, p)
+        h1 = stats.accepts_alternative(logL, xhat, c)
+        decision, xhat = (Hypothesis.H1, xhat) if h1 else (Hypothesis.H0, None)
+    return TripletOutcome(T=s.t, decision=decision, estimate=xhat, U_T=s.U, V_T=s.V,
+                          logL_T=logL, predicted_cost=cost)
+
+
 def run_sequential(stream: Iterable[tuple[float, float]], cal: Calibration,
                    p: ModelParams, c: CostWeights, t_max: int) -> TripletOutcome:
     """Consume (y, h) pairs until the running energy reaches the threshold.
 
-    Stops at the first t with ``U_t >= gamma``, then applies the decision
-    rule and, on H1, the estimator, at exactly that index.  An unsolved
-    ``stopping_rule`` is solved first.  A rule with a prior decision returns
-    it immediately and consumes nothing.  Keeps O(1)
-    state; the stream is never buffered.
+    Stops at the first t with ``U_t >= gamma`` and returns the ``outcome`` there.  An
+    unsolved ``stopping_rule`` is solved first.  A rule with a prior decision returns it
+    immediately and consumes nothing.  Keeps O(1) state; the stream is never buffered.
 
     Raises HorizonExhausted if the energy has not crossed after ``t_max``
     samples or the stream ends early, and OverflowError if the running sums
@@ -46,29 +60,15 @@ def run_sequential(stream: Iterable[tuple[float, float]], cal: Calibration,
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-
+    s = stats.init()
     if cal.decision is not None:
-        return TripletOutcome(
-            T=0, decision=cal.decision, estimate=cal.estimate,
-            U_T=0.0, V_T=0.0, logL_T=0.0,
-            predicted_cost=predicted_cost(0.0, p, c),
-        )
+        return outcome(s, cal, p, c)
 
     gamma = cal.gamma if cal.gamma is not None else gfunc.solve_gamma(cal.C, p, c).gamma
-    s = stats.init()
     for y, h in itertools.islice(stream, t_max):
         s = stats.update(s, y, h)
         if s.U >= gamma:
-            if not (math.isfinite(s.U) and math.isfinite(s.V)):
-                raise OverflowError(f"running sums overflow a float at t={s.t}")
-            logL, xhat = stats.log_likelihood_ratio(s, p), stats.estimate(s, p)
-            h1 = stats.accepts_alternative(logL, xhat, c)
-            return TripletOutcome(
-                T=s.t, decision=Hypothesis.H1 if h1 else Hypothesis.H0,
-                estimate=xhat if h1 else None,
-                U_T=s.U, V_T=s.V, logL_T=logL,
-                predicted_cost=predicted_cost(s.U, p, c),
-            )
+            return outcome(s, cal, p, c)
     message = (f"stream ended after {s.t} samples with energy {s.U} < {gamma}" if s.t < t_max
                else f"energy {s.U} still below threshold {gamma} after t_max={t_max} samples")
     raise HorizonExhausted(message, t=s.t, U=s.U, gamma=gamma)

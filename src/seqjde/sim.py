@@ -7,8 +7,7 @@ the terminal energy are therefore identical across replications of a run,
 and since ``(t, U, V)`` is sufficient, Monte Carlo draws each replication's
 amplitude and terminal correlation ``V_T`` directly from their exact law
 instead of sampling and folding a noise path; one ``stats.accepts_alternative``
-call decides a whole arm.  ``sample_scenario`` still draws full observation
-paths, for ``simulate`` and as a reference.
+call decides a whole arm.  ``sample_scenario`` draws full observation paths.
 """
 
 from __future__ import annotations
@@ -195,11 +194,6 @@ def gen_channel(model: ChannelModel, seed: int, t_max: int) -> np.ndarray:
     return h
 
 
-def _rep_rng(master_seed: int, truth: Hypothesis, rep_index: int) -> np.random.Generator:
-    arm = _H1_STREAM if truth is Hypothesis.H1 else _H0_STREAM
-    return np.random.default_rng(np.random.SeedSequence([master_seed, arm, rep_index]))
-
-
 def sample_scenario(cfg: ScenarioConfig, rep_index: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Draw one replication: amplitude, observation path, and the shared gain path.
 
@@ -207,17 +201,20 @@ def sample_scenario(cfg: ScenarioConfig, rep_index: int) -> tuple[float, np.ndar
     noise come from a replication-specific stream, so replications are
     independent conditionally on the one realized path.
     """
+    h = gen_channel(cfg.channel, cfg.master_seed, cfg.t_max)
+    return (*sample_observations(cfg, rep_index, h), h)
+
+
+def sample_observations(cfg: ScenarioConfig, rep_index: int,
+                        h: np.ndarray) -> tuple[float, np.ndarray]:
+    """``sample_scenario``'s amplitude and observations on ``h``, the gain path or a prefix:
+    NumPy's normal draws are prefix-consistent, so these are the path's first ``len(h)``."""
     if not 0 <= rep_index < cfg.reps:
         raise ValueError(f"rep_index {rep_index} out of range [0, {cfg.reps})")
-    h = gen_channel(cfg.channel, cfg.master_seed, cfg.t_max)
-    rng = _rep_rng(cfg.master_seed, cfg.truth, rep_index)
-    if cfg.truth is Hypothesis.H1:
-        x = rng.normal(cfg.params.mu_x, cfg.params.sigma_x)
-    else:
-        x = 0.0
-    w = rng.normal(0.0, cfg.params.sigma, size=cfg.t_max)
-    y = x * h + w
-    return x, y, h
+    arm = _H1_STREAM if cfg.truth is Hypothesis.H1 else _H0_STREAM
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, arm, rep_index]))
+    x = rng.normal(cfg.params.mu_x, cfg.params.sigma_x) if arm == _H1_STREAM else 0.0
+    return x, x * h + rng.normal(0.0, cfg.params.sigma, size=len(h))
 
 
 @dataclass
@@ -239,26 +236,27 @@ def squared_error(x: np.ndarray, xhat: np.ndarray, decision: np.ndarray) -> np.n
     return np.where(decision, (xhat - x) ** 2, x**2)
 
 
-def _stopping_index(h: np.ndarray, cal: Calibration, p: ModelParams,
-                    c: CostWeights) -> tuple[int, float]:
+def stopping_index(h: np.ndarray, cal: Calibration, p: ModelParams,
+                   c: CostWeights) -> tuple[int, float]:
     """First index t with cumulative energy >= gamma on the gain path ``h``, and that energy U_t.
 
     ``cal`` has no prior decision and ``len(h)`` is the horizon.  ``np.cumsum`` adds
     in the engine's order, so the energy is the engine's ``U_T`` bit for bit.
     An unsolved rule's threshold is resolved only as far as this path needs
     (``gfunc.threshold_bound``), which gives the same T; on horizon exhaustion
-    that is the exact gamma, so the error names it.
+    that is the exact gamma, so the error names it.  OverflowError: U_T overflows.
     """
-    energy = np.cumsum(h * h)
+    with np.errstate(over="ignore"):
+        energy = np.cumsum(h * h)
     gamma = cal.gamma if cal.gamma is not None else gfunc.threshold_bound(energy, cal.C, p, c)
     idx = int(np.searchsorted(energy, gamma, side="left"))
     if idx >= len(energy):
         # a property of the shared gain path, not of any one replication
         raise HorizonExhausted(
-            f"gain path energy {energy[-1]} never reaches "
-            f"threshold {gamma} within t_max={len(h)}",
-            t=len(h), U=float(energy[-1]), gamma=gamma,
-        )
+            f"gain path energy {energy[-1]} never reaches threshold {gamma} within t_max={len(h)}",
+            t=len(h), U=float(energy[-1]), gamma=gamma)
+    if energy[idx] == math.inf:
+        raise OverflowError(f"running sums overflow a float at t={idx + 1}")
     return idx + 1, float(energy[idx])
 
 
@@ -283,7 +281,7 @@ def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig],
         raise ValueError("config pair must be (H0 scenario, H1 scenario) sharing all other fields")
     p, c, n = cfg0.params, cfg0.costs, cfg0.reps
     observe = cal.decision is None
-    T, U_T = (_stopping_index(gen_channel(cfg0.channel, cfg0.master_seed, cfg0.t_max), cal, p, c)
+    T, U_T = (stopping_index(gen_channel(cfg0.channel, cfg0.master_seed, cfg0.t_max), cal, p, c)
               if observe else (0, 0.0))
     predicted = gfunc.predicted_cost(U_T, p, c)
 

@@ -37,6 +37,15 @@ def update(s: SufficientStats, y: float, h: float) -> SufficientStats:
     return SufficientStats(t=s.t + 1, U=s.U + h * h, V=s.V + y * h)
 
 
+def running(y: np.ndarray, h: np.ndarray) -> SufficientStats:
+    """Every prefix's statistics as arrays, the empty prefix first: row t is ``update``'s
+    state after t pairs, bit for bit, as ``np.cumsum`` adds in its order from ``init``'s zeros."""
+    with np.errstate(over="ignore", invalid="ignore"):  # silent inf and nan, as Python floats
+        U = np.cumsum(np.concatenate(([0.0], h * h)))
+        V = np.cumsum(np.concatenate(([0.0], y * h)))
+    return SufficientStats(t=np.arange(len(U)), U=U, V=V)
+
+
 def estimate(s: SufficientStats, p: ModelParams) -> float:
     """Posterior-mean amplitude estimate (V + mu_x*kappa) / (U + kappa).
 
@@ -58,8 +67,9 @@ def log_likelihood_ratio(s: SufficientStats, p: ModelParams) -> float:
     k = p.kappa
     a = s.U + k
     num = s.V + p.mu_x * k
-    return 0.5 * math.log(k / a) + num * num / (2.0 * p.sigma**2 * a) \
-        - p.mu_x**2 / (2.0 * p.sigma_x**2)
+    # math.log per element of an array: np.log may round differently in the last bit
+    log = math.log(k / a) if isinstance(a, float) else np.fromiter(map(math.log, k / a), float)
+    return 0.5 * log + num * num / (2.0 * p.sigma**2 * a) - p.mu_x**2 / (2.0 * p.sigma_x**2)
 
 
 def accepts_alternative(logL, xhat, c: CostWeights):

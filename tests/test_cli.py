@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import hashlib
 import inspect
 import io
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import seqjde
-from seqjde import cli, gfunc, sim
+from seqjde import Hypothesis, cli, engine, gfunc, sim, stats
 from seqjde.cli import main
 
 BASE_CONFIG = {
@@ -134,6 +135,40 @@ class TestConfigValidation:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("seqjde: a config value overflows a float") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["simulate", "--truth", "H1"], ["montecarlo"],
+                                         ["compare"]], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("gains, code", [("1\n1\n1\n1e200\n", 0), ("1e200\n1\n1\n1\n", 2)],
+                             ids=["past-the-stop", "at-the-stop"])
+    def test_energy_overflows_only_where_the_stop_reads_it(self, tmp_path, capsys, command,
+                                                           gains, code):
+        # the test stops at T = 1: an energy that overflows at t = 4 is never read,
+        # where montecarlo and compare summed the whole path and exited 2
+        (tmp_path / "gains.txt").write_text(gains)
+        cfg = write_config(tmp_path, overrides={
+            "channel": {"type": "from_file", "path": str(tmp_path / "gains.txt")},
+            "mc": {"reps": 10, "master_seed": 1, "t_max": 4}})
+        out = tmp_path / "o.json"
+        assert main(command + ["--config", cfg, "--out", str(out)]) == code
+        assert capsys.readouterr().err == ("" if code == 0 else "seqjde: a config value "
+                                           "overflows a float: running sums overflow a float at t=1\n")
+        if command[0] == "simulate" and code == 0:
+            assert json.loads(out.read_text())["T"] == 1
+        assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("command", [["simulate", "--truth", "H1"], ["montecarlo"],
+                                         ["compare"]], ids=lambda argv: argv[0])
+    def test_energy_outside_the_log_domain_at_the_stop_exits_3(self, tmp_path, capsys, command):
+        # kappa = 1e-154 and U_T = 1e300: kappa/(U_T + kappa) is 0, whose log was
+        # a ValueError traceback in simulate once it stopped solving gamma in full
+        cfg = write_config(tmp_path, overrides={
+            "model": {"mu_x": 0.0, "sigma_x": 1.0, "sigma": 1e-77},
+            "channel": {"type": "constant", "h": 1e150},
+            "mc": {"reps": 10, "master_seed": 1, "t_max": 5}})
+        assert main(command + ["--config", cfg, "--out", str(tmp_path / "o.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("seqjde: energy U=") and err.count("\n") == 1
+        assert "is out of range for kappa" in err
 
     @pytest.mark.parametrize("command", [["simulate", "--truth", "H1"], ["montecarlo"],
                                          ["compare"]], ids=lambda argv: argv[0])
@@ -320,6 +355,17 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out), "--truth", "H0"]) == 0
         assert json.loads(out.read_text())["T"] >= 1
 
+    def test_draws_noise_up_to_the_stop_only(self, tmp_path, monkeypatch):
+        drawn = []
+        draw = sim.sample_observations
+        monkeypatch.setattr(sim, "sample_observations",
+                            lambda cfg, rep, h: drawn.append(len(h)) or draw(cfg, rep, h))
+        cfg = write_config(tmp_path, overrides={"channel": {"type": "iid_gaussian", "std": 1.0}})
+        out = tmp_path / "run.json"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--truth", "H1"]) == 0
+        T = json.loads(out.read_text())["T"]
+        assert drawn == [T] and 1 < T < BASE_CONFIG["mc"]["t_max"]
+
     def test_horizon_exhaustion_exit_code(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -330,22 +376,112 @@ class TestSimulate:
                      "--truth", "H1"]) == 4
 
 
+_STOPPING_COMMANDS = [["simulate", "--truth", "H0"], ["simulate", "--truth", "H1"],
+                      ["montecarlo"], ["compare"]]
+
+
+def _command_id(argv):
+    return "-".join(a for a in argv if a != "--truth")
+
+
+def _reference_simulate(cfg_path: str, truth: str, x_override: float | None):
+    """``simulate``'s outcome and trace text by the online procedure.
+
+    The engine folds ``sample_scenario``'s full path under the solved
+    threshold, and the trace folds each of the T pairs again with ``stats.update``.
+    """
+    cfg = cli.load_config(cfg_path)
+    p, c = cfg.params, cfg.costs
+    scen = sim.ScenarioConfig(truth=Hypothesis[truth], params=p, costs=c, channel=cfg.channel,
+                              master_seed=cfg.master_seed, reps=cfg.reps, t_max=cfg.t_max)
+    x, y, h = sim.sample_scenario(scen, 0)
+    if x_override is not None:
+        y = y + (x_override - x) * h
+    ys, hs = y.tolist(), h.tolist()
+    cal = gfunc.solve_gamma(cfg.constraint_C, p, c)
+    out = engine.run_sequential(zip(ys, hs), cal, p, c, cfg.t_max)
+    lines = ["t,h,y,U,V,logL,xhat\n"]
+    s = stats.init()
+    for y_t, h_t in zip(ys[:out.T], hs):
+        s = stats.update(s, y_t, h_t)
+        lines.append(f"{s.t:d},{h_t:.17g},{y_t:.17g},{s.U:.17g},{s.V:.17g},"
+                     f"{stats.log_likelihood_ratio(s, p):.17g},{stats.estimate(s, p):.17g}\n")
+    return out, "".join(lines)
+
+
+def _simulate_matches_reference(tmp_path, cfg: str, truth: str, x_override) -> int:
+    """Run ``simulate``, check its JSON and trace against the reference, and return its T."""
+    out = tmp_path / "run.json"
+    flags = [] if x_override is None else ["--x-override", repr(x_override)]
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--truth", truth, *flags]) == 0
+    ref, trace = _reference_simulate(cfg, truth, x_override)
+    expected = dataclasses.asdict(ref) | {"decision": ref.decision.name}
+    assert list(json.loads(out.read_text()).items()) == list(expected.items())
+    assert (tmp_path / "run.trace.csv").read_text() == trace
+    return ref.T
+
+
+_SIMULATE_RUNS = [("H0", None), ("H1", None), ("H1", 0.7)]
+_SIMULATE_CHANNELS = {
+    "constant": {"type": "constant", "h": 1.0},
+    "iid_gaussian": {"type": "iid_gaussian", "std": 1.0},
+    "rayleigh": {"type": "rayleigh", "scale": 0.8},
+    "ar1": {"type": "ar1", "phi": 0.9, "innov_std": 0.5, "init_std": 0.5},
+    "from_file": {"type": "from_file", "path": "gains.txt"},
+}
+
+
+class TestSimulateReference:
+    """``simulate`` stops on the gains first and draws T noise values; the
+    online engine on the full path and a per-step trace give the same bytes."""
+
+    @pytest.mark.parametrize("truth, x_override", _SIMULATE_RUNS)
+    @pytest.mark.parametrize("channel", sorted(_SIMULATE_CHANNELS))
+    def test_every_channel(self, tmp_path, channel, truth, x_override):
+        spec = dict(_SIMULATE_CHANNELS[channel])
+        if channel == "from_file":
+            # signed zeros first: the running sum V starts at 0.0 + -0.0 = 0.0
+            gains = np.random.default_rng(5).standard_t(3, size=3000).tolist()
+            (tmp_path / "gains.txt").write_text("-0\n0\n-0\n" + "".join(f"{g!r}\n" for g in gains))
+            spec["path"] = str(tmp_path / "gains.txt")
+        # 0.2 observes, 2.5 is above C_max = 2 and stops at zero
+        for C, seed in ((0.2, 11), (0.2, 12), (2.5, 11)):
+            cfg = write_config(tmp_path, overrides={
+                "channel": spec, "mc": {"reps": 3, "master_seed": seed, "t_max": 3000}},
+                constraint_C=C)
+            T = _simulate_matches_reference(tmp_path, cfg, truth, x_override)
+            assert (T == 0) == (C > 2)
+
+    @pytest.mark.parametrize("truth, x_override", _SIMULATE_RUNS)
+    @pytest.mark.parametrize("T", [1, 2, 1023, 1024, 1025, 2049])
+    def test_stop_at_a_block_edge_and_the_horizon(self, tmp_path, T, truth, x_override):
+        # a constant gain whose energy first reaches gamma at step T (the trace
+        # writes rows per block of 1024); at t_max = T it is the horizon's last step
+        model, costs = BASE_CONFIG["model"], BASE_CONFIG["costs"]
+        gamma = gfunc.solve_gamma(1.5, seqjde.ModelParams(**model), seqjde.CostWeights(**costs)).gamma
+        for t_max in (T + 3, T):
+            cfg = write_config(tmp_path, overrides={
+                "channel": {"type": "constant", "h": math.sqrt(gamma / (T - 0.5))},
+                "mc": {"reps": 1, "master_seed": 7, "t_max": t_max}})
+            assert _simulate_matches_reference(tmp_path, cfg, truth, x_override) == T
+
+
 class TestMonteCarlo:
-    @pytest.mark.parametrize("command", ["montecarlo", "compare"])
+    @pytest.mark.parametrize("command", _STOPPING_COMMANDS, ids=_command_id)
     def test_horizon_exhaustion_names_the_exact_gamma(self, tmp_path, capsys, command):
         cfg = write_config(
             tmp_path,
             overrides={"channel": {"type": "constant", "h": 0.01},
                        "mc": {"reps": 10, "master_seed": 1, "t_max": 5}},
         )
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.json")]) == 4
+        assert main(command + ["--config", cfg, "--out", str(tmp_path / "o.json")]) == 4
         cli_cfg = cli.load_config(cfg)
         gamma = gfunc.solve_gamma(1.5, cli_cfg.params, cli_cfg.costs).gamma
         energy = float(np.cumsum(np.full(5, 0.01) ** 2)[-1])
         assert capsys.readouterr().err == (f"seqjde: gain path energy {energy} never reaches "
                                            f"threshold {gamma} within t_max=5\n")
 
-    @pytest.mark.parametrize("command", ["montecarlo", "compare"])
+    @pytest.mark.parametrize("command", _STOPPING_COMMANDS, ids=_command_id)
     def test_stop_at_zero_reads_no_channel(self, tmp_path, capsys, command):
         # C = 2.5 is above C_max = 2 on this model: the test decides from the
         # prior, so a channel file that does not exist is never opened
@@ -356,7 +492,7 @@ class TestMonteCarlo:
             cfg = write_config(tmp_path, overrides={"channel": channel}, constraint_C=2.5)
             out = tmp_path / kind / "o.json"
             out.parent.mkdir()
-            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            assert main(command + ["--config", cfg, "--out", str(out)]) == 0
             outputs[kind] = {p.name: p.read_bytes() for p in sorted(out.parent.iterdir())}
         assert capsys.readouterr().err == ""
         assert outputs["missing"] == outputs["constant"]

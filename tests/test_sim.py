@@ -43,10 +43,11 @@ from seqjde.sim import (
     _CHANNEL_STREAM,
     ArmSamples,
     CostReport,
-    _stopping_index,
     cost_report,
     run_arms,
+    sample_observations,
     separate_decisions,
+    stopping_index,
 )
 
 P = ModelParams(0.0, 1.0, 1.0)
@@ -275,6 +276,19 @@ class TestSampleScenario:
             new = cost_report(arm1, arm0.decision, arm1.decision, C, cal.C)
             pooled = math.sqrt(ref.combined_se**2 + new.combined_se**2)
             assert abs(ref.combined - new.combined) <= 3 * pooled, type(channel).__name__
+
+    @pytest.mark.parametrize("channel", [Constant(1.0), IidGaussian(1.0), Rayleigh(0.8),
+                                         Ar1(0.9, 0.5, 0.5)], ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("truth", [Hypothesis.H0, Hypothesis.H1], ids=lambda h: h.name)
+    def test_observations_on_a_prefix_are_the_paths_first(self, channel, truth):
+        # NumPy's normal draws are prefix-consistent, so a run that stops at T
+        # draws T noise values and reads sample_scenario's bits
+        cfg = pair(channel, reps=3, t_max=5000)[truth.value]
+        x, y, h = sample_scenario(cfg, 2)
+        for n in (1, 4095, 4096, cfg.t_max):
+            x_n, y_n = sample_observations(cfg, 2, h[:n])
+            assert struct.pack("<d", x_n) == struct.pack("<d", x)
+            assert y_n.tobytes() == y[:n].tobytes()
 
     def test_rep_index_range_checked(self):
         cfg, _ = pair(Constant(1.0), reps=2)
@@ -618,7 +632,7 @@ class TestLazyThreshold:
             h = gen_channel(channel, seed, t_max)
             root_solves.clear()
             lazy = stopping_rule(Cc, p, c)
-            stop = _stopping_index(h, lazy, p, c)
+            stop = stopping_index(h, lazy, p, c)
             assert len(root_solves) <= eager_solves
             assert stop == _eager_stop(h, cal.gamma)
             assert lazy == stopping_rule(Cc, p, c) and lazy.gamma is None
@@ -646,7 +660,7 @@ class TestLazyThreshold:
         channel = _write_gains(tmp_path / "gains.txt", _path_through(v, min(v, cal.gamma)))
         h = gen_channel(channel, 0, 22)
         assert np.cumsum(h * h)[1] == v
-        T, U_T = _stopping_index(h, stopping_rule(Cc, P, C), P, C)
+        T, U_T = stopping_index(h, stopping_rule(Cc, P, C), P, C)
         assert (T, U_T) == _eager_stop(h, cal.gamma)
         assert T == (2 if v >= cal.gamma else 3)
         lazy = run_arms(pair(channel, reps=50, t_max=22), stopping_rule(Cc, P, C))

@@ -16,7 +16,7 @@ from seqjde import (
     log_likelihood_ratio,
     update,
 )
-from seqjde.stats import accepts_alternative
+from seqjde.stats import accepts_alternative, running
 
 finite_obs = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -67,6 +67,31 @@ class TestSufficientStats:
             assert s2.U >= s.U
             assert s2.t == s.t + 1
             s = s2
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("p", [ModelParams(0.0, 1.0, 1.0), ModelParams(-0.3, 1.5, 0.7)],
+                         ids=["m0", "m3"])
+def test_running_rows_are_the_folds_bit_for_bit(p):
+    # every prefix at once, as the trace reads it: the sums, and the estimator and
+    # log likelihood ratio on arrays, against a per-row fold with update; signed
+    # zero gains first make y*h = -0.0, which the fold adds to 0.0
+    rng = np.random.default_rng(8)
+    h = np.concatenate(([-0.0, 0.0, -0.0], rng.standard_t(3, size=3000)))
+    y = np.abs(rng.normal(size=len(h)))
+    run = running(y, h)
+    folds = [init()]
+    for y_t, h_t in zip(y.tolist(), h.tolist()):
+        folds.append(update(folds[-1], y_t, h_t))
+    assert run.t.tolist() == [s.t for s in folds]
+    assert _bits(run.U) == _bits([s.U for s in folds])
+    assert _bits(run.V) == _bits([s.V for s in folds])
+    assert _bits(estimate(run, p)) == _bits([estimate(s, p) for s in folds])
+    assert _bits(log_likelihood_ratio(run, p)) == _bits([log_likelihood_ratio(s, p)
+                                                        for s in folds])
 
 
 class TestEstimator:
