@@ -337,9 +337,9 @@ def g_eval_quadrature(U: float, p: ModelParams, c: CostWeights, tol: float = 1e-
 
     Integrates the negative part of the decision margin against the null
     density of V directly, in the standardized variable z = V/(sigma*sqrt(U)),
-    split into a finite core around the region endpoints plus the two
-    far tails.  Raises QuadratureNonConvergence if the accumulated absolute
-    error estimate exceeds ``tol``.
+    over the region's part of a finite core around the region endpoints and
+    both Gaussian peaks.  Raises QuadratureNonConvergence if the accumulated
+    absolute error estimate exceeds ``tol``.
     """
     _validate_costs(c)
     _check_quadrature_args(U, tol)
@@ -377,18 +377,16 @@ def g_eval_quadrature_region(U: float, V1: float, V2: float, p: ModelParams,
 
     def integrand(z: float) -> float:
         shifted = z * s0 + mu_kappa
-        log_lr = half_log + shifted * shifted / two_s2A - prior_term
-        weight = c1 + ce * (shifted / A) ** 2
-        # exact: (-0.5 * z) * z == -((0.5 * z) * z)
-        half_z2 = 0.5 * z * z
-        margin = c0 * exp(-half_z2) - weight * exp(log_lr - half_z2)
-        val = margin / _SQRT_2PI
+        half_z2 = 0.5 * z * z  # exact: (-0.5 * z) * z == -((0.5 * z) * z)
+        val = (c0 * exp(-half_z2) - (c1 + ce * (shifted / A) ** 2)
+               * exp(half_log + shifted * shifted / two_s2A - prior_term - half_z2)) / _SQRT_2PI
         return val if val < 0.0 else 0.0
 
     z_left = -V1 / s0
     z_right = V2 / s0
-    # Beyond this halfwidth of their peaks both Gaussian factors underflow to
-    # exactly zero, so everything outside the core contributes nothing.
+    # Beyond this halfwidth of their peaks both Gaussian factors underflow in
+    # exact arithmetic, so the core holds all of G; in floats the integrand
+    # out there can be noise (log LR and z^2/2 cancel), so it is not integrated.
     hw = 40.0 * (p.sigma_x * math.sqrt(A) / p.sigma) + 40.0
     center = mu * U / s0
     core_lo = min(z_left, center - hw) - 1.0
@@ -404,14 +402,14 @@ def g_eval_quadrature_region(U: float, V1: float, V2: float, p: ModelParams,
 
     def _quad(lo: float, hi: float) -> tuple[float, float]:
         inner = [m for m in marks if lo < m < hi]
-        kwargs = {"points": inner} if inner and math.isfinite(lo) and math.isfinite(hi) else {}
         try:
+            # epsabs stays tol/4, as with four intervals: G_quadrature's bytes depend on it
             result = scipy.integrate.quad(
                 integrand, lo, hi, epsabs=tol / 4.0, epsrel=1e-12, limit=300,
-                full_output=1, **kwargs,
+                points=inner or None, full_output=1,
             )
         except OverflowError as exc:
-            # log_lr - z^2/2 is <= 0 in exact arithmetic only; with a large
+            # log LR - z^2/2 is <= 0 in exact arithmetic only; with a large
             # mu_x*kappa it rounds past exp's range
             raise QuadratureNonConvergence(
                 f"quadrature integrand overflows on [{lo}, {hi}] at U={U}: {exc}"
@@ -424,8 +422,7 @@ def g_eval_quadrature_region(U: float, V1: float, V2: float, p: ModelParams,
 
     total = 0.0
     err = 0.0
-    for lo, hi in ((-math.inf, core_lo), (core_lo, z_left),
-                   (z_right, core_hi), (core_hi, math.inf)):
+    for lo, hi in ((core_lo, z_left), (z_right, core_hi)):
         val, abserr = _quad(lo, hi)
         total += val
         err += abserr

@@ -298,6 +298,22 @@ class TestGtable:
         assert all(row[5:] == ["", ""] for row in rows)
         assert all(math.isfinite(float(x)) for row in rows for x in row[:5])
 
+    def test_tail_noise_no_longer_fails_the_table(self, tmp_path, capsys):
+        # a row of a log-uniform probe: the float integrand beyond the core is
+        # rounding noise here, and integrating it over the infinite tails
+        # failed the quadrature (exit 3); the core alone meets tol
+        cfg = write_config(tmp_path, overrides={
+            "model": {"mu_x": 0.0, "sigma_x": 3.375202115888247e-32, "sigma": 22539424.858644355},
+            "costs": {"c0": 2.243039497912325e+299, "c1": 1.6547558302722903e-120, "ce": 0.0},
+            "grid": {"u_min": 0.0, "u_max": 2.5880704162350616e+101, "points": 2,
+                     "spacing": "linear"}})
+        out = tmp_path / "g.csv"
+        assert main(["gtable", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        row = out.read_text().splitlines()[-1].split(",")
+        assert float(row[0]) == 2.5880704162350616e+101
+        assert 0.0 < float(row[6]) <= 1e-9
+
     def test_ce_zero_cost_ratio_underflow_runs(self, tmp_path, capsys):
         # c0/c1 underflows to 0: log(c0/c1) ended in a ValueError traceback
         cfg = write_config(tmp_path, overrides={
@@ -612,13 +628,38 @@ class TestCompare:
 
 
 class TestWorkCounts:
-    """Each energy's margin root is solved once per call, and the gain path once per run."""
+    """Each energy's margin root is solved once per call, its quadrature over two
+    finite intervals, and the gain path once per run."""
+
+    GTABLE_GRID = {"u_min": 1e-3, "u_max": 1e5, "points": 12, "spacing": "log"}
 
     def test_gtable_solves_one_root_per_row(self, tmp_path, root_solves):
-        grid = {"u_min": 1e-3, "u_max": 1e5, "points": 12, "spacing": "log"}
-        cfg = write_config(tmp_path, overrides={"grid": grid})
+        cfg = write_config(tmp_path, overrides={"grid": self.GTABLE_GRID})
         assert main(["gtable", "--config", cfg, "--out", str(tmp_path / "g.csv")]) == 0
         assert len(root_solves) == 12
+
+    def test_gtable_integrates_two_finite_intervals_per_row(self, tmp_path, monkeypatch):
+        # the core's two region intervals only, not the infinite tails beyond
+        # it (30 more integrand calls per row); the integrand count is pinned
+        import scipy.integrate
+
+        quad = scipy.integrate.quad
+        bounds, evals = [], []
+
+        def counting(func, a, b, **kwargs):
+            def counted(z):
+                evals.append(z)
+                return func(z)
+
+            bounds.append((a, b))
+            return quad(counted, a, b, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", counting)
+        cfg = write_config(tmp_path, overrides={"grid": self.GTABLE_GRID})
+        assert main(["gtable", "--config", cfg, "--out", str(tmp_path / "g.csv")]) == 0
+        assert len(bounds) == 2 * 12
+        assert all(math.isfinite(a) and math.isfinite(b) for a, b in bounds)
+        assert len(evals) == 7224
 
     @pytest.mark.parametrize("command", ["calibrate", "montecarlo", "compare"])
     def test_calibrated_commands_solve_few_roots(self, tmp_path, root_solves, command):

@@ -116,6 +116,71 @@ def oracle_root(U, p, c, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+def four_interval_quadrature_terms(U, V1, V2, p, c, tol):
+    """``(value, abserr)`` of each interval of the four-interval quadrature.
+
+    The oracle's earlier form, kept as a reference: it integrated the two
+    infinite tails ``(-inf, core_lo)`` and ``(core_hi, inf)`` besides the two
+    core intervals, with the integrand's terms named, and raised
+    QuadratureNonConvergence on any interval's failure or overflow.
+    """
+    import scipy.integrate
+
+    kappa = p.kappa
+    A = U + kappa
+    mu = p.mu_x
+    s0 = p.sigma * math.sqrt(U)
+    two_s2A = 2.0 * p.sigma**2 * A
+    half_log = 0.5 * math.log(kappa / A)
+    prior_term = mu**2 / (2.0 * p.sigma_x**2)
+    c0, c1, ce, mu_kappa = c.c0, c.c1, c.ce, mu * kappa
+
+    def integrand(z):
+        shifted = z * s0 + mu_kappa
+        log_lr = half_log + shifted * shifted / two_s2A - prior_term
+        weight = c1 + ce * (shifted / A) ** 2
+        half_z2 = 0.5 * z * z
+        margin = c0 * math.exp(-half_z2) - weight * math.exp(log_lr - half_z2)
+        val = margin / math.sqrt(2.0 * math.pi)
+        return val if val < 0.0 else 0.0
+
+    z_left = -V1 / s0
+    z_right = V2 / s0
+    hw = 40.0 * (p.sigma_x * math.sqrt(A) / p.sigma) + 40.0
+    center = mu * U / s0
+    core_lo = min(z_left, center - hw) - 1.0
+    core_hi = max(z_right, center + hw) + 1.0
+    marks = sorted(
+        {0.0, -10.0, 10.0, -41.0, 41.0}
+        | {center + f * hw for f in (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)}
+    )
+    terms = []
+    for lo, hi in ((-math.inf, core_lo), (core_lo, z_left),
+                   (z_right, core_hi), (core_hi, math.inf)):
+        inner = [m for m in marks if lo < m < hi]
+        kwargs = {"points": inner} if inner and math.isfinite(lo) and math.isfinite(hi) else {}
+        try:
+            result = scipy.integrate.quad(integrand, lo, hi, epsabs=tol / 4.0, epsrel=1e-12,
+                                          limit=300, full_output=1, **kwargs)
+        except OverflowError as exc:
+            raise QuadratureNonConvergence(str(exc)) from exc
+        if len(result) > 3:
+            raise QuadratureNonConvergence(result[3])
+        terms.append(result[:2])
+    return terms
+
+
+def four_interval_quadrature_region(U, V1, V2, p, c, tol):
+    """The four-interval quadrature's G: its terms summed in order, with its error check."""
+    total = err = 0.0
+    for val, abserr in four_interval_quadrature_terms(U, V1, V2, p, c, tol):
+        total += val
+        err += abserr
+    if err > tol:
+        raise QuadratureNonConvergence(f"error estimate {err} exceeds {tol}")
+    return total
+
+
 class TestGRoot:
     def test_ce_zero_closed_form_value(self):
         p = ModelParams(0.0, 1.0, 1.0)
@@ -355,6 +420,44 @@ class TestGEvalQuadrature:
         p, c = ModelParams(*model), CostWeights(*costs)
         got = [float.hex(g_eval_quadrature(U, p, c)) for U in QUADRATURE_PIN_ENERGIES]
         assert got == pins
+
+
+class TestQuadratureCore:
+    """The oracle integrates only the finite core; the tails beyond it held no G."""
+
+    MODELS = [(0.0, 1.0, 1.0), (1.0, 1.0, 1.0), (-0.7, 1.5, 0.8), (0.5, 0.8, 1.2),
+              (-0.3, 1.5, 0.7), (2.0, 0.5, 3.0)]
+    COSTS = [(1.0, 1.0, 1.0), (1.0, 1.0, 0.0), (1.0, 0.2, 5.0), (2.0, 0.5, 1.0),
+             (0.6, 0.1, 2.5)]
+
+    @staticmethod
+    def outcome(quadrature, U, p, c):
+        try:
+            return float.hex(quadrature(U, *region(U, p, c), p, c, 1e-9))
+        except (NumericalError, QuadratureNonConvergence) as exc:
+            return type(exc).__name__  # the same failure is the same outcome
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_bits_match_the_four_interval_form(self, model):
+        # on moderate inputs both tails were exactly (0.0, 0.0), so dropping
+        # them, and naming no term in the integrand, changes no bit
+        p = ModelParams(*model)
+        for costs, U in itertools.product(self.COSTS, np.logspace(-6, 12, 10).tolist()):
+            c = CostWeights(*costs)
+            assert (self.outcome(gfunc.g_eval_quadrature_region, U, p, c)
+                    == self.outcome(four_interval_quadrature_region, U, p, c)), (costs, U)
+
+    def test_extreme_row_drops_tail_noise(self):
+        # beyond the core the float integrand is cancellation noise here: each
+        # tail integrates to about -1.6e-66, where the exact tail is below 1e-280
+        p = ModelParams(0.0, 9.0e-4, 6.8e-8)
+        c = CostWeights(2.0e151, 1.2e-65, 0.0)
+        U = 3.8e13
+        V1, V2 = region(U, p, c)
+        tail_lo, core_left, core_right, tail_hi = (
+            val for val, _ in four_interval_quadrature_terms(U, V1, V2, p, c, 1e-9))
+        assert tail_lo != 0.0 and tail_hi != 0.0
+        assert gfunc.g_eval_quadrature_region(U, V1, V2, p, c, 1e-9) == 0.0 + core_left + core_right
 
 
 class TestGEvalRegion:
