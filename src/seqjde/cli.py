@@ -21,15 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, gfunc, sim, stats
-from .errors import HorizonExhausted, NumericalError, QuadratureNonConvergence, SeqjdeError
+from .errors import QuadratureNonConvergence, SeqjdeError
 from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound
 
 _GTABLE_QUAD_TOL = 1e-9
 # reps.csv and trace rows formatted per block: bounds the Python floats held by a writer
 _REP_BLOCK = 1024
 _TRACE_ROW = "%d" + ",%.17g" * 6 + "\n"
-# exit codes of the library errors; every other SeqjdeError is a config error (2)
-_EXIT_CODES = {NumericalError: 3, QuadratureNonConvergence: 3, HorizonExhausted: 4}
 
 
 class ConfigError(SeqjdeError):
@@ -217,12 +215,15 @@ def _report_dict(r: sim.CostReport) -> dict:
     return doc
 
 
-def _scenario_pair(cfg: RunConfig) -> tuple[sim.ScenarioConfig, sim.ScenarioConfig]:
-    mk = lambda truth: sim.ScenarioConfig(
+def _scenario(cfg: RunConfig, truth: Hypothesis) -> sim.ScenarioConfig:
+    return sim.ScenarioConfig(
         truth=truth, params=cfg.params, costs=cfg.costs, channel=cfg.channel,
         master_seed=cfg.master_seed, reps=cfg.reps, t_max=cfg.t_max,
     )
-    return mk(Hypothesis.H0), mk(Hypothesis.H1)
+
+
+def _scenario_pair(cfg: RunConfig) -> tuple[sim.ScenarioConfig, sim.ScenarioConfig]:
+    return _scenario(cfg, Hypothesis.H0), _scenario(cfg, Hypothesis.H1)
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -303,7 +304,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if cal.decision is None:
         h = sim.gen_channel(cfg.channel, cfg.master_seed, cfg.t_max)
         h = h[:sim.stopping_index(h, cal, p, c)[0]].copy()
-        x, y = sim.sample_observations(_scenario_pair(cfg)[Hypothesis[args.truth].value], 0, h)
+        x, y = sim.sample_observations(_scenario(cfg, Hypothesis[args.truth]), 0, h)
         if xo is not None:
             y = y + (xo - x) * h
 
@@ -427,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SeqjdeError as exc:
         print(f"seqjde: {exc}", file=sys.stderr)
-        return _EXIT_CODES.get(type(exc), 2)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,13 @@
 
 
 class SeqjdeError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``exit_code`` is the command line's exit code for the error and its
+    subclasses: 2, a config error, unless a subclass says otherwise.
+    """
+
+    exit_code = 2
 
 
 class InvalidCosts(SeqjdeError):
@@ -14,7 +20,13 @@ class InfeasibleConstraint(SeqjdeError):
 
 
 class QuadratureNonConvergence(SeqjdeError):
-    """Adaptive quadrature exhausted its refinement budget before reaching tolerance."""
+    """Adaptive quadrature did not reach its tolerance, or its value is impossible.
+
+    Impossible means below G's infinite-energy limit, a lower bound of the
+    integral over any region, by more than the error allowance.
+    """
+
+    exit_code = 3
 
 
 class NumericalError(SeqjdeError):
@@ -25,6 +37,8 @@ class NumericalError(SeqjdeError):
     domain of the margin equation, and where C is too small for its target to
     determine a threshold.
     """
+
+    exit_code = 3
 
 
 class ChannelFileError(SeqjdeError):
@@ -38,6 +52,8 @@ class HorizonExhausted(SeqjdeError):
     configured ``t_max``; the infinite-energy assumption on the channel
     process does not hold at this horizon.
     """
+
+    exit_code = 4
 
     def __init__(self, message: str, t: int, U: float, gamma: float):
         super().__init__(message)

@@ -339,7 +339,9 @@ def g_eval_quadrature(U: float, p: ModelParams, c: CostWeights, tol: float = 1e-
     density of V directly, in the standardized variable z = V/(sigma*sqrt(U)),
     over the region's part of a finite core around the region endpoints and
     both Gaussian peaks.  Raises QuadratureNonConvergence if the accumulated
-    absolute error estimate exceeds ``tol``.
+    absolute error estimate exceeds ``tol``, or if the value lies below G's
+    infinite-energy limit by more than ``tol``, that estimate and a rounding
+    allowance.
     """
     _validate_costs(c)
     _check_quadrature_args(U, tol)
@@ -429,6 +431,16 @@ def g_eval_quadrature_region(U: float, V1: float, V2: float, p: ModelParams,
     if err > tol:
         raise QuadratureNonConvergence(
             f"quadrature error estimate {err:.3e} exceeds tol {tol:.3e} at U={U}"
+        )
+    # The negative part's integral over any region is at least G(U), which is
+    # at least G's infinite-energy limit; a total below it is rounding noise
+    # that the error estimate missed (e.g. a cancelling exponent in a wide core).
+    # QUADPACK can return a negative error estimate, hence its magnitude.
+    floor = g_limits(p, c)[1]
+    if total < floor - (tol + abs(err) + 1e-12 * abs(floor)):
+        raise QuadratureNonConvergence(
+            f"quadrature value {total:.3e} lies below G's infinite-energy limit "
+            f"{floor:.3e} at U={U}"
         )
     return total
 

@@ -12,28 +12,18 @@ import numpy as np
 
 from conftest import record_acceptance
 from seqjde import (
-    Ar1,
-    Calibration,
     Constant,
     CostWeights,
     Hypothesis,
-    IidGaussian,
     ModelParams,
-    Rayleigh,
     ScenarioConfig,
-    compare_schemes,
-    estimate,
-    g_eval,
-    g_eval_quadrature,
-    g_limits,
-    g_root,
-    init,
-    log_likelihood_ratio,
     monte_carlo,
     run_sequential,
     solve_gamma,
 )
-from seqjde.sim import run_arms, separate_decisions
+from seqjde.gfunc import Calibration, g_eval, g_eval_quadrature, g_limits, g_root
+from seqjde.sim import Ar1, IidGaussian, Rayleigh, compare_schemes, run_arms, separate_decisions
+from seqjde.stats import estimate, init, log_likelihood_ratio
 from seqjde.cli import main as cli_main
 from test_gfunc import oracle_root
 

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import seqjde
-from seqjde import Hypothesis, cli, engine, gfunc, sim, stats
+from seqjde import Hypothesis, cli, engine, errors, gfunc, sim, stats
 from seqjde.cli import main
 
 BASE_CONFIG = {
@@ -233,6 +233,18 @@ class TestCalibrate:
         assert err.startswith("seqjde: threshold not determined") and err.count("\n") == 1
         assert not (tmp_path / "o.json").exists()
 
+    def test_exit_code_follows_the_error_class(self, tmp_path, capsys, monkeypatch):
+        class Subclass(errors.NumericalError):
+            pass
+
+        def fail(*args):
+            raise Subclass("a numerical failure of a new kind")
+
+        monkeypatch.setattr(gfunc, "solve_gamma", fail)
+        cfg = write_config(tmp_path)
+        assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 3
+        assert capsys.readouterr().err == "seqjde: a numerical failure of a new kind\n"
+
 
 class TestGtable:
     def test_table_structure_and_oracle_agreement(self, tmp_path):
@@ -297,6 +309,24 @@ class TestGtable:
         assert [float(row[0]) for row in rows] == [0.0, 1.0, 2.0]
         assert all(row[5:] == ["", ""] for row in rows)
         assert all(math.isfinite(float(x)) for row in rows for x in row[:5])
+
+    def test_quadrature_below_the_infinite_energy_limit_fails_the_row(self, tmp_path, capsys):
+        # the integrand's exponent cancels two huge terms in this wide core, and
+        # each core quad returned -2.2e174 with error estimate 0: the row printed
+        # G_quadrature = -4.5e174 with exit 0, though G >= limit = -4.8e140
+        U = 3.775896748181862e+26
+        cfg = write_config(tmp_path, overrides={
+            "model": {"mu_x": 1.1852249545775236e-22, "sigma_x": 3.3584933399124e+23,
+                      "sigma": 1.0181164410228953e+29},
+            "costs": {"c0": 9.358433318920415e+131, "c1": 4.779038261474787e+140, "ce": 0.0},
+            "grid": {"u_min": 0.0, "u_max": U, "points": 2, "spacing": "linear"}})
+        out = tmp_path / "g.csv"
+        assert main(["gtable", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "gtable: quadrature failed on 1 grid point(s)\n"
+        row = out.read_text().splitlines()[-1].split(",")
+        assert float(row[0]) == U
+        assert row[5:] == ["", ""]
+        assert math.isfinite(float(row[4]))
 
     def test_tail_noise_no_longer_fails_the_table(self, tmp_path, capsys):
         # a row of a log-uniform probe: the float integrand beyond the core is

@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from seqjde import (
-    Calibration,
-    CostWeights,
-    HorizonExhausted,
-    Hypothesis,
-    ModelParams,
-    g_eval,
-    predicted_cost,
-    run_sequential,
-    solve_gamma,
-)
+from seqjde import CostWeights, Hypothesis, ModelParams, run_sequential, solve_gamma
+from seqjde.errors import HorizonExhausted
+from seqjde.gfunc import Calibration, g_eval, predicted_cost
 
 P = ModelParams(0.0, 1.0, 1.0)
 C = CostWeights(1.0, 1.0, 1.0)

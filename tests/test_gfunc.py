@@ -5,28 +5,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seqjde import (
-    Calibration,
-    CostWeights,
-    Hypothesis,
+from seqjde import CostWeights, Hypothesis, ModelParams, gfunc, solve_gamma
+from seqjde.errors import (
     InfeasibleConstraint,
     InvalidCosts,
-    ModelParams,
     NumericalError,
     QuadratureNonConvergence,
-    admissible_cost_bound,
+)
+from seqjde.gfunc import (
+    Calibration,
     g_eval,
     g_eval_quadrature,
     g_eval_region,
     g_limits,
     g_point,
     g_root,
-    gfunc,
     region,
-    solve_gamma,
     stopping_rule,
     threshold_bound,
 )
+from seqjde.model import admissible_cost_bound
 
 REF_P = ModelParams(0.0, 1.0, 1.0)
 REF_C = CostWeights(1.0, 1.0, 1.0)
@@ -406,6 +404,15 @@ class TestGEvalQuadrature:
         p = ModelParams(-1.23e9, 1.0, 1.87e-10)
         with pytest.raises(QuadratureNonConvergence, match=r"overflows .* at U=2\.0"):
             g_eval_quadrature(2.0, p, CostWeights(1.37e230, 8.8e-81, 0.0))
+
+    def test_value_below_the_infinite_energy_limit_is_a_quadrature_failure(self):
+        # the integrand's exponent cancels two huge terms in this wide core; the
+        # total was -4.5e174 with a zero error estimate, below G's limit -4.8e140
+        p = ModelParams(1.1852249545775236e-22, 3.3584933399124e+23, 1.0181164410228953e+29)
+        c = CostWeights(9.358433318920415e+131, 4.779038261474787e+140, 0.0)
+        U = 3.775896748181862e+26
+        with pytest.raises(QuadratureNonConvergence, match="below G's infinite-energy limit"):
+            gfunc.g_eval_quadrature_region(U, *region(U, p, c), p, c, 1e-9)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

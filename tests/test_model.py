@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from seqjde import CostWeights, ModelParams, admissible_cost_bound, g_limits
+from seqjde import CostWeights, ModelParams
+from seqjde.gfunc import g_limits
+from seqjde.model import admissible_cost_bound
 
 
 @pytest.mark.parametrize(

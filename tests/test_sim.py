@@ -9,46 +9,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqjde import (
-    Ar1,
-    ChannelFileError,
     Constant,
     CostWeights,
-    FromFile,
-    HorizonExhausted,
     Hypothesis,
-    IidGaussian,
-    InvalidCosts,
     ModelParams,
-    Rayleigh,
     ScenarioConfig,
-    SufficientStats,
-    admissible_cost_bound,
-    compare_schemes,
-    decide,
-    estimate,
-    g_eval_region,
-    gen_channel,
     gfunc,
-    log_likelihood_ratio,
     monte_carlo,
-    predicted_cost,
-    region,
     run_sequential,
-    sample_scenario,
     solve_gamma,
-    stopping_rule,
 )
+from seqjde.errors import ChannelFileError, HorizonExhausted, InvalidCosts
+from seqjde.gfunc import g_eval_region, predicted_cost, region, stopping_rule
+from seqjde.model import admissible_cost_bound
 from seqjde.sim import (
     _AR1_BLOCK,
     _CHANNEL_STREAM,
+    Ar1,
     ArmSamples,
     CostReport,
+    FromFile,
+    IidGaussian,
+    Rayleigh,
+    compare_schemes,
     cost_report,
+    gen_channel,
     run_arms,
     sample_observations,
+    sample_scenario,
     separate_decisions,
     stopping_index,
 )
+from seqjde.stats import SufficientStats, decide, estimate, log_likelihood_ratio
 
 P = ModelParams(0.0, 1.0, 1.0)
 C = CostWeights(1.0, 1.0, 1.0)

@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqjde import (
-    CostWeights,
-    Hypothesis,
-    ModelParams,
+from seqjde import CostWeights, Hypothesis, ModelParams
+from seqjde.stats import (
     SufficientStats,
+    accepts_alternative,
     decide,
     estimate,
     init,
     log_likelihood_ratio,
+    running,
     update,
 )
-from seqjde.stats import accepts_alternative, running
 
 finite_obs = st.floats(min_value=-50, max_value=50, allow_nan=False)
 

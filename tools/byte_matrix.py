@@ -18,6 +18,11 @@ stderr text is::
     python3 tools/byte_matrix.py > after.txt
     (cd ../seqjde-before && python3 tools/byte_matrix.py) > before.txt
     diff before.txt after.txt
+
+``byte_matrix.sha256`` next to this script pins the digest of the whole
+output, so one checkout can be checked on its own::
+
+    python3 tools/byte_matrix.py | sha256sum -c tools/byte_matrix.sha256
 """
 
 from __future__ import annotations
