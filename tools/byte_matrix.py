@@ -19,10 +19,15 @@ stderr text is::
     (cd ../seqjde-before && python3 tools/byte_matrix.py) > before.txt
     diff before.txt after.txt
 
-``byte_matrix.sha256`` next to this script pins the digest of the whole
-output, so one checkout can be checked on its own::
+With ``--digests`` the script reads such an output on stdin and prints one
+line per config instead, ``<config> <sha256>``, the digest of that config's
+lines (each ending in a newline, in the output's order).
+``byte_matrix.digests`` next to this script pins those 180 lines, so one
+checkout can be checked on its own, and a difference names the configs that
+moved::
 
-    python3 tools/byte_matrix.py | sha256sum -c tools/byte_matrix.sha256
+    python3 tools/byte_matrix.py | python3 tools/byte_matrix.py --digests \
+        | diff tools/byte_matrix.digests -
 """
 
 from __future__ import annotations
@@ -133,5 +138,16 @@ def main() -> int:
     return 0
 
 
+def digests(lines) -> int:
+    """Print ``<config> <sha256 of the config's lines>`` for each config of an output."""
+    groups = {}
+    for line in lines:
+        line = line.rstrip("\n")
+        groups.setdefault(line.split(" ", 1)[0], hashlib.sha256()).update(f"{line}\n".encode())
+    for name, digest in groups.items():
+        print(name, digest.hexdigest())
+    return 0
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(digests(sys.stdin) if sys.argv[1:] == ["--digests"] else main())
