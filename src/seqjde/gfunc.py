@@ -35,18 +35,19 @@ _SQRT1_2 = math.sqrt(0.5)
 # Cephes MAXLOG = log(DBL_MAX); its erfc returns 0 once x*x exceeds it
 _MAXLOG = 7.09782712893383996843e2
 
-# Bisection tolerances: absolute on the root of the margin equation; on the
-# threshold equation's residual, relative to min(1, cost scale).
+# Bisection tolerances, each relative to min(1, its equation's scale): on the
+# margin root, to 2*sigma^2*(U+kappa), which the root scales with; on the
+# threshold equation's residual, to the cost scale.
 _G_ROOT_XTOL = 1e-10
 _GAMMA_RESIDUAL_TOL = 1e-12
 # Accepted residual: absolute, or relative to the cost scale where that is
 # larger, since G and its rounding grow with the costs.
 _GAMMA_RESIDUAL_MAX = 1e-10
 _GAMMA_RESIDUAL_REL = 1e-13
-_MAX_BISECT = 500
-# Halvings that take any float bracket down to adjacent floats: its width
-# shrinks from at most 2**1025 to at least 2**-1074.
-_MAX_HALVINGS = 2200
+# Steps of every search: halvings that take any float bracket down to adjacent
+# floats, since its width shrinks from at most 2**1025 to at least 2**-1074,
+# and doublings that take any positive float past the largest.
+_MAX_STEPS = 2200
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ def _check_energy(U: float) -> None:
 
 def _check_log_domain(U: float, kappa: float, A: float, scale: float) -> None:
     """NumericalError where the log form's ``ln(kappa/A)`` or ``g / (2*sigma^2*A)`` would fail."""
-    if kappa / A == 0.0 or scale == 0.0:
+    if kappa / A == 0.0 or not 0.0 < scale < math.inf:
         raise NumericalError(f"energy U={U!r} is out of range for kappa={kappa!r}: "
                              f"kappa/(U+kappa) = {kappa / A!r}, 2*sigma^2*(U+kappa) = {scale!r}")
 
@@ -143,17 +144,19 @@ def _margin_root(U: float, p: ModelParams, c: CostWeights) -> float:
         return half_log + g / scale - prior_term + math.log(w) - log_c0
 
     lo = -(A * A) * c1 / ce  # weight vanishes here, so the right side is 0
-    hi = max(lo, 0.0)
+    hi = 0.0
     span = scale
-    for _ in range(_MAX_BISECT):
+    for _ in range(_MAX_STEPS):
         if excess(hi) >= 0.0:
             break
         hi += span
         span *= 2.0
-    else:
-        raise NumericalError(f"no upper bracket for the margin root at U={U}")
+        if hi == math.inf:
+            raise NumericalError(f"no upper bracket for the margin root at U={U}: "
+                                 "the bracket end overflows")
 
-    for _ in range(_MAX_HALVINGS):
+    xtol = _G_ROOT_XTOL * min(1.0, scale)
+    for _ in range(_MAX_STEPS):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -161,7 +164,7 @@ def _margin_root(U: float, p: ModelParams, c: CostWeights) -> float:
             hi = mid
         else:
             lo = mid
-        if hi - lo <= _G_ROOT_XTOL:
+        if hi - lo <= xtol:
             break
     else:
         raise NumericalError(f"margin root bisection did not converge at U={U}")
@@ -177,9 +180,11 @@ def g_root(U: float, p: ModelParams, c: CostWeights) -> float:
     decision boundary and may be negative.  For ce = 0 the closed form is
     used; otherwise the right side is strictly increasing in g on
     ``[-(U+kappa)^2*c1/ce, inf)`` and a bracketed bisection is run to
-    absolute tolerance 1e-10, or to adjacent floats where the root is too
-    large for that.  NumericalError: a root that is not finite, where
-    ``(U+kappa)/kappa`` or ``(U+kappa)^2`` overflows.
+    tolerance ``1e-10*min(1, 2*sigma^2*(U+kappa))``, relative to the scale
+    the root grows with, or to adjacent floats where the root is too large
+    for that.  NumericalError: a root that is not finite, where
+    ``(U+kappa)/kappa`` or ``(U+kappa)^2`` overflows, and a scale
+    ``2*sigma^2*(U+kappa)`` that rounds to 0 or overflows.
     """
     _validate_costs(c)
     _check_energy(U)
@@ -486,9 +491,9 @@ def _bisect(C: float, p: ModelParams, c: CostWeights,
     Doubles the upper bracket end from 1 until ``G(hi) <= target``, then
     bisects ``(lo, hi]``, which holds gamma throughout.  It stops at a
     midpoint within ``1e-12*min(1, S)`` of the target (S the cost scale
-    ``c0 + c1 + ce*(mu_x^2 + sigma_x^2)``, since G scales with the costs), at
-    adjacent floats, or after 500 halvings, and checks the accepted residual.
-    G is kept at every candidate, so the accepted gamma's is not recomputed.
+    ``c0 + c1 + ce*(mu_x^2 + sigma_x^2)``, since G scales with the costs) or
+    at adjacent floats, and checks the accepted residual.  G is kept at every
+    candidate, so the accepted gamma's is not recomputed.
 
     ``settled(lo, hi)`` is asked before each halving; where it holds, the
     bracket's ``(hi, G(hi))`` is returned instead.  Up to that point the
@@ -496,18 +501,19 @@ def _bisect(C: float, p: ModelParams, c: CostWeights,
     """
     target = threshold_target(C, p, c)
     lo, hi = 0.0, 1.0
-    for _ in range(_MAX_BISECT):
+    for _ in range(_MAX_STEPS):
         G_hi = g_eval(hi, p, c)
         if G_hi <= target:
             break
         lo = hi
         hi *= 2.0
-    else:
-        raise NumericalError(f"no upper bracket for the threshold at C={C}")
+        if hi == math.inf:
+            raise NumericalError(f"no upper bracket for the threshold at C={C}: "
+                                 "the bracket end overflows")
 
     scale = c.c0 + c.c1 + c.ce * (p.mu_x**2 + p.sigma_x**2)
     early = _GAMMA_RESIDUAL_TOL * min(1.0, scale)
-    for _ in range(_MAX_BISECT):
+    for _ in range(_MAX_STEPS):
         if settled is not None and settled(lo, hi):
             return hi, G_hi
         mid = 0.5 * (lo + hi)
@@ -523,8 +529,7 @@ def _bisect(C: float, p: ModelParams, c: CostWeights,
         else:
             hi, G_hi = mid, G
     else:
-        gamma = 0.5 * (lo + hi)
-        G = g_eval(gamma, p, c)
+        raise NumericalError(f"threshold bisection did not converge at C={C}")
 
     if abs(G - target) > max(_GAMMA_RESIDUAL_MAX, _GAMMA_RESIDUAL_REL * scale):
         raise NumericalError(

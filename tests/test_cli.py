@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import seqjde
 from seqjde import Hypothesis, cli, engine, errors, gfunc, sim, stats
 from seqjde.cli import main
+from seqjde.model import admissible_cost_bound
 
 BASE_CONFIG = {
     "model": {"mu_x": 0.0, "sigma_x": 1.0, "sigma": 1.0},
@@ -232,6 +233,14 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert err.startswith("seqjde: threshold not determined") and err.count("\n") == 1
         assert not (tmp_path / "o.json").exists()
+
+    def test_noise_scale_overflow_exits_3(self, tmp_path, capsys):
+        # kappa = 1e154 is accepted, but 2*sigma^2*(U+kappa) overflows
+        cfg = write_config(tmp_path, overrides={
+            "model": {"mu_x": 0.0, "sigma_x": 1.0, "sigma": 1e77}})
+        assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.endswith("2*sigma^2*(U+kappa) = inf\n") and err.count("\n") == 1
 
     def test_exit_code_follows_the_error_class(self, tmp_path, capsys, monkeypatch):
         class Subclass(errors.NumericalError):
@@ -747,7 +756,12 @@ class TestWorkCounts:
 
 
 class TestScaleInvariance:
-    """Scaling every cost and C by one factor leaves gamma, and every exit code, as it is."""
+    """Scaling every cost and C by one factor leaves gamma, and every exit code, as it is.
+
+    Scaling the noise by ``a`` scales gamma by ``a^2``: ``y = x*h + w`` keeps
+    its law when the gains are multiplied by ``a`` and the noise too, so
+    ``gamma/kappa`` stays as it is.
+    """
 
     @pytest.mark.parametrize("model, costs, C", [
         ({"mu_x": 0.0, "sigma_x": 1.0, "sigma": 1.0}, (1.0, 1.0, 1.0), 1.5),
@@ -769,6 +783,24 @@ class TestScaleInvariance:
             gammas[k] = json.loads((tmp_path / "calibrate.json").read_text())["gamma"]
         for k, gamma in gammas.items():
             assert gamma == pytest.approx(gammas[0], rel=1e-9), k
+
+    @pytest.mark.parametrize("mu_x, sigma_x", [(0.0, 1.0), (0.5, 0.8), (-0.3, 1.5)])
+    @pytest.mark.parametrize("costs", [(1.0, 1.0, 1.0), (1.0, 0.2, 5.0), (1.0, 1.0, 0.0)])
+    def test_scaled_noise_calibrates_alike(self, tmp_path, mu_x, sigma_x, costs):
+        c = dict(zip(("c0", "c1", "ce"), costs))
+        C = 0.5 * admissible_cost_bound(seqjde.ModelParams(mu_x, sigma_x, 1.0),
+                                        seqjde.CostWeights(**c))
+        ratios = {}
+        for k in (-60, -30, -10, -6, -3, -2, 0, 10, 40, 70, 75):
+            sigma = 10.0**k * sigma_x
+            cfg = write_config(tmp_path, overrides={
+                "model": {"mu_x": mu_x, "sigma_x": sigma_x, "sigma": sigma}, "costs": c},
+                constraint_C=C)
+            out = tmp_path / "calibrate.json"
+            assert main(["calibrate", "--config", cfg, "--out", str(out)]) == 0, k
+            ratios[k] = json.loads(out.read_text())["gamma"] / (sigma**2 / sigma_x**2)
+        for k, ratio in ratios.items():
+            assert ratio == pytest.approx(ratios[0], rel=1e-9), k
 
 
 class TestOutput:

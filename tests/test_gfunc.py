@@ -35,6 +35,10 @@ COST_CONFIGS = [
     (ModelParams(-0.7, 1.5, 0.8), CostWeights(1.0, 1.0, 0.0)),
     (ModelParams(0.5, 0.8, 1.2), CostWeights(0.6, 0.1, 2.5)),
 ]
+# the same configs at a noise scale far below 1, where an absolute tolerance on
+# the margin root is coarse against its scale 2*sigma^2*(U+kappa)
+SCALED_NOISE_CONFIGS = [(replace(p, sigma=a * p.sigma), c)
+                        for a in (1e-3, 1e-10) for p, c in COST_CONFIGS]
 
 
 # float.hex of g_eval_quadrature(U, p, c) at its default tol: 4 models x 3
@@ -63,8 +67,11 @@ QUADRATURE_PINS = [
      ['-0x1.945ca442d268fp-3', '-0x1.226dc602835cbp+1', '-0x1.982a50e9d3fd2p+1', '-0x1.a9d92e2c700d4p+1']),
     ((-0.3, 1.5, 0.7), (1.0, 1.0, 0.0),
      ['-0x1.3a4fa7ec707d3p-6', '-0x1.9a5bbd726bd02p-2', '-0x1.b8a822e08d010p-1', '-0x1.f956f0ad84e3cp-1']),
+    # U = 0.01 re-pinned from -0x1.fd526a1250fb4p-2 when the margin root's
+    # tolerance became relative to its scale 2*sigma^2*(U+kappa) = 0.48: 3.4e-17
+    # from the 80-digit G, where the old bits were 1.4e-16 from it
     ((-0.3, 1.5, 0.7), (1.0, 0.2, 5.0),
-     ['-0x1.fd526a1250fb4p-2', '-0x1.2ab3bd8332f76p+3', '-0x1.799f50c459590p+3', '-0x1.7cb2cb8d753b4p+3']),
+     ['-0x1.fd526a1250fb6p-2', '-0x1.2ab3bd8332f76p+3', '-0x1.799f50c459590p+3', '-0x1.7cb2cb8d753b4p+3']),
 ]
 
 
@@ -196,7 +203,7 @@ class TestGRoot:
         assert g == pytest.approx(oracle_root(3.0, p, c), abs=1e-8)
         assert margin_rhs(g, 3.0, p, c) == pytest.approx(c.c0, abs=1e-9 * c.c0)
 
-    @pytest.mark.parametrize("p, c", COST_CONFIGS)
+    @pytest.mark.parametrize("p, c", COST_CONFIGS + SCALED_NOISE_CONFIGS)
     @pytest.mark.parametrize("U", [0.0, 0.1, 1.0, 10.0, 100.0, 1e4])
     def test_residual_on_grid(self, p, c, U):
         g = g_root(U, p, c)
@@ -277,6 +284,22 @@ class TestGRoot:
         # an error of 1e-10 in g, the bisection's tolerance, moves it by 1e-10/scale
         assert abs(residual) <= 1e-10 / scale
         assert g_eval(U, p, REF_C) == g_limits(p, REF_C)[1] == -2.0
+
+    def test_energy_scale_overflow(self):
+        # sigma = 1e77 gives kappa = 1e154, which ModelParams accepts, and
+        # 2*sigma^2*(U+kappa) = inf; the bracket doubling divided by it, ran out
+        # of steps and reported no upper bracket
+        p = ModelParams(0.0, 1.0, 1e77)
+        with pytest.raises(NumericalError, match=r"U=1\.0 .* 2\*sigma\^2\*\(U\+kappa\) = inf$"):
+            g_root(1.0, p, REF_C)
+
+    def test_root_beyond_the_float_range_has_no_bracket(self):
+        # the prior term mu_x^2/(2*sigma_x^2) = 5e299 at the scale
+        # 2*sigma^2*(U+kappa) = 2e10 puts the root near 1e310
+        p = ModelParams(1e145, 1e-5, 1.0)
+        with pytest.raises(NumericalError,
+                           match=r"no upper bracket for the margin root at U=1\.0: the bracket end"):
+            g_root(1.0, p, REF_C)
 
     def test_energy_scale_underflow(self):
         # 2*sigma^2*(U+kappa) is a denormal at U = 1 and 0 at U = 1e-10; the root
@@ -580,6 +603,14 @@ class TestSolveGamma:
         assert target == g_limits(REF_P, REF_C)[1]
         with pytest.raises(NumericalError, match="not determined"):
             solve_gamma(tiny, REF_P, REF_C)
+
+    def test_residual_above_tolerance_is_refused(self):
+        # a nearly known amplitude: V2 = sqrt(g) - mu_x*kappa cancels at kappa =
+        # 1e20, so G jumps by 0.5 between adjacent floats of U near 24576 and
+        # the bisection ends there with that residual
+        p, c = ModelParams(1.0, 1e-10, 1.0), CostWeights(1.0, 1.0, 0.0)
+        with pytest.raises(NumericalError, match="threshold bisection stalled at gamma=24576"):
+            solve_gamma(0.01 * admissible_cost_bound(p, c), p, c)
 
     def test_smallest_resolved_target_still_calibrates(self):
         cal = solve_gamma(1e-14, REF_P, REF_C)
