@@ -35,9 +35,8 @@ _SQRT1_2 = math.sqrt(0.5)
 # Cephes MAXLOG = log(DBL_MAX); its erfc returns 0 once x*x exceeds it
 _MAXLOG = 7.09782712893383996843e2
 
-# Bisection tolerances, each relative to min(1, its equation's scale): on the
-# margin root, to 2*sigma^2*(U+kappa), which the root scales with; on the
-# threshold equation's residual, to the cost scale.
+# Bisection tolerances relative to min(1, scale): on the margin root, with its
+# scale 2*sigma^2*(U+kappa); on the threshold's residual, with the cost scale.
 _G_ROOT_XTOL = 1e-10
 _GAMMA_RESIDUAL_TOL = 1e-12
 # Accepted residual: absolute, or relative to the cost scale where that is
@@ -152,8 +151,7 @@ def _margin_root(U: float, p: ModelParams, c: CostWeights) -> float:
         hi += span
         span *= 2.0
         if hi == math.inf:
-            raise NumericalError(f"no upper bracket for the margin root at U={U}: "
-                                 "the bracket end overflows")
+            raise NumericalError(f"no upper bracket for the margin root at U={U}")
 
     xtol = _G_ROOT_XTOL * min(1.0, scale)
     for _ in range(_MAX_STEPS):
@@ -181,10 +179,9 @@ def g_root(U: float, p: ModelParams, c: CostWeights) -> float:
     used; otherwise the right side is strictly increasing in g on
     ``[-(U+kappa)^2*c1/ce, inf)`` and a bracketed bisection is run to
     tolerance ``1e-10*min(1, 2*sigma^2*(U+kappa))``, relative to the scale
-    the root grows with, or to adjacent floats where the root is too large
-    for that.  NumericalError: a root that is not finite, where
-    ``(U+kappa)/kappa`` or ``(U+kappa)^2`` overflows, and a scale
-    ``2*sigma^2*(U+kappa)`` that rounds to 0 or overflows.
+    the root grows with, or to adjacent floats.  NumericalError: a root that
+    is not finite, where ``(U+kappa)/kappa`` or ``(U+kappa)^2`` overflows,
+    and a scale ``2*sigma^2*(U+kappa)`` that rounds to 0 or overflows.
     """
     _validate_costs(c)
     _check_energy(U)
@@ -343,10 +340,10 @@ def g_eval_quadrature(U: float, p: ModelParams, c: CostWeights, tol: float = 1e-
     Integrates the negative part of the decision margin against the null
     density of V directly, in the standardized variable z = V/(sigma*sqrt(U)),
     over the region's part of a finite core around the region endpoints and
-    both Gaussian peaks.  Raises QuadratureNonConvergence if the accumulated
-    absolute error estimate exceeds ``tol``, or if the value lies below G's
-    infinite-energy limit by more than ``tol``, that estimate and a rounding
-    allowance.
+    both Gaussian peaks.  Raises QuadratureNonConvergence if an interval's
+    error estimate is negative or not finite, if their sum exceeds ``tol``,
+    or if the value lies below G's infinite-energy limit by more than
+    ``tol``, that sum and a rounding allowance.
     """
     _validate_costs(c)
     _check_quadrature_args(U, tol)
@@ -421,10 +418,10 @@ def g_eval_quadrature_region(U: float, V1: float, V2: float, p: ModelParams,
             raise QuadratureNonConvergence(
                 f"quadrature integrand overflows on [{lo}, {hi}] at U={U}: {exc}"
             ) from exc
-        if len(result) > 3:
-            raise QuadratureNonConvergence(
-                f"quadrature failed on [{lo}, {hi}] at U={U}: {result[3]}"
-            )
+        # QUADPACK can also return a negative error estimate without a message
+        if len(result) > 3 or not 0.0 <= result[1] < math.inf:
+            why = result[3] if len(result) > 3 else f"error estimate {result[1]:.3e}"
+            raise QuadratureNonConvergence(f"quadrature failed on [{lo}, {hi}] at U={U}: {why}")
         return result[0], result[1]
 
     total = 0.0
@@ -440,9 +437,8 @@ def g_eval_quadrature_region(U: float, V1: float, V2: float, p: ModelParams,
     # The negative part's integral over any region is at least G(U), which is
     # at least G's infinite-energy limit; a total below it is rounding noise
     # that the error estimate missed (e.g. a cancelling exponent in a wide core).
-    # QUADPACK can return a negative error estimate, hence its magnitude.
     floor = g_limits(p, c)[1]
-    if total < floor - (tol + abs(err) + 1e-12 * abs(floor)):
+    if total < floor - (tol + err + 1e-12 * abs(floor)):
         raise QuadratureNonConvergence(
             f"quadrature value {total:.3e} lies below G's infinite-energy limit "
             f"{floor:.3e} at U={U}"
@@ -507,9 +503,8 @@ def _bisect(C: float, p: ModelParams, c: CostWeights,
             break
         lo = hi
         hi *= 2.0
-        if hi == math.inf:
-            raise NumericalError(f"no upper bracket for the threshold at C={C}: "
-                                 "the bracket end overflows")
+        if hi == math.inf:  # g_eval raises first, where U*(U+kappa) overflows
+            raise NumericalError(f"no upper bracket for the threshold at C={C}")
 
     scale = c.c0 + c.c1 + c.ce * (p.mu_x**2 + p.sigma_x**2)
     early = _GAMMA_RESIDUAL_TOL * min(1.0, scale)

@@ -337,6 +337,24 @@ class TestGtable:
         assert row[5:] == ["", ""]
         assert math.isfinite(float(row[4]))
 
+    def test_negative_quadrature_error_estimate_fails_the_row(self, tmp_path, capsys):
+        # both core quad calls return a negative error estimate here (-1.7e94
+        # and -7.5e94), so the sum passed the tolerance check: the row printed
+        # G_quadrature = -9.3e-96 against G = -1.1e7 with exit 0
+        U = 1.917644899271261e+54
+        cfg = write_config(tmp_path, overrides={
+            "model": {"mu_x": 1.2733932891996643e+29, "sigma_x": 2.731869096227883e+31,
+                      "sigma": 1.5039447791993765e-45},
+            "costs": {"c0": 7.124807172536587e-49, "c1": 11226210.219135704, "ce": 0.0},
+            "grid": {"u_min": 0.0, "u_max": U, "points": 2, "spacing": "linear"}})
+        out = tmp_path / "g.csv"
+        assert main(["gtable", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "gtable: quadrature failed on 1 grid point(s)\n"
+        row = out.read_text().splitlines()[-1].split(",")
+        assert float(row[0]) == U
+        assert row[5:] == ["", ""]
+        assert math.isfinite(float(row[4]))
+
     def test_tail_noise_no_longer_fails_the_table(self, tmp_path, capsys):
         # a row of a log-uniform probe: the float integrand beyond the core is
         # rounding noise here, and integrating it over the infinite tails

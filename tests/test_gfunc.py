@@ -297,8 +297,7 @@ class TestGRoot:
         # the prior term mu_x^2/(2*sigma_x^2) = 5e299 at the scale
         # 2*sigma^2*(U+kappa) = 2e10 puts the root near 1e310
         p = ModelParams(1e145, 1e-5, 1.0)
-        with pytest.raises(NumericalError,
-                           match=r"no upper bracket for the margin root at U=1\.0: the bracket end"):
+        with pytest.raises(NumericalError, match=r"no upper bracket for the margin root at U=1\.0$"):
             g_root(1.0, p, REF_C)
 
     def test_energy_scale_underflow(self):
@@ -435,6 +434,15 @@ class TestGEvalQuadrature:
         c = CostWeights(9.358433318920415e+131, 4.779038261474787e+140, 0.0)
         U = 3.775896748181862e+26
         with pytest.raises(QuadratureNonConvergence, match="below G's infinite-energy limit"):
+            gfunc.g_eval_quadrature_region(U, *region(U, p, c), p, c, 1e-9)
+
+    def test_negative_error_estimate_is_a_quadrature_failure(self):
+        # QUADPACK returns abserr -1.7e94 on the left core interval here; the
+        # negative sum passed the tolerance check and G_quadrature was -9.3e-96
+        p = ModelParams(1.2733932891996643e+29, 2.731869096227883e+31, 1.5039447791993765e-45)
+        c = CostWeights(7.124807172536587e-49, 11226210.219135704, 0.0)
+        U = 1.917644899271261e+54
+        with pytest.raises(QuadratureNonConvergence, match=r"error estimate -1\.669e\+94$"):
             gfunc.g_eval_quadrature_region(U, *region(U, p, c), p, c, 1e-9)
 
     def test_rejects_bad_arguments(self):
