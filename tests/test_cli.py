@@ -234,14 +234,6 @@ class TestCalibrate:
         assert err.startswith("seqjde: threshold not determined") and err.count("\n") == 1
         assert not (tmp_path / "o.json").exists()
 
-    def test_noise_scale_overflow_exits_3(self, tmp_path, capsys):
-        # kappa = 1e154 is accepted, but 2*sigma^2*(U+kappa) overflows
-        cfg = write_config(tmp_path, overrides={
-            "model": {"mu_x": 0.0, "sigma_x": 1.0, "sigma": 1e77}})
-        assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 3
-        err = capsys.readouterr().err
-        assert err.endswith("2*sigma^2*(U+kappa) = inf\n") and err.count("\n") == 1
-
     def test_exit_code_follows_the_error_class(self, tmp_path, capsys, monkeypatch):
         class Subclass(errors.NumericalError):
             pass
