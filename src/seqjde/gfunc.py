@@ -36,7 +36,7 @@ _SQRT1_2 = math.sqrt(0.5)
 _MAXLOG = 7.09782712893383996843e2
 
 # Bisection tolerances relative to min(1, scale): on the margin root, with its
-# scale 2*sigma^2*(U+kappa); on the threshold's residual, with the cost scale.
+# scale 2*sigma^2*(U+kappa); on the threshold's residual, with G's range C_max.
 _G_ROOT_XTOL = 1e-10
 _GAMMA_RESIDUAL_TOL = 1e-12
 # Accepted residual: absolute, or relative to the cost scale where that is
@@ -486,9 +486,9 @@ def _bisect(C: float, p: ModelParams, c: CostWeights,
 
     Doubles the upper bracket end from 1 until ``G(hi) <= target``, then
     bisects ``(lo, hi]``, which holds gamma throughout.  It stops at a
-    midpoint within ``1e-12*min(1, S)`` of the target (S the cost scale
-    ``c0 + c1 + ce*(mu_x^2 + sigma_x^2)``, since G scales with the costs) or
-    at adjacent floats, and checks the accepted residual.  G is kept at every
+    midpoint within ``1e-12*min(1, C_max)`` of the target (``C_max = G(0) -
+    G(inf)``, the range G falls through, so the stop scales with it) or at
+    adjacent floats, and checks the accepted residual.  G is kept at every
     candidate, so the accepted gamma's is not recomputed.
 
     ``settled(lo, hi)`` is asked before each halving; where it holds, the
@@ -507,7 +507,7 @@ def _bisect(C: float, p: ModelParams, c: CostWeights,
             raise NumericalError(f"no upper bracket for the threshold at C={C}")
 
     scale = c.c0 + c.c1 + c.ce * (p.mu_x**2 + p.sigma_x**2)
-    early = _GAMMA_RESIDUAL_TOL * min(1.0, scale)
+    early = _GAMMA_RESIDUAL_TOL * min(1.0, admissible_cost_bound(p, c))
     for _ in range(_MAX_STEPS):
         if settled is not None and settled(lo, hi):
             return hi, G_hi
@@ -540,11 +540,11 @@ def solve_gamma(C: float, p: ModelParams, c: CostWeights) -> Calibration:
     ``gamma > 0`` with ``G(gamma) = threshold_target(C)``, found by doubling
     the upper bracket until it straddles the target and bisecting; strict
     monotonicity of G guarantees the bracket.  The bisection stops within
-    ``1e-12*min(1, S)`` of the target, or at adjacent floats, and the accepted
-    root satisfies ``|G(gamma) - target| <= max(1e-10, 1e-13*S)``, with S the
-    cost scale ``c0 + c1 + ce*(mu_x^2 + sigma_x^2)``.  NumericalError: C so
-    small that the target rounds to G's infinite-energy limit, where no gamma
-    is determined.
+    ``1e-12*min(1, C_max)`` of the target, or at adjacent floats, and the
+    accepted root satisfies ``|G(gamma) - target| <= max(1e-10, 1e-13*S)``,
+    with S the cost scale ``c0 + c1 + ce*(mu_x^2 + sigma_x^2)``.
+    NumericalError: C so small that the target rounds to G's infinite-energy
+    limit, where no gamma is determined.
     """
     rule = stopping_rule(C, p, c)
     if rule.decision is not None:

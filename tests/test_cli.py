@@ -1,7 +1,7 @@
 import ast
 import contextlib
 import dataclasses
-import hashlib
+import importlib.util
 import inspect
 import io
 import json
@@ -831,74 +831,42 @@ class TestOutput:
             assert err.startswith("seqjde: cannot write") and err.count("\n") == 1
 
 
-# sha256 of every file the five subcommands write for one config: reps.csv has
-# rows with an empty estimate, the linear grid a row with empty quadrature cells
-_PINNED_RUNS = [
-    (["calibrate"], "cal.json"),
-    (["gtable"], "lin.csv"),
-    (["gtable"], "log.csv"),
-    (["simulate", "--truth", "H0"], "s0.json"),
-    (["simulate", "--truth", "H1"], "s1.json"),
-    (["simulate", "--truth", "H1", "--x-override", "0.7"], "sx.json"),
-    (["montecarlo", "--reps", "40", "--seed", "3"], "mc.json"),
-    (["compare", "--reps", "40", "--seed", "3"], "cmp.json"),
-    # more than two blocks of reps.csv rows per arm
-    (["montecarlo", "--reps", "2500", "--seed", "3"], "mcbig.json"),
-]
-_PINNED_SHA256 = {
-    "cal.json": "5dfb41f0b2ab80c04daf790b065ef105275f2e91438f9c8c70bd955fadd457ba",
-    "cmp.json": "8e519e66e58c84ab88385fd0d3baac8fb07cea6298db206aea81cd9305045bf0",
-    "lin.csv": "6d58739c15f005a814279d68463899d108a983a297ab38a88710ec24e420d7c2",
-    "log.csv": "1c83ff9b9b4a6761c67806a4d79d14270c0e5e39215f064bd473479131d756cf",
-    "mc.json": "1a945becda38bc365b6d2e48899d13281bb8cd0debd29712f805d9a68a4a9e82",
-    "mc.reps.csv": "689da422287b7fdb26b38bd70d9c985b2ff2299903ae7d7e49343d2eb6f822cd",
-    "mcbig.json": "4f0c02fd69ce73386621e119abc5a9c22905a8ff4a79934a1f795d0f71b6b2a6",
-    "mcbig.reps.csv": "f2132a6c152198a0fbb222a861eecb5d18e318a56802cbb1f518b6da398c5abb",
-    "s0.json": "9772939491739aa35ba57d92a1f9740f210c8b4d349366ac4146d0da6a3b1fbb",
-    "s0.trace.csv": "ab018ed16cdbcf8bbd8d5aa0d5733bf7614cb774bf1249043bb78392c1fa929b",
-    "s1.json": "33046b7af0a6d1823c8e9a7c89d47e360c097aa2a81588f63aca960f3ee48640",
-    "s1.trace.csv": "c7b62d901a898d7f4e970ad6e8be276bfb17edaf120025ba525d26680d5824a8",
-    "sx.json": "d493e8cf4811cf58bbef6400077179705904170cad3e560c802fb7a83870291b",
-    "sx.trace.csv": "e619efcdcf9a20d9746183eb5a584fbc8803c03e3d917b58190e4f2186971995",
-}
-
-
-def test_output_bytes_are_pinned(tmp_path):
-    grids = {
-        "lin.csv": {"u_min": 0.0, "u_max": 4.0, "points": 5, "spacing": "linear"},
-        "log.csv": {"u_min": 1e-3, "u_max": 1e3, "points": 7, "spacing": "log"},
-    }
-    for argv, name in _PINNED_RUNS:
-        cfg = write_config(tmp_path, overrides={
-            "model": {"mu_x": 0.5, "sigma_x": 1.0, "sigma": 1.0},
-            "costs": {"c0": 1.0, "c1": 0.2, "ce": 5.0},
-            "grid": grids.get(name, grids["lin.csv"]),
-        }, constraint_C=1.1)
-        assert main(argv + ["--config", cfg, "--out", str(tmp_path / name)]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(tmp_path.iterdir()) if p.name != "config.json"}
-    assert digests == _PINNED_SHA256
+def test_byte_matrix_digests_are_pinned():
+    # every output byte, exit code and stderr line of tools/byte_matrix.py's
+    # 180 configs x 10 invocations is hashed into its config's pinned digest;
+    # a change that moves bytes on purpose re-pins the file as the tool says
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    spec = importlib.util.spec_from_file_location("byte_matrix", tools / "byte_matrix.py")
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    pinned = dict(line.split() for line in (tools / "byte_matrix.digests").read_text().splitlines())
+    found = matrix.digests(matrix.listing())
+    moved = sorted(name for name in pinned.keys() | found.keys()
+                   if pinned.get(name) != found.get(name))
+    assert moved == [], f"{len(moved)} configs moved: {' '.join(moved)}"
 
 
 def test_only_gtable_loads_the_quadrature_stack(tmp_path):
     # SciPy is about half of a cold start: importing seqjde and running any
     # subcommand but gtable loads none of it; gtable's quadrature oracle loads
-    # scipy.integrate
+    # scipy.integrate.  One interpreter runs them all, gtable last
     src = str(Path(seqjde.__file__).resolve().parents[1])
     cfg = write_config(tmp_path, overrides={
         "grid": {"u_min": 0.0, "u_max": 1.0, "points": 2, "spacing": "linear"}})
+    commands = ["calibrate", "simulate", "montecarlo", "compare", "gtable"]
     child = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
              "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
-             "import seqjde.cli; imported = scipy(); rc = seqjde.cli.main(sys.argv[2:]); "
-             "print(json.dumps([rc, imported, scipy()]))")
-    for command in ("calibrate", "simulate", "montecarlo", "compare", "gtable"):
-        extra = ["--truth", "H1"] if command == "simulate" else []
-        argv = [command, "--config", cfg, "--out", str(tmp_path / "o.json"), *extra]
-        run = subprocess.run([sys.executable, "-c", child, src, *argv],
-                             capture_output=True, text=True, check=True)
-        rc, imported, loaded = json.loads(run.stdout)
+             "import seqjde.cli; steps = [scipy()]; "
+             "extra = {'simulate': ['--truth', 'H1']}; "
+             "steps += [[seqjde.cli.main([c, '--config', sys.argv[2], '--out', sys.argv[3], "
+             "*extra.get(c, [])]), scipy()] for c in sys.argv[4:]]; "
+             "print(json.dumps(steps))")
+    run = subprocess.run([sys.executable, "-c", child, src, cfg, str(tmp_path / "o.json"),
+                          *commands], capture_output=True, text=True, check=True)
+    imported, *steps = json.loads(run.stdout)
+    assert imported == [] and len(steps) == len(commands)
+    for command, (rc, loaded) in zip(commands, steps):
         assert rc == 0, (command, run.stderr)
-        assert imported == [], command
         if command == "gtable":
             assert "scipy.integrate" in loaded
         else:

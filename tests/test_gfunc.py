@@ -620,6 +620,22 @@ class TestSolveGamma:
         with pytest.raises(NumericalError, match="threshold bisection stalled at gamma=24576"):
             solve_gamma(0.01 * admissible_cost_bound(p, c), p, c)
 
+    @pytest.mark.parametrize("c", [CostWeights(1.0, 1e-9, 0.0), CostWeights(1.0, 1e-6, 0.0),
+                                   CostWeights(1e-9, 1.0, 0.0), CostWeights(1.0, 1e-9, 1e-9)])
+    def test_early_stop_scales_with_the_range_of_g(self, c):
+        # G falls only through C_max = min(c0, c1 + ce*mu_x^2) + ce*sigma_x^2,
+        # here far below the cost scale c0 + c1 + ce*(mu_x^2 + sigma_x^2); gamma
+        # must still match a bisection of G down to adjacent floats
+        p = ModelParams(1.0, 1.0, 1.0)
+        C = 0.5 * admissible_cost_bound(p, c)
+        target = gfunc.threshold_target(C, p, c)
+        lo, hi = 0.0, 1.0
+        while g_eval(hi, p, c) > target:
+            lo, hi = hi, 2.0 * hi
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if g_eval(mid, p, c) > target else (lo, mid)
+        assert solve_gamma(C, p, c).gamma == pytest.approx(hi, rel=1e-10)
+
     def test_smallest_resolved_target_still_calibrates(self):
         cal = solve_gamma(1e-14, REF_P, REF_C)
         assert cal.decision is None

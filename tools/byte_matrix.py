@@ -5,8 +5,9 @@ script lives in) on 180 configs: 4 models x 3 cost sets x 5 channel types x 3
 constraint levels.  Each config gets ten invocations: calibrate; gtable on a
 linear grid from 0 and on a log grid; simulate H0, H1, and H1 with
 ``--x-override 0.7 --seed 5``; montecarlo and compare at ``--workers`` 1 and 2
-(montecarlo with ``--seed 3 --reps 150``).  Prints one sorted line per
-invocation and output file::
+(montecarlo with ``--seed 3``, ``--reps 150`` at one worker and ``--reps 2100``,
+more than two 1024-row blocks of ``reps.csv`` per arm, at two).  Prints one
+sorted line per invocation and output file::
 
     <config> <invocation> <file> <sha256> exit=<code> stderr=<json string>
 
@@ -19,15 +20,13 @@ stderr text is::
     (cd ../seqjde-before && python3 tools/byte_matrix.py) > before.txt
     diff before.txt after.txt
 
-With ``--digests`` the script reads such an output on stdin and prints one
-line per config instead, ``<config> <sha256>``, the digest of that config's
-lines (each ending in a newline, in the output's order).
-``byte_matrix.digests`` next to this script pins those 180 lines, so one
-checkout can be checked on its own, and a difference names the configs that
-moved::
+``byte_matrix.digests`` next to this script pins one line per config,
+``<config> <sha256>``, the digest of that config's lines (each ending in a
+newline, in the listing's order); ``tests/test_cli.py`` checks it, and a
+difference names the configs that moved.  A change that moves bytes on
+purpose re-pins it with::
 
-    python3 tools/byte_matrix.py | python3 tools/byte_matrix.py --digests \
-        | diff tools/byte_matrix.digests -
+    python3 tools/byte_matrix.py --digests > tools/byte_matrix.digests
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ INVOCATIONS = {
     "montecarlo-w1": ("montecarlo", "out.json", "linear",
                       ["--workers", "1", "--seed", "3", "--reps", "150"]),
     "montecarlo-w2": ("montecarlo", "out.json", "linear",
-                      ["--workers", "2", "--seed", "3", "--reps", "150"]),
+                      ["--workers", "2", "--seed", "3", "--reps", "2100"]),
     "compare-w1": ("compare", "out.json", "linear", ["--workers", "1"]),
     "compare-w2": ("compare", "out.json", "linear", ["--workers", "2"]),
 }
@@ -109,7 +108,8 @@ def _run(argv: list[str]) -> tuple[str, str]:
     return code, err.getvalue()
 
 
-def main() -> int:
+def listing() -> list[str]:
+    """The sorted lines of every invocation and output file, as the script prints them."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -134,20 +134,19 @@ def main() -> int:
                     lines.append(f"{name} {inv} - - {tail}")
                 cfg.unlink()
                 work.rmdir()
-    print("\n".join(sorted(lines)))
-    return 0
+    return sorted(lines)
 
 
-def digests(lines) -> int:
-    """Print ``<config> <sha256 of the config's lines>`` for each config of an output."""
+def digests(lines: list[str]) -> dict[str, str]:
+    """The sha256 of each config's lines, keyed by config, in the lines' order."""
     groups = {}
     for line in lines:
-        line = line.rstrip("\n")
         groups.setdefault(line.split(" ", 1)[0], hashlib.sha256()).update(f"{line}\n".encode())
-    for name, digest in groups.items():
-        print(name, digest.hexdigest())
-    return 0
+    return {name: digest.hexdigest() for name, digest in groups.items()}
 
 
 if __name__ == "__main__":
-    sys.exit(digests(sys.stdin) if sys.argv[1:] == ["--digests"] else main())
+    lines = listing()
+    if sys.argv[1:] == ["--digests"]:
+        lines = [f"{name} {digest}" for name, digest in digests(lines).items()]
+    print("\n".join(lines))
