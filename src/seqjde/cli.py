@@ -191,20 +191,26 @@ def _json_lines(v, indent: int) -> str:
     return "{\n" + inner + "\n" + pad + "}"
 
 
-def _write_lines(path, lines) -> None:
-    """Stream ``lines`` into ``path``; a line source that fails leaves no file."""
+def _write_files(*files) -> None:
+    """Stream each ``(path, lines)`` in turn; a failure removes every regular file it wrote."""
+    written = []
     try:
-        with open(path, "w") as f:
-            f.writelines(lines)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
-    except BaseException:
-        Path(path).unlink(missing_ok=True)
+        for path, lines in files:
+            with open(path, "w") as f:
+                written.append(Path(path))
+                f.writelines(lines)
+    except BaseException as exc:
+        for done in written:
+            if done.is_file() and not done.is_symlink():  # a device or link written through stays
+                done.unlink()
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
         raise
 
 
-def _write_json(obj: dict, path: str) -> None:
-    _write_lines(path, (_json_lines(obj, 0), "\n"))
+def _write_json(obj: dict, path: str, *sidecars) -> None:
+    _write_files((path, (_json_lines(obj, 0), "\n")),
+                 *((Path(path).with_suffix(f".{kind}.csv"), lines) for kind, lines in sidecars))
 
 
 def _report_dict(r: sim.CostReport) -> dict:
@@ -286,7 +292,7 @@ def cmd_gtable(args: argparse.Namespace) -> int:
                     failures += 1
             yield f"{U:.17g},{pt.g:.17g},{pt.V1:.17g},{pt.V2:.17g},{pt.G:.17g},{quad}\n"
 
-    _write_lines(args.out, lines())
+    _write_files((args.out, lines()))
     if failures:
         print(f"gtable: quadrature failed on {failures} grid point(s)", file=sys.stderr)
         return 3
@@ -310,7 +316,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     run = stats.running(y, h)  # row t after t steps, row 0 before any
     last = stats.SufficientStats(*(a[-1].item() for a in (run.t, run.U, run.V)))
-    _write_json(asdict(engine.outcome(last, cal, p, c)), args.out)
+    outcome = asdict(engine.outcome(last, cal, p, c))  # rejects a non-finite U, V before the logs
     with np.errstate(over="ignore"):  # an overflow is an inf, as in the engine's Python floats
         logL, xhat = stats.log_likelihood_ratio(run, p), stats.estimate(run, p)
     table = (run.t[1:], h, y, run.U[1:], run.V[1:], logL[1:], xhat[1:])  # rows t = 1..T
@@ -321,7 +327,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             cells = np.column_stack([a[start:start + _REP_BLOCK] for a in table])
             yield _TRACE_ROW * len(cells) % tuple(cells.ravel().tolist())
 
-    _write_lines(Path(args.out).with_suffix(".trace.csv"), trace())
+    _write_json(outcome, args.out, ("trace", trace()))
     return 0
 
 
@@ -332,17 +338,16 @@ def _rep_lines(arm0: sim.ArmSamples, arm1: sim.ArmSamples):
     of an arm, formatted by one ``%``, so the Python floats alive at a time do
     not grow with the number of replications.
     """
-    yield "rep,arm,x,decision,estimate,sq_err\n"
+    yield "rep,arm,x,decision,estimate\n"
     for tag, arm in enumerate((arm0, arm1)):
-        rows = (f"%d,{tag:d},%.17g,0,,%.17g\n", f"%d,{tag:d},%.17g,1,%.17g,%.17g\n")
+        rows = (f"%d,{tag:d},%.17g,0,\n", f"%d,{tag:d},%.17g,1,%.17g\n")
         for start in range(0, len(arm.x), _REP_BLOCK):
             block = slice(start, start + _REP_BLOCK)
             x, xhat, d = arm.x[block], arm.xhat[block], arm.decision[block]
             # object dtype keeps rep a Python int, which %d formats faster than a float
             rep = np.arange(start, start + len(x), dtype=object)
-            keep = np.ones((len(x), 4), dtype=bool)
-            keep[:, 2] = d  # no estimate cell where H0 is decided
-            cells = np.column_stack((rep, x, xhat, sim.squared_error(x, xhat, d)))[keep].tolist()
+            keep = d[:, None] | np.array([True, True, False])  # no estimate where H0 is decided
+            cells = np.column_stack((rep, x, xhat))[keep].tolist()
             yield "".join(map(rows.__getitem__, d.tolist())) % tuple(cells)
 
 
@@ -351,8 +356,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     cal = gfunc.stopping_rule(cfg.constraint_C, cfg.params, cfg.costs)
     arm0, arm1 = sim.run_arms(_scenario_pair(cfg), cal)
     report = sim.cost_report(arm1, arm0.decision, arm1.decision, cfg.costs, cal.C)
-    _write_json(_report_dict(report), args.out)
-    _write_lines(Path(args.out).with_suffix(".reps.csv"), _rep_lines(arm0, arm1))
+    _write_json(_report_dict(report), args.out, ("reps", _rep_lines(arm0, arm1)))
     return 0
 
 

@@ -231,11 +231,6 @@ class ArmSamples:
     decision: np.ndarray  # bool, the estimation-aware rule
 
 
-def squared_error(x: np.ndarray, xhat: np.ndarray, decision: np.ndarray) -> np.ndarray:
-    """Per-replication ``(xhat - x)^2`` where ``decision`` is H1 and ``x^2`` where it is H0."""
-    return np.where(decision, (xhat - x) ** 2, x**2)
-
-
 def stopping_index(h: np.ndarray, cal: Calibration, p: ModelParams,
                    c: CostWeights) -> tuple[int, float]:
     """First index t with cumulative energy >= gamma on the gain path ``h``, and that energy U_t.
@@ -330,7 +325,7 @@ def cost_report(arm1: ArmSamples, d0: np.ndarray, d1: np.ndarray,
     p1 = float(np.count_nonzero(miss) / n1)
     p1_se = math.sqrt(p1 * (1.0 - p1) / n1)
 
-    sq_err = squared_error(arm1.x, arm1.xhat, d1)
+    sq_err = np.where(d1, (arm1.xhat - arm1.x) ** 2, arm1.x**2)  # per replication
     mse_d1, var_d1 = _mean_var(np.where(d1, sq_err, 0.0))
     mse_d0, var_d0 = _mean_var(np.where(d1, 0.0, sq_err))
     mse_d1, mse_d0 = float(mse_d1), float(mse_d0)

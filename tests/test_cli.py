@@ -573,11 +573,42 @@ class TestMonteCarlo:
         combined = doc["combined"]["value"]
         assert combined <= 1.5 + 3 * doc["combined"]["stderr"]
         rows = (tmp_path / "mc.reps.csv").read_text().splitlines()
-        assert rows[0] == "rep,arm,x,decision,estimate,sq_err"
+        assert rows[0] == "rep,arm,x,decision,estimate"
         assert len(rows) - 1 == 2 * 400
         # null arm first, amplitude pinned at zero
         first = rows[1].split(",")
         assert first[1] == "0" and float(first[2]) == 0.0
+
+    @pytest.mark.parametrize("overrides, C", [
+        ({}, 1.5),  # T = 1
+        ({}, 0.2),  # T = 116
+        ({"model": {"mu_x": 0.5, "sigma_x": 0.8, "sigma": 1.2},
+          "costs": {"c0": 1.0, "c1": 0.2, "ce": 5.0}}, 2.1),  # T = 3
+    ])
+    def test_rep_csv_alone_reproduces_the_report(self, tmp_path, overrides, C):
+        # each row's own values give the report's detection and estimation terms
+        # bit for bit, by cost_report's operations: no derived column is needed
+        cfg = write_config(tmp_path, overrides=overrides, constraint_C=C)
+        out = tmp_path / "mc.json"
+        assert main(["montecarlo", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        rows = [line.split(",") for line in out.with_suffix(".reps.csv").read_text().splitlines()]
+        assert rows[0] == ["rep", "arm", "x", "decision", "estimate"]
+        arms = [[r for r in rows[1:] if r[1] == tag] for tag in ("0", "1")]
+        d0, d1 = (np.array([r[3] == "1" for r in arm]) for arm in arms)
+        assert 0 < d0.sum() < len(d0) and 0 < d1.sum() < len(d1)  # both decisions in each arm
+        x = np.array([float(r[2]) for r in arms[1]])
+        xhat = np.array([float(r[4]) if r[3] == "1" else math.nan for r in arms[1]])
+        n0, n1 = len(d0), len(d1)
+        sq_err = np.where(d1, (xhat - x) ** 2, x**2)
+        recomputed = {
+            "p0_d1": float(np.count_nonzero(d0) / n0),
+            "p1_d0": float(np.count_nonzero(~d1) / n1),
+            "mse_d1": float(np.add.reduce(np.where(d1, sq_err, 0.0)) / n1),
+            "mse_d0": float(np.add.reduce(np.where(d1, 0.0, sq_err)) / n1),
+        }
+        for name, value in recomputed.items():
+            assert value.hex() == doc[name]["value"].hex(), name
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -621,22 +652,21 @@ class TestMonteCarlo:
                                xhat=xhat, decision=decision)] * 2
 
         def f_string_writer(arm0, arm1):
-            yield "rep,arm,x,decision,estimate,sq_err\n"
+            yield "rep,arm,x,decision,estimate\n"
             for tag, arm in enumerate((arm0, arm1)):
-                err_d1 = np.where(arm.decision, (arm.xhat - arm.x) ** 2, 0.0)
-                err_d0 = np.where(arm.decision, 0.0, arm.x**2)
-                columns = (arm.x.tolist(), arm.decision.tolist(), arm.xhat.tolist(),
-                           (err_d1 + err_d0).tolist())
-                for rep, (x, d, xhat, err) in enumerate(zip(*columns)):
+                columns = (arm.x.tolist(), arm.decision.tolist(), arm.xhat.tolist())
+                for rep, (x, d, xhat) in enumerate(zip(*columns)):
                     estimate = f"{xhat:.17g}" if d else ""
-                    yield f"{rep:d},{tag:d},{x:.17g},{d:d},{estimate},{err:.17g}\n"
+                    yield f"{rep:d},{tag:d},{x:.17g},{d:d},{estimate}\n"
 
-        # big values square to inf; past 2048 random bit patterns some are inf or nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            expect = "".join(f_string_writer(*arms))
-            got = "".join(cli._rep_lines(*arms))
-        assert got.count("\n") == 1 + 2 * n
-        assert got == expect
+        expect = "".join(f_string_writer(*arms)).splitlines(keepends=True)
+        got = "".join(cli._rep_lines(*arms)).splitlines(keepends=True)
+        assert len(got) == 1 + 2 * n
+        # name the first differing line: a diff of two ~4100-line strings takes minutes
+        for i, (line, want) in enumerate(zip(got, expect)):
+            if line != want:
+                pytest.fail(f"line {i} differs: {line!r} != {want!r}")
+        assert len(got) == len(expect)
 
     @pytest.mark.parametrize("command", ["montecarlo", "compare"])
     def test_one_replication_is_a_config_error(self, tmp_path, capsys, command):
@@ -822,13 +852,21 @@ class TestOutput:
             assert main([command, "--config", cfg, "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("seqjde: cannot write") and err.count("\n") == 1
-        # the primary JSON is writable, its CSV sidecar is an existing directory
+        # the primary JSON is writable, its CSV sidecar is an existing directory:
+        # a run that exits non-zero leaves no output file
         for argv, name, sidecar in ((["montecarlo", "--reps", "10"], "m.json", "m.reps.csv"),
                                     (["simulate", "--truth", "H1"], "s.json", "s.trace.csv")):
             (tmp_path / sidecar).mkdir()
             assert main(argv + ["--config", cfg, "--out", str(tmp_path / name)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("seqjde: cannot write") and err.count("\n") == 1
+            assert not (tmp_path / name).exists()
+            assert (tmp_path / sidecar).is_dir()
+        # an --out that links elsewhere (such as /dev/stdout) is written through, never removed
+        (tmp_path / "l.json").symlink_to(tmp_path / "target.json")
+        (tmp_path / "l.reps.csv").mkdir()
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "l.json")]) == 2
+        assert (tmp_path / "l.json").is_symlink() and (tmp_path / "target.json").is_file()
 
 
 def test_byte_matrix_digests_are_pinned():
@@ -844,6 +882,41 @@ def test_byte_matrix_digests_are_pinned():
     moved = sorted(name for name in pinned.keys() | found.keys()
                    if pinned.get(name) != found.get(name))
     assert moved == [], f"{len(moved)} configs moved: {' '.join(moved)}"
+
+
+def test_benchmark_golden_pins_hold(tmp_path, monkeypatch):
+    # bench/golden.json pins the bytes bench/run.py checks: calibrate on each
+    # workload's config, gtable on gtable-wide, and simulate-long at its golden
+    # seed; the configs come from bench/run.py itself, which is only read
+    bench_dir = Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_run", bench_dir / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclasses look it up
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ under bench/
+    spec.loader.exec_module(bench)
+    golden = json.loads((bench_dir / "golden.json").read_text())
+
+    def run(name, seed, command, *flags):
+        cfg = tmp_path / f"{name}-{seed}.json"
+        cfg.write_text(json.dumps(bench.config_dict(bench.WORKLOADS[name], seed)))
+        out = tmp_path / f"{command}-{name}.json"
+        assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 0
+        return out
+
+    pinned = {**{f"calibrate {name}": d for name, d in golden["calibrate"].items()},
+              "gtable-wide": golden["gtable-wide"],
+              **{f"simulate-long {kind}": d for kind, d in golden["simulate-long"].items()}}
+    found = {f"calibrate {name}": bench.sha256(run(name, 1, "calibrate"))
+             for name in bench.WORKLOADS}
+    found["gtable-wide"] = bench.sha256(run("gtable-wide", 1, "gtable"))
+    long_run = bench.WORKLOADS["simulate-long"]
+    out = run("simulate-long", bench.GOLDEN_SIM_SEED, long_run.command, *long_run.flags)
+    found["simulate-long out"] = bench.sha256(out)
+    found["simulate-long trace"] = bench.sha256(bench.sidecar(out, "trace"))
+    assert len(pinned) == 7
+    moved = sorted(name for name in pinned.keys() | found.keys()
+                   if pinned.get(name) != found.get(name))
+    assert moved == [], f"{len(moved)} pins moved: {', '.join(moved)}"
 
 
 def test_only_gtable_loads_the_quadrature_stack(tmp_path):
