@@ -117,32 +117,37 @@ def _check_finite(U: float, name: str, value: float) -> None:
 
 
 def _margin_root(U: float, p: ModelParams, c: CostWeights) -> float:
+    """The margin equation's root in ``d = g - (mu_x*kappa)^2`` (see ``g_root``)."""
     kappa = p.kappa
     A = U + kappa
     scale = 2.0 * p.sigma**2 * A
-    prior_term = p.mu_x**2 / (2.0 * p.sigma_x**2)
+    mk = p.mu_x * kappa
+    mk2 = mk * mk
+    _check_finite(U, "(mu_x*kappa)^2", mk2)
+    shift = p.mu_x * mk * U  # mu_x^2*kappa*U: logL = half_log + (d - shift)/scale
     c0, c1, ce = c.c0, c.c1, c.ce
 
     if ce == 0.0:
-        # Closed form: the margin equation is purely exponential in g.
+        # Closed form: the margin equation is purely exponential in d.
         ratio = c0 / c1  # may under- or overflow; only then is its log split
         log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(c0) - math.log(c1)
-        return scale * (log_ratio + prior_term + 0.5 * math.log(A / kappa))
+        return scale * (log_ratio + 0.5 * math.log(A / kappa)) + shift
 
     _check_log_domain(U, kappa, A, scale)
     beta = ce / (A * A)
+    c1_d = c1 + beta * mk2  # the weight c1 + ce*g/A^2 is c1_d + beta*d
     log_c0 = math.log(c0)
     half_log = 0.5 * math.log(kappa / A)
 
-    def excess(g: float) -> float:
+    def excess(d: float) -> float:
         # log of the margin equation's right side minus log c0; strictly
-        # increasing where the weight c1 + ce*g/A^2 is positive.
-        w = c1 + beta * g
+        # increasing where the weight is positive.
+        w = c1_d + beta * d
         if w <= 0.0:
             return -math.inf
-        return half_log + g / scale - prior_term + math.log(w) - log_c0
+        return half_log + (d - shift) / scale + math.log(w) - log_c0
 
-    lo = -(A * A) * c1 / ce  # weight vanishes here, so the right side is 0
+    lo = -(A * A) * c1 / ce - mk2  # weight vanishes here, so the right side is 0
     hi = 0.0
     span = scale
     for _ in range(_MAX_STEPS):
@@ -169,25 +174,36 @@ def _margin_root(U: float, p: ModelParams, c: CostWeights) -> float:
     return 0.5 * (lo + hi)
 
 
+def _boundary(U: float, p: ModelParams, c: CostWeights) -> tuple[float, float, float]:
+    """``(g, V1, V2)`` at energy U, from one margin root in d."""
+    _validate_costs(c)
+    _check_energy(U)
+    d = _margin_root(U, p, c)
+    mk = p.mu_x * p.kappa
+    g = d + mk * mk
+    _check_finite(U, "margin root g", g)
+    root = math.sqrt(g) if g > 0.0 else 0.0
+    far = root + abs(mk)
+    # root - |mk| cancels where |mk| is over half of root; d/(root + |mk|) does not
+    near = d / far if 0.0 < root < 2.0 * abs(mk) else root - abs(mk)
+    return (g, far, near) if mk >= 0.0 else (g, near, far)
+
+
 def g_root(U: float, p: ModelParams, c: CostWeights) -> float:
     """Root g(U) of the decision-margin equation at energy U.
 
-    Solves ``c0 = sqrt(kappa/(U+kappa)) * exp(g/(2*sigma^2*(U+kappa))
-    - mu_x^2/(2*sigma_x^2)) * (c1 + ce*g/(U+kappa)^2)`` for g, which stands
-    in for the squared shifted correlation ``(V + mu_x*kappa)^2`` at the
-    decision boundary and may be negative.  For ce = 0 the closed form is
-    used; otherwise the right side is strictly increasing in g on
-    ``[-(U+kappa)^2*c1/ce, inf)`` and a bracketed bisection is run to
-    tolerance ``1e-10*min(1, 2*sigma^2*(U+kappa))``, relative to the scale
-    the root grows with, or to adjacent floats.  NumericalError: a root that
-    is not finite, where ``(U+kappa)/kappa`` or ``(U+kappa)^2`` overflows,
-    and a scale ``2*sigma^2*(U+kappa)`` that rounds to 0 or overflows.
+    Solves ``c0 = sqrt(kappa/A) * exp((d - mu_x^2*kappa*U)/(2*sigma^2*A)) * (c1
+    + ce*(d + (mu_x*kappa)^2)/A^2)``, ``A = U + kappa``, for d, the value of
+    ``V^2 + 2*mu_x*kappa*V`` at the decision boundary, and returns ``g = d +
+    (mu_x*kappa)^2``, that of ``(V + mu_x*kappa)^2``; both may be negative.
+    For ce = 0 the closed form is used; otherwise the right side is strictly
+    increasing in d above ``-A^2*c1/ce - (mu_x*kappa)^2`` and a bracketed
+    bisection is run to tolerance ``1e-10*min(1, 2*sigma^2*A)``, relative to
+    the scale the root grows with, or to adjacent floats.  NumericalError: a
+    root that is not finite, where ``(mu_x*kappa)^2``, ``A/kappa`` or ``A^2``
+    overflows, and a scale ``2*sigma^2*A`` that rounds to 0 or overflows.
     """
-    _validate_costs(c)
-    _check_energy(U)
-    g = _margin_root(U, p, c)
-    _check_finite(U, "margin root g", g)
-    return g
+    return _boundary(U, p, c)[0]
 
 
 def region(U: float, p: ModelParams, c: CostWeights) -> tuple[float, float]:
@@ -195,15 +211,9 @@ def region(U: float, p: ModelParams, c: CostWeights) -> tuple[float, float]:
 
     ``V1 = sqrt(max(g,0)) + mu_x*kappa`` and ``V2 = sqrt(max(g,0)) -
     mu_x*kappa``; when g <= 0 the two tails meet and the region is the whole
-    line.
+    line.  The near one is ``d/(sqrt(g) + |mu_x|*kappa)`` where it would cancel.
     """
-    return _endpoints(g_root(U, p, c), p)
-
-
-def _endpoints(g: float, p: ModelParams) -> tuple[float, float]:
-    root = math.sqrt(g) if g > 0.0 else 0.0
-    mk = p.mu_x * p.kappa
-    return root + mk, root - mk
+    return _boundary(U, p, c)[1:]
 
 
 def g_limits(p: ModelParams, c: CostWeights) -> tuple[float, float]:
@@ -375,15 +385,15 @@ def g_eval_quadrature_region(U: float, V1: float, V2: float, p: ModelParams,
     two_s2A = 2.0 * p.sigma**2 * A
     _check_log_domain(U, kappa, A, two_s2A)
     half_log = 0.5 * math.log(kappa / A)
-    prior_term = mu**2 / (2.0 * p.sigma_x**2)
     c0, c1, ce, mu_kappa = c.c0, c.c1, c.ce, mu * kappa
+    two_mk, shift = 2.0 * mu_kappa, mu * mu_kappa * U  # logL's exponent as in _margin_root
     exp = math.exp
 
     def integrand(z: float) -> float:
-        shifted = z * s0 + mu_kappa
+        v = z * s0
         half_z2 = 0.5 * z * z  # exact: (-0.5 * z) * z == -((0.5 * z) * z)
-        val = (c0 * exp(-half_z2) - (c1 + ce * (shifted / A) ** 2)
-               * exp(half_log + shifted * shifted / two_s2A - prior_term - half_z2)) / _SQRT_2PI
+        val = (c0 * exp(-half_z2) - (c1 + ce * ((v + mu_kappa) / A) ** 2)
+               * exp(half_log + (v * (v + two_mk) - shift) / two_s2A - half_z2)) / _SQRT_2PI
         return val if val < 0.0 else 0.0
 
     z_left = -V1 / s0
@@ -448,8 +458,7 @@ def g_eval_quadrature_region(U: float, V1: float, V2: float, p: ModelParams,
 
 def g_point(U: float, p: ModelParams, c: CostWeights) -> GPoint:
     """Bundle root, region endpoints, and closed-form value at one energy."""
-    g = g_root(U, p, c)
-    V1, V2 = _endpoints(g, p)
+    g, V1, V2 = _boundary(U, p, c)
     G = g_limits(p, c)[0] if U * (U + p.kappa) == 0.0 else g_eval_region(U, V1, V2, p, c)
     return GPoint(U=U, g=g, V1=V1, V2=V2, G=G)
 

@@ -60,16 +60,17 @@ def log_likelihood_ratio(s: SufficientStats, p: ModelParams) -> float:
     """Log of the marginal likelihood ratio of the y-history given the gains.
 
     The amplitude is integrated out against its Gaussian prior, leaving
-    ``0.5*ln(kappa/(U+kappa)) + (V + mu_x*kappa)^2 / (2*sigma^2*(U+kappa))
-    - mu_x^2 / (2*sigma_x^2)``.  Kept in the log domain because the quadratic
-    term grows without bound with the accumulated energy.
+    ``0.5*ln(kappa/A) + (V*(V + 2*mu_x*kappa) - mu_x^2*kappa*U) / (2*sigma^2*A)``
+    with ``A = U + kappa``: the prior term ``mu_x^2/(2*sigma_x^2)`` is folded in,
+    so no two terms of size mu_x^2*kappa cancel.  Kept in the log domain because
+    the quadratic term grows without bound with the accumulated energy.
     """
     k = p.kappa
     a = s.U + k
-    num = s.V + p.mu_x * k
+    mk = p.mu_x * k
     # math.log per element of an array: np.log may round differently in the last bit
     log = math.log(k / a) if isinstance(a, float) else np.fromiter(map(math.log, k / a), float)
-    return 0.5 * log + num * num / (2.0 * p.sigma**2 * a) - p.mu_x**2 / (2.0 * p.sigma_x**2)
+    return 0.5 * log + (s.V * (s.V + 2.0 * mk) - p.mu_x * mk * s.U) / (2.0 * p.sigma**2 * a)
 
 
 def accepts_alternative(logL, xhat, c: CostWeights):

@@ -1,9 +1,12 @@
 import itertools
 import math
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from seqjde import CostWeights, Hypothesis, ModelParams, gfunc, solve_gamma
 from seqjde.errors import (
@@ -25,6 +28,7 @@ from seqjde.gfunc import (
     threshold_bound,
 )
 from seqjde.model import admissible_cost_bound
+from seqjde.stats import SufficientStats, log_likelihood_ratio
 
 REF_P = ModelParams(0.0, 1.0, 1.0)
 REF_C = CostWeights(1.0, 1.0, 1.0)
@@ -42,7 +46,10 @@ SCALED_NOISE_CONFIGS = [(replace(p, sigma=a * p.sigma), c)
 
 
 # float.hex of g_eval_quadrature(U, p, c) at its default tol: 4 models x 3
-# cost sets x QUADRATURE_PIN_ENERGIES
+# cost sets x QUADRATURE_PIN_ENERGIES.  The eight sets with mu_x != 0 that moved
+# were re-pinned when the integrand's exponent took the shifted form
+# (V*(V + 2*mu_x*kappa) - mu_x^2*kappa*U)/(2*sigma^2*A), with no prior term;
+# every point stays within 7.5e-11 of the 80-digit G, where tol is 1e-9
 QUADRATURE_PIN_ENERGIES = [0.01, 1.0, 50.0, 1e4]
 QUADRATURE_PINS = [
     ((0.0, 1.0, 1.0), (1.0, 1.0, 1.0),
@@ -52,26 +59,26 @@ QUADRATURE_PINS = [
     ((0.0, 1.0, 1.0), (1.0, 0.2, 5.0),
      ['-0x1.9926d648eb25ap-17', '-0x1.0ae3ed5c8dc0bp+1', '-0x1.3f4710d9e5c28p+2', '-0x1.4c6094ff9cbfcp+2']),
     ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0),
-     ['-0x1.028901d379f04p+0', '-0x1.c31cc238c067bp+0', '-0x1.663fa0969670ep+1', '-0x1.7dd419a826434p+1']),
+     ['-0x1.028901d379f04p+0', '-0x1.c31cc238c067dp+0', '-0x1.663fa09696710p+1', '-0x1.7dd419a826434p+1']),
     ((1.0, 1.0, 1.0), (1.0, 1.0, 0.0),
-     ['-0x1.464507faa7344p-5', '-0x1.61ef79778f685p-2', '-0x1.a572df7692de5p-1', '-0x1.f75e3247f3458p-1']),
+     ['-0x1.464507faa7341p-5', '-0x1.61ef79778f686p-2', '-0x1.a572df7692de5p-1', '-0x1.f75e3247f3458p-1']),
     ((1.0, 1.0, 1.0), (1.0, 0.2, 5.0),
-     ['-0x1.0ff7e3bb430e1p+2', '-0x1.c28d023e21237p+2', '-0x1.40b927943ffd7p+3', '-0x1.4642e5767dff3p+3']),
+     ['-0x1.0ff7e3bb430e2p+2', '-0x1.c28d023e21238p+2', '-0x1.40b927943ffd7p+3', '-0x1.4642e5767dff3p+3']),
     ((0.5, 0.8, 1.2), (1.0, 1.0, 1.0),
      ['-0x1.02ebce07809c5p-2', '-0x1.25a6c735fa98cp-1', '-0x1.8ad91b8de2181p+0', '-0x1.db8e0a81eb6c5p+0']),
     ((0.5, 0.8, 1.2), (1.0, 1.0, 0.0),
-     ['-0x1.10687e1d98ad3p-6', '-0x1.553ac71bacdebp-3', '-0x1.6029eba95a956p-1', '-0x1.ef827c2d22b7ep-1']),
+     ['-0x1.10687e1d98ad2p-6', '-0x1.553ac71bacdeap-3', '-0x1.6029eba95a956p-1', '-0x1.ef827c2d22b7ep-1']),
     ((0.5, 0.8, 1.2), (1.0, 0.2, 5.0),
-     ['-0x1.e15e2bd45c51fp-2', '-0x1.cad86cf5f8e2bp+0', '-0x1.177040e87af04p+2', '-0x1.2913c811ae3f2p+2']),
+     ['-0x1.e15e2bd45c520p-2', '-0x1.cad86cf5f8e2bp+0', '-0x1.177040e87af05p+2', '-0x1.2913c811ae3f2p+2']),
     ((-0.3, 1.5, 0.7), (1.0, 1.0, 1.0),
-     ['-0x1.945ca442d268fp-3', '-0x1.226dc602835cbp+1', '-0x1.982a50e9d3fd2p+1', '-0x1.a9d92e2c700d4p+1']),
+     ['-0x1.945ca442d268fp-3', '-0x1.226dc602835cap+1', '-0x1.982a50e9d3f4dp+1', '-0x1.a9d92e2c71617p+1']),
     ((-0.3, 1.5, 0.7), (1.0, 1.0, 0.0),
-     ['-0x1.3a4fa7ec707d3p-6', '-0x1.9a5bbd726bd02p-2', '-0x1.b8a822e08d010p-1', '-0x1.f956f0ad84e3cp-1']),
+     ['-0x1.3a4fa7ec707d3p-6', '-0x1.9a5bbd726bd00p-2', '-0x1.b8a822e08d008p-1', '-0x1.f956f0ad84204p-1']),
     # U = 0.01 re-pinned from -0x1.fd526a1250fb4p-2 when the margin root's
     # tolerance became relative to its scale 2*sigma^2*(U+kappa) = 0.48: 3.4e-17
     # from the 80-digit G, where the old bits were 1.4e-16 from it
     ((-0.3, 1.5, 0.7), (1.0, 0.2, 5.0),
-     ['-0x1.fd526a1250fb6p-2', '-0x1.2ab3bd8332f76p+3', '-0x1.799f50c459590p+3', '-0x1.7cb2cb8d753b4p+3']),
+     ['-0x1.fd526a1250fb6p-2', '-0x1.2ab3bd8332f76p+3', '-0x1.799f50c4594eep+3', '-0x1.7cb2cb8d76da4p+3']),
 ]
 
 
@@ -137,13 +144,12 @@ def four_interval_quadrature_terms(U, V1, V2, p, c, tol):
     s0 = p.sigma * math.sqrt(U)
     two_s2A = 2.0 * p.sigma**2 * A
     half_log = 0.5 * math.log(kappa / A)
-    prior_term = mu**2 / (2.0 * p.sigma_x**2)
     c0, c1, ce, mu_kappa = c.c0, c.c1, c.ce, mu * kappa
 
     def integrand(z):
-        shifted = z * s0 + mu_kappa
-        log_lr = half_log + shifted * shifted / two_s2A - prior_term
-        weight = c1 + ce * (shifted / A) ** 2
+        v = z * s0
+        log_lr = half_log + (v * (v + 2.0 * mu_kappa) - mu * mu_kappa * U) / two_s2A
+        weight = c1 + ce * ((v + mu_kappa) / A) ** 2
         half_z2 = 0.5 * z * z
         margin = c0 * math.exp(-half_z2) - weight * math.exp(log_lr - half_z2)
         val = margin / math.sqrt(2.0 * math.pi)
@@ -294,10 +300,10 @@ class TestGRoot:
             g_root(1.0, p, REF_C)
 
     def test_root_beyond_the_float_range_has_no_bracket(self):
-        # the prior term mu_x^2/(2*sigma_x^2) = 5e299 at the scale
-        # 2*sigma^2*(U+kappa) = 2e10 puts the root near 1e310
+        # kappa = 1e10 makes mu_x*kappa = 1e155, whose square the root
+        # g = d + (mu_x*kappa)^2 needs; it overflows, and is refused before use
         p = ModelParams(1e145, 1e-5, 1.0)
-        with pytest.raises(NumericalError, match=r"no upper bracket for the margin root at U=1\.0$"):
+        with pytest.raises(NumericalError, match=r"U=1\.0 .* \(mu_x\*kappa\)\^2 = inf$"):
             g_root(1.0, p, REF_C)
 
     def test_energy_scale_underflow(self):
@@ -544,6 +550,128 @@ class TestWorkCounts:
         assert len(root_solves) == len(set(root_solves))
 
 
+# gamma at C = 0.5*C_max with sigma = 1 once the amplitude is known, for
+# (mu_x, costs); the nearly known amplitude sigma_x <= 1e-6 must reach it
+KNOWN_AMPLITUDE_GAMMAS = [
+    (1.0, (1.0, 1.0, 1.0), 3.2613733381731436),
+    (-0.3, (1.0, 1.0, 1.0), 22.24417111487128),
+    (1.0, (1.0, 0.2, 5.0), 5.2076472436019685),
+    (-0.3, (1.0, 0.2, 5.0), 30.230873185908422),
+]
+NEAR_SIGMA_X = [1e-2, 1e-4, 1e-6, 1e-8, 1e-10]
+# float.hex of the near endpoint sqrt(g) - |mu_x|*kappa of region(3.0) at
+# costs 1/1/0 and sigma = 1, for each of NEAR_SIGMA_X: mpmath at 80 digits of
+# g = A*ln(A/kappa) + mu_x^2*kappa*A, A = 3 + kappa, kappa = 1/sigma_x^2
+NEAR_ENDPOINT_PINS = {
+    1.0: ['0x1.8002756dbaf79p+0', '0x1.800000101b2b3p+0', '0x1.8000000000699p+0',
+          '0x1.8000000000000p+0', '0x1.8000000000000p+0'],
+    -0.3: ['0x1.cd4706a504121p-2', '0x1.cccccfedcfb80p-2', '0x1.cccccccce14e5p-2',
+           '0x1.cccccccccccd5p-2', '0x1.ccccccccccccdp-2'],
+}
+
+
+class TestNearlyKnownAmplitude:
+    """sigma_x << |mu_x|: kappa is huge, and the test tends to the known-amplitude one.
+
+    The endpoint sqrt(g) - |mu_x|*kappa cancelled there: at sigma_x = 1e-10
+    gamma was 96 or 768 on these pairs, or a NumericalError.
+    """
+
+    @pytest.mark.parametrize("sigma_x", [1e-6, 1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("mu_x, costs, gamma", KNOWN_AMPLITUDE_GAMMAS)
+    def test_gamma_takes_the_known_amplitude_value(self, mu_x, costs, gamma, sigma_x):
+        p, c = ModelParams(mu_x, sigma_x, 1.0), CostWeights(*costs)
+        assert solve_gamma(0.5 * admissible_cost_bound(p, c), p, c).gamma == pytest.approx(
+            gamma, rel=1e-9)
+
+    def test_detection_threshold_is_the_known_amplitude_one(self):
+        # this input stalled at gamma = 24576 with a residual of 0.5; with x = 1
+        # known, the test at V = U/2 errs with probability Q(sqrt(U)/2) under
+        # either hypothesis, so C = 2*Q(sqrt(gamma)/2)
+        p, c = ModelParams(1.0, 1e-10, 1.0), CostWeights(1.0, 1.0, 0.0)
+        C = 0.01 * admissible_cost_bound(p, c)
+        expect = (2.0 * NormalDist().inv_cdf(1.0 - C / 2.0)) ** 2
+        assert solve_gamma(C, p, c).gamma == pytest.approx(expect, rel=1e-9)
+
+    @pytest.mark.parametrize("mu_x", sorted(NEAR_ENDPOINT_PINS))
+    def test_near_endpoint_matches_80_digits(self, mu_x):
+        for sigma_x, pin in zip(NEAR_SIGMA_X, NEAR_ENDPOINT_PINS[mu_x]):
+            V1, V2 = region(3.0, ModelParams(mu_x, sigma_x, 1.0), CostWeights(1.0, 1.0, 0.0))
+            want = float.fromhex(pin)
+            assert abs((V2 if mu_x > 0 else V1) - want) <= 4 * math.ulp(want), sigma_x
+
+
+def old_margin_root(U, p, c):
+    """The margin root in g, with the prior term, as solved before the shifted d."""
+    kappa = p.kappa
+    A = U + kappa
+    scale = 2.0 * p.sigma**2 * A
+    prior_term = p.mu_x**2 / (2.0 * p.sigma_x**2)
+    c0, c1, ce = c.c0, c.c1, c.ce
+    if ce == 0.0:
+        ratio = c0 / c1
+        log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(c0) - math.log(c1)
+        return scale * (log_ratio + prior_term + 0.5 * math.log(A / kappa))
+    beta = ce / (A * A)
+    log_c0 = math.log(c0)
+    half_log = 0.5 * math.log(kappa / A)
+
+    def excess(g):
+        w = c1 + beta * g
+        if w <= 0.0:
+            return -math.inf
+        return half_log + g / scale - prior_term + math.log(w) - log_c0
+
+    lo, hi, span = -(A * A) * c1 / ce, 0.0, scale
+    while excess(hi) < 0.0:
+        hi += span
+        span *= 2.0
+    xtol = 1e-10 * min(1.0, scale)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if excess(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= xtol:
+            break
+    return 0.5 * (lo + hi)
+
+
+def old_log_likelihood_ratio(U, V, p):
+    """The log likelihood ratio with the prior term, as computed before the shifted form."""
+    k = p.kappa
+    a = U + k
+    num = V + p.mu_x * k
+    log = math.log(k / a) if isinstance(a, float) else np.fromiter(map(math.log, k / a), float)
+    return 0.5 * log + num * num / (2.0 * p.sigma**2 * a) - p.mu_x**2 / (2.0 * p.sigma_x**2)
+
+
+_costs = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+
+
+@given(mu_x=st.sampled_from([0.0, -0.0]), sigma_x=st.floats(1e-2, 1e2),
+       sigma=st.floats(1e-2, 1e2), c0=st.floats(1e-3, 1e3), c1=_costs, ce=_costs,
+       history=st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(-1e6, 1e6)),
+                        min_size=1, max_size=4))
+def test_zero_prior_mean_keeps_the_old_bits(mu_x, sigma_x, sigma, c0, c1, ce, history):
+    # every term the shifted variable adds is +-0.0 at mu_x = 0, so the
+    # benchmark's workloads and m0's byte-matrix configs keep their bytes
+    assume(c1 + ce > 0.0)
+    p, c = ModelParams(mu_x, sigma_x, sigma), CostWeights(c0, c1, ce)
+    U, V = (np.array(column) for column in zip(*history))
+    assert (log_likelihood_ratio(SufficientStats(np.arange(len(U)), U, V), p).tobytes()
+            == old_log_likelihood_ratio(U, V, p).tobytes())
+    for u, v in history:
+        assert (float.hex(log_likelihood_ratio(SufficientStats(1, u, v), p))
+                == float.hex(old_log_likelihood_ratio(u, v, p)))
+        g = old_margin_root(u, p, c)
+        root = math.sqrt(g) if g > 0.0 else 0.0
+        mk = p.mu_x * p.kappa
+        assert float.hex(g_root(u, p, c)) == float.hex(g)
+        assert [float.hex(x) for x in region(u, p, c)] == [float.hex(root + mk),
+                                                           float.hex(root - mk)]
+
+
 class TestGPoint:
     def test_bundles_consistent_fields(self):
         pt = g_point(2.0, REF_P, REF_C)
@@ -612,13 +740,14 @@ class TestSolveGamma:
         with pytest.raises(NumericalError, match="not determined"):
             solve_gamma(tiny, REF_P, REF_C)
 
-    def test_residual_above_tolerance_is_refused(self):
-        # a nearly known amplitude: V2 = sqrt(g) - mu_x*kappa cancels at kappa =
-        # 1e20, so G jumps by 0.5 between adjacent floats of U near 24576 and
-        # the bisection ends there with that residual
-        p, c = ModelParams(1.0, 1e-10, 1.0), CostWeights(1.0, 1.0, 0.0)
-        with pytest.raises(NumericalError, match="threshold bisection stalled at gamma=24576"):
-            solve_gamma(0.01 * admissible_cost_bound(p, c), p, c)
+    def test_residual_above_tolerance_is_refused(self, monkeypatch):
+        # a G that jumps across the target between adjacent floats of U below
+        # 3.0: the bisection ends there with a residual of 0.5
+        target = gfunc.threshold_target(1.5, REF_P, REF_C)
+        monkeypatch.setattr(gfunc, "g_eval",
+                            lambda U, p, c: target + (0.5 if U < 3.0 else -0.5))
+        with pytest.raises(NumericalError, match="threshold bisection stalled at gamma=3.0 "):
+            solve_gamma(1.5, REF_P, REF_C)
 
     @pytest.mark.parametrize("c", [CostWeights(1.0, 1e-9, 0.0), CostWeights(1.0, 1e-6, 0.0),
                                    CostWeights(1e-9, 1.0, 0.0), CostWeights(1.0, 1e-9, 1e-9)])

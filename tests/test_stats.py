@@ -143,6 +143,26 @@ class TestLogLikelihoodRatio:
             1 - 0.5 * math.log(2), abs=1e-12
         )
 
+    # float.hex of logL at U = 3, V = 2.2, sigma = 1 for sigma_x = 1e-2, 1e-4,
+    # ..., 1e-10: mpmath at 80 digits of 0.5*ln(kappa/A) + (V + mu_x*kappa)^2/(2*A)
+    # - mu_x^2*kappa/2, A = U + kappa, kappa = 1/sigma_x^2
+    PINNED_LOGL = {
+        1.0: ['0x1.6656ef68ea155p-1', '0x1.6666660109ed2p-1', '0x1.6666666663ce4p-1',
+              '0x1.6666666666667p-1', '0x1.6666666666668p-1'],
+        -0.3: ['-0x1.96deefc7e3e26p-1', '-0x1.970a3c54be1fcp-1', '-0x1.970a3d709c928p-1',
+               '-0x1.970a3d70a3d6ep-1', '-0x1.970a3d70a3d71p-1'],
+    }
+
+    @pytest.mark.parametrize("mu_x", sorted(PINNED_LOGL))
+    def test_nearly_known_amplitude_matches_80_digits(self, mu_x):
+        # the prior term mu_x^2/(2*sigma_x^2) cancelled against the quadratic
+        # term: the error was 0.70 at mu_x = 1, sigma_x = 1e-10
+        for sigma_x, pin in zip([1e-2, 1e-4, 1e-6, 1e-8, 1e-10], self.PINNED_LOGL[mu_x]):
+            p = ModelParams(mu_x, sigma_x, 1.0)
+            got = log_likelihood_ratio(SufficientStats(1, 3.0, 2.2), p)
+            want = float.fromhex(pin)
+            assert abs(got - want) <= 4 * math.ulp(want), sigma_x
+
     def test_martingale_mean_one_under_null(self):
         # fixed gain path, deterministic stopping at t=2; the marginal
         # likelihood ratio must average to 1 over null-noise replications
