@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -21,17 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, gfunc, sim, stats
-from .errors import QuadratureNonConvergence, SeqjdeError
+from .errors import ConfigError, QuadratureNonConvergence, SeqjdeError
 from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound
 
 _GTABLE_QUAD_TOL = 1e-9
 # reps.csv and trace rows formatted per block: bounds the Python floats held by a writer
 _REP_BLOCK = 1024
 _TRACE_ROW = "%d" + ",%.17g" * 6 + "\n"
-
-
-class ConfigError(SeqjdeError):
-    """The run configuration is malformed or violates a precondition."""
 
 
 def _check_count(name: str, n: int, low: int = 1) -> None:
@@ -191,7 +188,7 @@ def _json_lines(v, indent: int) -> str:
     return "{\n" + inner + "\n" + pad + "}"
 
 
-def _write_files(*files) -> None:
+def _write_files(files) -> None:
     """Stream each ``(path, lines)`` in turn; a failure removes every regular file it wrote."""
     written = []
     try:
@@ -209,8 +206,10 @@ def _write_files(*files) -> None:
 
 
 def _write_json(obj: dict, path: str, *sidecars) -> None:
-    _write_files((path, (_json_lines(obj, 0), "\n")),
-                 *((Path(path).with_suffix(f".{kind}.csv"), lines) for kind, lines in sidecars))
+    # a sidecar is named only once the JSON's path took a file: an --out with
+    # no file name ("/", ".", "") then fails as a write, before with_suffix runs
+    _write_files(itertools.chain([(path, (_json_lines(obj, 0), "\n"))], (
+        (Path(path).with_suffix(f".{kind}.csv"), lines) for kind, lines in sidecars)))
 
 
 def _report_dict(r: sim.CostReport) -> dict:
@@ -241,13 +240,6 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         _check_count("--reps", reps)
     overrides = {"master_seed": seed, "reps": reps}
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-
-
-def _mc_config(args: argparse.Namespace) -> RunConfig:
-    cfg = _apply_overrides(load_config(args.config), args)
-    if cfg.reps < 2:
-        raise ConfigError(f"{args.command} needs reps >= 2 for standard errors, got {cfg.reps}")
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +284,7 @@ def cmd_gtable(args: argparse.Namespace) -> int:
                     failures += 1
             yield f"{U:.17g},{pt.g:.17g},{pt.V1:.17g},{pt.V2:.17g},{pt.G:.17g},{quad}\n"
 
-    _write_files((args.out, lines()))
+    _write_files([(args.out, lines())])
     if failures:
         print(f"gtable: quadrature failed on {failures} grid point(s)", file=sys.stderr)
         return 3
@@ -352,7 +344,7 @@ def _rep_lines(arm0: sim.ArmSamples, arm1: sim.ArmSamples):
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    cfg = _mc_config(args)
+    cfg = _apply_overrides(load_config(args.config), args)
     cal = gfunc.stopping_rule(cfg.constraint_C, cfg.params, cfg.costs)
     arm0, arm1 = sim.run_arms(_scenario_pair(cfg), cal)
     report = sim.cost_report(arm1, arm0.decision, arm1.decision, cfg.costs, cal.C)
@@ -361,7 +353,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _mc_config(args)
+    cfg = _apply_overrides(load_config(args.config), args)
     cal = gfunc.stopping_rule(cfg.constraint_C, cfg.params, cfg.costs)
     joint, separate = sim.compare_schemes(_scenario_pair(cfg), cal)
     diff = joint.combined - separate.combined

@@ -11,12 +11,8 @@ class SeqjdeError(Exception):
     exit_code = 2
 
 
-class InvalidCosts(SeqjdeError):
-    """Cost weights make the decision problem degenerate (c0 = 0, or c1 = ce = 0)."""
-
-
-class InfeasibleConstraint(SeqjdeError):
-    """The combined-cost constraint level is not a positive finite number."""
+class ConfigError(SeqjdeError):
+    """An input, from a config value to a channel file, is malformed or violates a precondition."""
 
 
 class QuadratureNonConvergence(SeqjdeError):
@@ -39,10 +35,6 @@ class NumericalError(SeqjdeError):
     """
 
     exit_code = 3
-
-
-class ChannelFileError(SeqjdeError):
-    """A channel file is missing, unparseable, or too short."""
 
 
 class HorizonExhausted(SeqjdeError):

@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InfeasibleConstraint, InvalidCosts, NumericalError, QuadratureNonConvergence
-from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound
+from .errors import ConfigError, NumericalError, QuadratureNonConvergence
+from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound, is_finite_real
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
@@ -91,13 +91,6 @@ class Calibration:
             raise ValueError("estimate present iff decision is H1")
 
 
-def _validate_costs(c: CostWeights) -> None:
-    if c.c0 <= 0:
-        raise InvalidCosts(f"c0 must be positive for calibration, got {c.c0}")
-    if c.c1 + c.ce <= 0:
-        raise InvalidCosts("c1 and ce cannot both be zero")
-
-
 def _check_energy(U: float) -> None:
     if not (math.isfinite(U) and U >= 0):
         raise ValueError(f"energy U must be finite and nonnegative, got {U!r}")
@@ -123,7 +116,8 @@ def _margin_root(U: float, p: ModelParams, c: CostWeights) -> float:
     scale = 2.0 * p.sigma**2 * A
     mk = p.mu_x * kappa
     mk2 = mk * mk
-    _check_finite(U, "(mu_x*kappa)^2", mk2)
+    if not math.isfinite(mk2):
+        raise NumericalError(f"(mu_x*kappa)^2 overflows a float: mu_x={p.mu_x!r}, kappa={kappa!r}")
     shift = p.mu_x * mk * U  # mu_x^2*kappa*U: logL = half_log + (d - shift)/scale
     c0, c1, ce = c.c0, c.c1, c.ce
 
@@ -176,7 +170,6 @@ def _margin_root(U: float, p: ModelParams, c: CostWeights) -> float:
 
 def _boundary(U: float, p: ModelParams, c: CostWeights) -> tuple[float, float, float]:
     """``(g, V1, V2)`` at energy U, from one margin root in d."""
-    _validate_costs(c)
     _check_energy(U)
     d = _margin_root(U, p, c)
     mk = p.mu_x * p.kappa
@@ -298,7 +291,6 @@ def g_eval(U: float, p: ModelParams, c: CostWeights) -> float:
     small that ``U*(U+kappa)`` underflows.  Otherwise it is
     ``g_eval_region`` at ``region(U, p, c)``.
     """
-    _validate_costs(c)
     _check_energy(U)
     if U * (U + p.kappa) == 0.0:
         return g_limits(p, c)[0]
@@ -355,16 +347,7 @@ def g_eval_quadrature(U: float, p: ModelParams, c: CostWeights, tol: float = 1e-
     or if the value lies below G's infinite-energy limit by more than
     ``tol``, that sum and a rounding allowance.
     """
-    _validate_costs(c)
-    _check_quadrature_args(U, tol)
     return g_eval_quadrature_region(U, *region(U, p, c), p, c, tol)
-
-
-def _check_quadrature_args(U: float, tol: float) -> None:
-    if not (math.isfinite(U) and U > 0):
-        raise ValueError(f"quadrature needs U > 0, got {U!r}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
 
 
 def g_eval_quadrature_region(U: float, V1: float, V2: float, p: ModelParams,
@@ -377,7 +360,10 @@ def g_eval_quadrature_region(U: float, V1: float, V2: float, p: ModelParams,
     """
     import scipy.integrate  # not at module level: SciPy is ~half of a cold start
 
-    _check_quadrature_args(U, tol)
+    if not (math.isfinite(U) and U > 0):
+        raise ValueError(f"quadrature needs U > 0, got {U!r}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     kappa = p.kappa
     A = U + kappa
     mu = p.mu_x
@@ -470,11 +456,8 @@ def stopping_rule(C: float, p: ModelParams, c: CostWeights) -> Calibration:
     prior decision.  Otherwise it carries none, and ``gamma`` and ``G`` are None.
     Runs every check of ``solve_gamma`` that needs no margin root.
     """
-    if isinstance(C, bool) or not isinstance(C, (int, float)) or not math.isfinite(C) or C <= 0:
-        raise InfeasibleConstraint(
-            f"infeasible constraint: C must be a positive finite real, got {C!r}"
-        )
-    _validate_costs(c)
+    if not is_finite_real(C) or C <= 0:
+        raise ConfigError(f"infeasible constraint: C must be a positive finite real, got {C!r}")
 
     c_max = admissible_cost_bound(p, c)
     if C >= c_max:

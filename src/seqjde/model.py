@@ -63,7 +63,11 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class CostWeights:
-    """Nonnegative weights for false alarm (c0), miss (c1), and squared error (ce)."""
+    """Nonnegative weights for false alarm (c0), miss (c1), and squared error (ce).
+
+    The decision rule and its threshold are defined only for ``c0 > 0`` and
+    ``c1 + ce > 0``, so other weights are refused.
+    """
 
     c0: float
     c1: float
@@ -76,6 +80,10 @@ class CostWeights:
                 raise ValueError(f"{name} must be a finite real, got {v!r}")
             if v < 0:
                 raise ValueError(f"{name} must be nonnegative, got {v}")
+        if self.c0 == 0:
+            raise ValueError(f"c0 must be positive for calibration, got {self.c0}")
+        if self.c1 + self.ce == 0:
+            raise ValueError("c1 and ce cannot both be zero")
 
 
 def admissible_cost_bound(params: ModelParams, costs: CostWeights) -> float:

@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from . import gfunc, stats
-from .errors import ChannelFileError, HorizonExhausted, InvalidCosts
+from .errors import ConfigError, HorizonExhausted
 from .gfunc import Calibration
 from .model import CostWeights, Hypothesis, ModelParams, is_finite_real
 
@@ -136,7 +136,7 @@ def _parse_channel_file(path: str, t_max: int) -> np.ndarray:
     try:
         text = p.read_text()
     except OSError as exc:
-        raise ChannelFileError(f"cannot read channel file {path!r}: {exc}") from exc
+        raise ConfigError(f"cannot read channel file {path!r}: {exc}") from exc
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -147,12 +147,12 @@ def _parse_channel_file(path: str, t_max: int) -> np.ndarray:
         except ValueError:
             value = math.nan  # unparseable text is reported like nan and inf
         if not math.isfinite(value):
-            raise ChannelFileError(
+            raise ConfigError(
                 f"channel file {path!r} line {lineno}: not a finite number: {body!r}"
             )
         values.append(value)
     if len(values) < t_max:
-        raise ChannelFileError(
+        raise ConfigError(
             f"channel file {path!r} has {len(values)} values, need t_max={t_max}"
         )
     return np.asarray(values[:t_max], dtype=float)
@@ -269,12 +269,15 @@ def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig],
     only), then all V_T.  Log likelihood ratio, estimate and decision are the
     ``stats`` functions at (T, U_T, V_T), once for the whole arm; in the prior
     regime nothing is observed and they are the calibration's, as the engine
-    returns them.
+    returns them.  ConfigError: fewer than 2 replications, which leave no
+    standard error.
     """
     cfg0, cfg1 = cfg_pair
     if cfg0.truth is not Hypothesis.H0 or replace(cfg0, truth=Hypothesis.H1) != cfg1:
         raise ValueError("config pair must be (H0 scenario, H1 scenario) sharing all other fields")
     p, c, n = cfg0.params, cfg0.costs, cfg0.reps
+    if n < 2:
+        raise ConfigError(f"Monte Carlo needs reps >= 2 for standard errors, got {n}")
     observe = cal.decision is None
     T, U_T = (stopping_index(gen_channel(cfg0.channel, cfg0.master_seed, cfg0.t_max), cal, p, c)
               if observe else (0, 0.0))
@@ -363,8 +366,8 @@ def monte_carlo(cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibratio
 
 def _separate_costs(c: CostWeights) -> CostWeights:
     """Cost weights of the separate test: the joint rule's with ce = 0."""
-    if c.c1 <= 0 or c.c0 <= 0:
-        raise InvalidCosts("separate detection needs c0 > 0 and c1 > 0")
+    if c.c1 == 0:
+        raise ConfigError("separate detection needs c0 > 0 and c1 > 0")
     return replace(c, ce=0.0)
 
 

@@ -78,11 +78,9 @@ def accepts_alternative(logL, xhat, c: CostWeights):
 
     Accepts the alternative exactly when ``c0 <= L * (c1 + ce * xhat^2)``,
     ``L = exp(logL)``, compared in the log domain; equality decides H1.  A
-    vanishing weight decides H0 if c0 > 0, and c0 = 0 decides H1 everywhere.
-    With ``ce = 0`` it is the likelihood ratio test at threshold c0/c1.
+    vanishing weight decides H0.  With ``ce = 0`` it is the likelihood ratio
+    test at threshold c0/c1.
     """
-    if c.c0 == 0.0:
-        return np.full(np.broadcast_shapes(np.shape(logL), np.shape(xhat)), True)
     # as with Python floats: log(0) = -inf and inf - inf = nan decide H0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         weight = c.c1 + c.ce * xhat * xhat

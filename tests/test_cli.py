@@ -1,4 +1,5 @@
 import ast
+import builtins
 import contextlib
 import dataclasses
 import importlib.util
@@ -117,6 +118,22 @@ class TestConfigValidation:
         assert err.startswith("seqjde: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("costs, message", [
+        ({"c0": 0.0, "c1": 1.0, "ce": 1.0}, "c0 must be positive for calibration, got 0.0"),
+        ({"c0": 1.0, "c1": 0.0, "ce": 0.0}, "c1 and ce cannot both be zero"),
+    ], ids=["c0", "c1-ce"])
+    @pytest.mark.parametrize("command", [["calibrate"], ["gtable"], ["simulate", "--truth", "H1"],
+                                         ["montecarlo"], ["compare"]], ids=lambda argv: argv[0])
+    def test_degenerate_costs_are_one_pinned_line(self, tmp_path, capsys, command, costs,
+                                                  message):
+        # CostWeights refuses them as the config is read, before any subcommand works
+        grid = {"u_min": 0.0, "u_max": 1.0, "points": 2, "spacing": "linear"}
+        cfg = write_config(tmp_path, overrides={"costs": costs, "grid": grid})
+        out = tmp_path / "o.json"
+        assert main(command + ["--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"seqjde: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["calibrate", "montecarlo"])
     @pytest.mark.parametrize("overrides", [
         {"model": {"mu_x": 1e300, "sigma_x": 1.0, "sigma": 1.0}},
@@ -225,6 +242,22 @@ class TestCalibrate:
         cfg = write_config(tmp_path, constraint_C=0.0)
         assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
         assert "infeasible constraint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["calibrate"], ["simulate", "--truth", "H1"],
+                                         ["montecarlo"], ["compare"]], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("C, code", [(0.5, 3), (2.0, 0)])
+    def test_overflowing_prior_shift_fails_only_where_a_root_is_needed(self, tmp_path, capsys,
+                                                                       command, C, code):
+        # kappa = 1e10: (mu_x*kappa)^2 overflows, but only a margin root needs it,
+        # and at C >= C_max = 1 the rule stops at zero and solves none
+        cfg = write_config(tmp_path, overrides={
+            "model": {"mu_x": 1e145, "sigma_x": 1e-5, "sigma": 1.0},
+            "costs": {"c0": 1.0, "c1": 1.0, "ce": 0.0}}, constraint_C=C)
+        out = tmp_path / "o.json"
+        assert main(command + ["--config", cfg, "--out", str(out)]) == code
+        assert capsys.readouterr().err == ("" if code == 0 else "seqjde: (mu_x*kappa)^2 overflows "
+                                           "a float: mu_x=1e+145, kappa=9999999999.999998\n")
+        assert out.exists() == (code == 0)
 
     @pytest.mark.parametrize("tiny", [1e-17, 1e-300])
     def test_undetermined_threshold_exits_3(self, tmp_path, capsys, tiny):
@@ -674,7 +707,7 @@ class TestMonteCarlo:
         out = tmp_path / "mc.json"
         assert main([command, "--config", cfg, "--out", str(out), "--reps", "1"]) == 2
         assert capsys.readouterr().err == \
-            f"seqjde: {command} needs reps >= 2 for standard errors, got 1\n"
+            "seqjde: Monte Carlo needs reps >= 2 for standard errors, got 1\n"
         assert not out.exists()
 
 
@@ -868,6 +901,19 @@ class TestOutput:
         assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "l.json")]) == 2
         assert (tmp_path / "l.json").is_symlink() and (tmp_path / "target.json").is_file()
 
+    @pytest.mark.parametrize("out", ["/", ".", ""])
+    @pytest.mark.parametrize("command", [["montecarlo"], ["simulate", "--truth", "H1"]],
+                             ids=lambda argv: argv[0])
+    def test_out_without_a_file_name_is_a_one_line_error(self, tmp_path, capsys, monkeypatch,
+                                                          command, out):
+        # the CSV sidecar is named from --out, which here has no name to take a suffix
+        cfg = write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"seqjde: cannot write {out!r}: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
 
 def test_byte_matrix_digests_are_pinned():
     # every output byte, exit code and stderr line of tools/byte_matrix.py's
@@ -995,6 +1041,29 @@ def test_cli_uses_no_private_sim_names():
         and node.value.id == "sim" and node.attr.startswith("_")
     ]
     assert private == []
+
+
+def test_exception_classes_are_defined_in_errors_only():
+    # errors.py owns every error class and so every exit code: each class there
+    # is a SeqjdeError, and no other module derives from an exception class
+    package = Path(errors.__file__).parent
+
+    def classes(path):
+        return [node for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ClassDef)]
+
+    def base_names(node):
+        return {b.id if isinstance(b, ast.Name) else b.attr
+                for b in node.bases if isinstance(b, (ast.Name, ast.Attribute))}
+
+    own = [node.name for node in classes(package / "errors.py")]
+    assert all(issubclass(getattr(errors, name), errors.SeqjdeError) for name in own)
+    exceptions = set(own) | {name for name, obj in vars(builtins).items()
+                             if isinstance(obj, type) and issubclass(obj, BaseException)}
+    strays = [f"{path.name}: {node.name}" for path in sorted(package.glob("*.py"))
+              if path.name != "errors.py" for node in classes(path)
+              if base_names(node) & exceptions]
+    assert strays == []
 
 
 def test_benchmark_reads_only_existing_names():

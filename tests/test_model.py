@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -57,6 +58,17 @@ def test_costweights_rejects_negative_and_nonfinite(field):
     for bad in (-0.5, math.inf, math.nan):
         with pytest.raises(ValueError):
             CostWeights(**{**base, field: bad})
+
+
+@pytest.mark.parametrize("costs, message", [
+    ((0, 1, 1), "c0 must be positive for calibration, got 0"),
+    ((-0.0, 1.0, 1.0), "c0 must be positive for calibration, got -0.0"),
+    ((1, 0, 0), "c1 and ce cannot both be zero"),
+])
+def test_costweights_rejects_a_degenerate_decision_problem(costs, message):
+    # the rule c0 <= L*(c1 + ce*xhat^2) and its threshold need c0 > 0 and c1 + ce > 0
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CostWeights(*costs)
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from seqjde import (
     run_sequential,
     solve_gamma,
 )
-from seqjde.errors import ChannelFileError, HorizonExhausted, InvalidCosts
+from seqjde.errors import ConfigError, HorizonExhausted
 from seqjde.gfunc import g_eval_region, predicted_cost, region, stopping_rule
 from seqjde.model import admissible_cost_bound
 from seqjde.sim import (
@@ -167,29 +167,29 @@ class TestFromFile:
         assert np.array_equal(gen_channel(FromFile(str(f)), 0, 2), [1.0, 2.0])
 
     def test_missing_file(self):
-        with pytest.raises(ChannelFileError):
+        with pytest.raises(ConfigError):
             gen_channel(FromFile("/nonexistent/gains.txt"), 0, 3)
 
     def test_unparseable_line(self, tmp_path):
         f = tmp_path / "gains.txt"
         f.write_text("1.0\nbogus\n")
-        with pytest.raises(ChannelFileError, match="line 2"):
+        with pytest.raises(ConfigError, match="line 2"):
             gen_channel(FromFile(str(f)), 0, 2)
 
     def test_non_finite_values(self, tmp_path):
         f = tmp_path / "gains.txt"
         f.write_text("nan\n1.0\n")
-        with pytest.raises(ChannelFileError, match="line 1"):
+        with pytest.raises(ConfigError, match="line 1"):
             gen_channel(FromFile(str(f)), 0, 2)
         # a value past t_max is still part of the file and is checked
         f.write_text("1.0\n# comment\n-inf\n")
-        with pytest.raises(ChannelFileError, match="line 3"):
+        with pytest.raises(ConfigError, match="line 3"):
             gen_channel(FromFile(str(f)), 0, 1)
 
     def test_too_short(self, tmp_path):
         f = tmp_path / "gains.txt"
         f.write_text("1.0\n")
-        with pytest.raises(ChannelFileError, match="need t_max"):
+        with pytest.raises(ConfigError, match="need t_max"):
             gen_channel(FromFile(str(f)), 0, 5)
 
 
@@ -289,6 +289,15 @@ class TestSampleScenario:
 
 
 class TestMonteCarlo:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("run", [monte_carlo, compare_schemes])
+    @pytest.mark.parametrize("Cc", [1.5, 2.5])
+    def test_one_replication_is_refused(self, run, Cc):
+        # one replication has no standard error: the reports held nan, with a RuntimeWarning
+        with pytest.raises(ConfigError,
+                           match=r"^Monte Carlo needs reps >= 2 for standard errors, got 1$"):
+            run(pair(Constant(1.0), reps=1), stopping_rule(Cc, P, C))
+
     def test_pair_must_match(self):
         cfg0, cfg1 = pair(Constant(1.0))
         cal = solve_gamma(1.5, P, C)
@@ -459,10 +468,10 @@ class TestSeparateDecide:
 
     def test_requires_positive_detection_costs(self):
         s = SufficientStats(1, 1.0, 0.0)
-        with pytest.raises(InvalidCosts):
+        with pytest.raises(ConfigError):
             _separate(s, P, CostWeights(1.0, 0.0, 1.0))
         arm = run_arms(pair(Constant(1.0), reps=3), solve_gamma(1.5, P, C))[0]
-        with pytest.raises(InvalidCosts):
+        with pytest.raises(ConfigError):
             separate_decisions(arm, CostWeights(1.0, 0.0, 1.0))
 
     def test_arm_decisions_match_scalar_test(self):
