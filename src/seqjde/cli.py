@@ -16,27 +16,19 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import engine, gfunc, sim, stats
 from .errors import ConfigError, QuadratureNonConvergence, SeqjdeError
-from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound
+from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound, check_int
 
 _GTABLE_QUAD_TOL = 1e-9
 # reps.csv and trace rows formatted per block: bounds the Python floats held by a writer
 _REP_BLOCK = 1024
 _TRACE_ROW = "%d" + ",%.17g" * 6 + "\n"
-
-
-def _check_count(name: str, n: int, low: int = 1) -> None:
-    """ConfigError unless ``n >= low`` and NumPy can address the bytes of ``n`` doubles."""
-    if n < low:
-        raise ConfigError(f"{name} must be >= {low}, got {n}")
-    if n > sys.maxsize // 8:
-        raise ConfigError(f"{name} is a size too large to allocate, got {n}")
 
 
 @dataclass(frozen=True)
@@ -54,25 +46,12 @@ class GridSpec:
             raise ValueError(f"grid needs 0 <= u_min < u_max, got [{self.u_min}, {self.u_max}]")
         if self.spacing == "log" and self.u_min <= 0:
             raise ValueError("log spacing needs u_min > 0")
-        _check_count("grid.points", self.points, 2)
+        check_int("grid.points", self.points, 2, size=True)
 
     def values(self) -> np.ndarray:
         if self.spacing == "log":
             return np.logspace(math.log10(self.u_min), math.log10(self.u_max), self.points)
         return np.linspace(self.u_min, self.u_max, self.points)
-
-
-@dataclass(frozen=True)
-class McSpec:
-    reps: int
-    master_seed: int
-    t_max: int
-
-    def __post_init__(self):
-        _check_count("mc.reps", self.reps)
-        _check_count("mc.t_max", self.t_max)
-        if self.master_seed < 0:
-            raise ValueError(f"mc.master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -118,19 +97,19 @@ _CHANNEL_TYPES = {
 }
 
 
-def _read_section(section, cls, where: str):
-    """Build dataclass ``cls`` from a JSON object whose keys are exactly its fields.
+def _read_section(section, cls, where: str, **given):
+    """Build dataclass ``cls`` from ``given`` and a JSON object keyed by exactly its other fields.
 
     Each field is read by its annotated type (``float``, ``int`` or ``str``);
     a ValueError from the dataclass's own checks becomes a ConfigError.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{where} section must be a JSON object, got {section!r}")
-    kinds = {f.name: f.type for f in fields(cls)}
+    kinds = {f.name: f.type for f in fields(cls) if f.name not in given}
     _require_keys(section, dict.fromkeys(kinds, True), where)
     values = {name: _read_value(section, name, kind, where) for name, kind in kinds.items()}
     try:
-        return cls(**values)
+        return cls(**values, **given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -146,7 +125,10 @@ def _parse_channel(section) -> sim.ChannelModel:
     return _read_section(body, cls, f"channel({kind})")
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, master_seed: int | None = None, reps: int | None = None) -> RunConfig:
+    """Read and check a run config.  A ``master_seed`` or ``reps`` given (the ``--seed`` and
+    ``--reps`` flags) replaces the ``mc`` section's, which is checked first, by the same rule:
+    the run sizes are ``sim.ScenarioConfig``'s."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -157,12 +139,17 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("config root must be a JSON object")
     _require_keys(raw, {"model": True, "costs": True, "constraint_C": True,
                         "channel": True, "mc": True, "grid": False}, "config")
-    mc = _read_section(raw["mc"], McSpec, "mc")
+    params = _read_section(raw["model"], ModelParams, "model")
+    costs = _read_section(raw["costs"], CostWeights, "costs")
+    constraint_C = _read_value(raw, "constraint_C", "float", "config")
+    channel = _parse_channel(raw["channel"])
+    given = dict(truth=Hypothesis.H0, params=params, costs=costs, channel=channel)
+    mc = _read_section(raw["mc"], sim.ScenarioConfig, "mc", **given)
+    flags = {k: v for k, v in (("master_seed", master_seed), ("reps", reps)) if v is not None}
+    if flags:
+        mc = _read_section({**raw["mc"], **flags}, sim.ScenarioConfig, "mc", **given)
     return RunConfig(
-        params=_read_section(raw["model"], ModelParams, "model"),
-        costs=_read_section(raw["costs"], CostWeights, "costs"),
-        constraint_C=_read_value(raw, "constraint_C", "float", "config"),
-        channel=_parse_channel(raw["channel"]),
+        params=params, costs=costs, constraint_C=constraint_C, channel=channel,
         reps=mc.reps, master_seed=mc.master_seed, t_max=mc.t_max,
         grid=_read_section(raw["grid"], GridSpec, "grid") if "grid" in raw else None,
     )
@@ -231,17 +218,6 @@ def _scenario_pair(cfg: RunConfig) -> tuple[sim.ScenarioConfig, sim.ScenarioConf
     return _scenario(cfg, Hypothesis.H0), _scenario(cfg, Hypothesis.H1)
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    seed = getattr(args, "seed", None)
-    reps = getattr(args, "reps", None)
-    if seed is not None and seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-    if reps is not None:
-        _check_count("--reps", reps)
-    overrides = {"master_seed": seed, "reps": reps}
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -292,7 +268,7 @@ def cmd_gtable(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config, args.seed)
     xo = args.x_override
     if xo is not None and not math.isfinite(xo):
         raise ConfigError(f"--x-override must be finite, got {xo}")
@@ -344,7 +320,7 @@ def _rep_lines(arm0: sim.ArmSamples, arm1: sim.ArmSamples):
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config, args.seed, args.reps)
     cal = gfunc.stopping_rule(cfg.constraint_C, cfg.params, cfg.costs)
     arm0, arm1 = sim.run_arms(_scenario_pair(cfg), cal)
     report = sim.cost_report(arm1, arm0.decision, arm1.decision, cfg.costs, cal.C)
@@ -353,7 +329,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config, args.seed, args.reps)
     cal = gfunc.stopping_rule(cfg.constraint_C, cfg.params, cfg.costs)
     joint, separate = sim.compare_schemes(_scenario_pair(cfg), cal)
     diff = joint.combined - separate.combined

@@ -10,7 +10,7 @@ from typing import Iterable
 from . import gfunc, stats
 from .errors import HorizonExhausted
 from .gfunc import Calibration, predicted_cost
-from .model import CostWeights, Hypothesis, ModelParams
+from .model import CostWeights, Hypothesis, ModelParams, check_int
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ def run_sequential(stream: Iterable[tuple[float, float]], cal: Calibration,
     samples or the stream ends early, and OverflowError if the running sums
     overflow to inf on the way.
     """
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    check_int("t_max", t_max, 1)
     s = stats.init()
     if cal.decision is not None:
         return outcome(s, cal, p, c)

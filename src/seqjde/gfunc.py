@@ -454,7 +454,7 @@ def stopping_rule(C: float, p: ModelParams, c: CostWeights) -> Calibration:
 
     For ``C >= C_max`` no observation is needed and the rule carries the
     prior decision.  Otherwise it carries none, and ``gamma`` and ``G`` are None.
-    Runs every check of ``solve_gamma`` that needs no margin root.
+    Checks only C's range: whether C determines a threshold, ``_bisect`` checks.
     """
     if not is_finite_real(C) or C <= 0:
         raise ConfigError(f"infeasible constraint: C must be a positive finite real, got {C!r}")
@@ -464,11 +464,6 @@ def stopping_rule(C: float, p: ModelParams, c: CostWeights) -> Calibration:
         if c.c0 <= c.c1 + c.ce * p.mu_x**2:
             return Calibration(C=C, decision=Hypothesis.H1, estimate=p.mu_x)
         return Calibration(C=C, decision=Hypothesis.H0)
-
-    target = threshold_target(C, p, c)
-    if target <= g_limits(p, c)[1]:  # C is lost in rounding: G is flat there
-        raise NumericalError(f"threshold not determined: C={C!r} gives target {target!r}, "
-                             "which rounds to G's infinite-energy limit")
     return Calibration(C=C)
 
 
@@ -486,8 +481,12 @@ def _bisect(C: float, p: ModelParams, c: CostWeights,
     ``settled(lo, hi)`` is asked before each halving; where it holds, the
     bracket's ``(hi, G(hi))`` is returned instead.  Up to that point the
     bisection solves the same energies, in the same order, as without it.
+    NumericalError: C so small that the target rounds to G's infinite-energy limit.
     """
     target = threshold_target(C, p, c)
+    if target <= g_limits(p, c)[1]:  # C is lost in rounding: G is flat there
+        raise NumericalError(f"threshold not determined: C={C!r} gives target {target!r}, "
+                             "which rounds to G's infinite-energy limit")
     lo, hi = 0.0, 1.0
     for _ in range(_MAX_STEPS):
         G_hi = g_eval(hi, p, c)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -20,6 +21,15 @@ class Hypothesis(enum.Enum):
 def is_finite_real(v) -> bool:
     """True for a finite int or float; bools are not numbers here."""
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def check_int(name: str, v, low: int, size: bool = False) -> None:
+    """ValueError unless ``v`` is an int, not a bool, with ``v >= low``; a ``size``
+    must also be a number of doubles whose bytes NumPy can address."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+    if size and v > sys.maxsize // 8:
+        raise ValueError(f"{name} is a size too large to allocate, got {v}")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 from . import gfunc, stats
 from .errors import ConfigError, HorizonExhausted
 from .gfunc import Calibration
-from .model import CostWeights, Hypothesis, ModelParams, is_finite_real
+from .model import CostWeights, Hypothesis, ModelParams, check_int, is_finite_real
 
 # Stream tags keeping the draws independent: sample_scenario keys a
 # replication by [seed, arm, rep], the channel by [seed, 2], and Monte Carlo's
@@ -92,6 +92,10 @@ ChannelModel = Union[Constant, IidGaussian, Rayleigh, Ar1, FromFile]
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One run of one truth arm.  The run sizes are checked here for every caller, the
+    command line's config and flags included: ``master_seed >= 0``, and ``reps`` and
+    ``t_max`` at least 1 and small enough to allocate that many doubles."""
+
     truth: Hypothesis
     params: ModelParams
     costs: CostWeights
@@ -101,10 +105,9 @@ class ScenarioConfig:
     t_max: int
 
     def __post_init__(self):
-        for name, low in (("master_seed", 0), ("reps", 1), ("t_max", 1)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+        check_int("master_seed", self.master_seed, 0)
+        check_int("reps", self.reps, 1, size=True)
+        check_int("t_max", self.t_max, 1, size=True)
 
 
 @dataclass(frozen=True)
@@ -159,9 +162,11 @@ def _parse_channel_file(path: str, t_max: int) -> np.ndarray:
 
 
 def gen_channel(model: ChannelModel, seed: int, t_max: int) -> np.ndarray:
-    """Deterministic length-``t_max`` gain path for (model, seed); OverflowError if not finite."""
-    if not isinstance(t_max, int) or t_max < 1:
-        raise ValueError(f"t_max must be a positive integer, got {t_max!r}")
+    """Deterministic length-``t_max`` gain path for (model, seed); OverflowError if not finite.
+
+    Every model but AR(1) draws in time order, so a shorter path is a prefix of a longer one.
+    """
+    check_int("t_max", t_max, 1, size=True)
     if isinstance(model, FromFile):
         return _parse_channel_file(model.path, t_max)
     if isinstance(model, Constant):
@@ -170,9 +175,8 @@ def gen_channel(model: ChannelModel, seed: int, t_max: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence([seed, _CHANNEL_STREAM]))
     if isinstance(model, IidGaussian):
         h = rng.normal(0.0, model.std, size=t_max)
-    elif isinstance(model, Rayleigh):  # real part drawn first, then imaginary
-        h = np.hypot(rng.normal(0.0, model.scale, size=t_max),
-                     rng.normal(0.0, model.scale, size=t_max))
+    elif isinstance(model, Rayleigh):  # each step's real and imaginary parts in turn
+        h = np.hypot(*rng.normal(0.0, model.scale, size=(t_max, 2)).T)
     elif isinstance(model, Ar1):
         innov = rng.normal(0.0, model.innov_std, size=t_max)
         h = np.empty(t_max)

@@ -118,6 +118,44 @@ class TestConfigValidation:
         assert err.startswith("seqjde: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["simulate", "--truth", "H1"], ["montecarlo"],
+                                         ["compare"]], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("C", [1.5, 2.5], ids=["observe", "stop_at_zero"])
+    @pytest.mark.parametrize("key, flag, value, message", [
+        ("master_seed", "--seed", -1, "master_seed must be an integer >= 0, got -1"),
+        ("reps", "--reps", 0, "reps must be an integer >= 1, got 0"),
+        ("t_max", None, 0, "t_max must be an integer >= 1, got 0"),
+    ], ids=["master_seed", "reps", "t_max"])
+    def test_run_size_is_refused_alike_in_config_and_flag(self, tmp_path, capsys, command, C,
+                                                          key, flag, value, message):
+        # sim.ScenarioConfig's rule, even where a stop-at-zero rule draws no scenario
+        runs = [({key: value}, [])]
+        if flag is not None and (flag, command[0]) != ("--reps", "simulate"):
+            runs.append(({}, [flag, str(value)]))
+        for mc, flags in runs:
+            cfg = write_config(tmp_path, overrides={"mc": {**BASE_CONFIG["mc"], **mc}},
+                               constraint_C=C)
+            assert main(command + ["--config", cfg, "--out", str(tmp_path / "o.json")] + flags) == 2
+            assert capsys.readouterr().err == f"seqjde: {message}\n", flags
+            assert list(tmp_path.glob("o*")) == []
+
+    @pytest.mark.parametrize("command", ["montecarlo", "compare"])
+    @pytest.mark.parametrize("mc, flag, message", [
+        ({"reps": 0}, "--reps", "reps must be an integer >= 1, got 0"),
+        ({"reps": 2.5}, "--reps", "mc.reps must be of type int, got 2.5"),
+        ({"reps": "many"}, "--reps", "mc.reps must be of type int, got 'many'"),
+        ({"master_seed": -1}, "--seed", "master_seed must be an integer >= 0, got -1"),
+        ({"master_seed": True}, "--seed", "mc.master_seed must be of type int, got True"),
+    ], ids=["reps-0", "reps-float", "reps-str", "seed-negative", "seed-bool"])
+    def test_a_flag_does_not_hide_a_malformed_config_value(self, tmp_path, capsys, command, mc,
+                                                           flag, message):
+        # the config's own mc values are checked before a flag replaces them
+        cfg = write_config(tmp_path, overrides={"mc": {**BASE_CONFIG["mc"], **mc}})
+        out = tmp_path / "o.json"
+        assert main([command, "--config", cfg, "--out", str(out), flag, "100"]) == 2
+        assert capsys.readouterr().err == f"seqjde: {message}\n"
+        assert list(tmp_path.glob("o*")) == []
+
     @pytest.mark.parametrize("costs, message", [
         ({"c0": 0.0, "c1": 1.0, "ce": 1.0}, "c0 must be positive for calibration, got 0.0"),
         ({"c0": 1.0, "c1": 0.0, "ce": 0.0}, "c1 and ce cannot both be zero"),
@@ -261,11 +299,37 @@ class TestCalibrate:
 
     @pytest.mark.parametrize("tiny", [1e-17, 1e-300])
     def test_undetermined_threshold_exits_3(self, tmp_path, capsys, tiny):
-        cfg = write_config(tmp_path, constraint_C=tiny)
-        assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 3
+        cfg = write_config(tmp_path, constraint_C=tiny)  # mc.reps = 400
+        for command in (["calibrate"], ["simulate", "--truth", "H1"], ["montecarlo"],
+                        ["compare"]):
+            assert main(command + ["--config", cfg, "--out", str(tmp_path / "o.json")]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("seqjde: threshold not determined"), command
+            assert err.count("\n") == 1 and list(tmp_path.glob("o*")) == [], command
+
+    @pytest.mark.parametrize("tiny", [1e-17, 1e-300])
+    @pytest.mark.parametrize("command, overrides, message", [
+        (["montecarlo"], {"mc": {"reps": 1, "master_seed": 42, "t_max": 200}},
+         "Monte Carlo needs reps >= 2 for standard errors, got 1"),
+        (["compare"], {"mc": {"reps": 1, "master_seed": 42, "t_max": 200}},
+         "Monte Carlo needs reps >= 2 for standard errors, got 1"),
+        (["simulate", "--truth", "H1"], {"channel": {"type": "from_file", "path": "missing.txt"}},
+         "cannot read channel file 'missing.txt'"),
+        (["montecarlo"], {"channel": {"type": "from_file", "path": "missing.txt"}},
+         "cannot read channel file 'missing.txt'"),
+        (["compare"], {"channel": {"type": "iid_gaussian", "std": 1.7976931348623157e308}},
+         "a config value overflows a float: IidGaussian channel drew a gain that is not finite"),
+    ], ids=["montecarlo-reps", "compare-reps", "simulate-file", "montecarlo-file", "compare-gain"])
+    def test_config_errors_precede_an_undetermined_threshold(self, tmp_path, capsys, monkeypatch,
+                                                             command, overrides, message, tiny):
+        # whether C determines gamma is checked where gamma is solved: after the
+        # replication floor, the channel file and the gains
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, overrides=overrides, constraint_C=tiny)
+        assert main(command + ["--config", cfg, "--out", "o.json"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("seqjde: threshold not determined") and err.count("\n") == 1
-        assert not (tmp_path / "o.json").exists()
+        assert err.startswith(f"seqjde: {message}") and err.count("\n") == 1
+        assert list(tmp_path.glob("o*")) == []
 
     def test_exit_code_follows_the_error_class(self, tmp_path, capsys, monkeypatch):
         class Subclass(errors.NumericalError):
@@ -792,7 +856,7 @@ class TestWorkCounts:
         (1.5, {"type": "constant", "h": 1.0}, 2, 40),
         (1.5, {"type": "ar1", "phi": 0.9, "innov_std": 0.5, "init_std": 0.5}, 5, 40),
         (0.2, {"type": "constant", "h": 1.0}, 15, 42),
-        (0.2, {"type": "rayleigh", "scale": 0.8}, 15, 42),
+        (0.2, {"type": "rayleigh", "scale": 0.8}, 18, 42),
     ])
     def test_montecarlo_halves_only_until_t_is_fixed(self, tmp_path, root_solves,
                                                      C, channel, lazy, drained):
@@ -1066,23 +1130,32 @@ def test_exception_classes_are_defined_in_errors_only():
     assert strays == []
 
 
-def test_benchmark_reads_only_existing_names():
+def test_benchmark_reads_only_existing_names(tmp_path):
     # bench/run.py drives these modules directly, and its --trace 1 mode is not
-    # otherwise exercised by the suite
+    # otherwise exercised by the suite; bench/probe.py runs on the gated set-up path.
+    # Both read a run's fields off ``cfg``, the result of cli.load_config
     modules = {"sim", "gfunc", "engine", "stats", "cli", "model"}
-    bench = Path(__file__).resolve().parents[1] / "bench" / "run.py"
-    tree = ast.parse(bench.read_text())
-    reads = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Attribute):
-            continue
-        owner = node.value  # ``sim.X`` or ``self.m.sim.X``
-        name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
-        if name in modules:
-            reads.add((name, node.attr))
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    reads, cfg_reads = set(), set()
+    for script in ("run.py", "probe.py"):
+        for node in ast.walk(ast.parse((bench / script).read_text())):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = node.value  # ``sim.X`` or ``self.m.sim.X``
+            name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+            if name in modules:
+                reads.add((name, node.attr))
+            elif name == "cfg" and isinstance(owner, ast.Name):
+                cfg_reads.add(node.attr)
     assert {m for m, _ in reads} == modules
     missing = [f"{m}.{a}" for m, a in sorted(reads) if not hasattr(getattr(seqjde, m), a)]
     assert missing == []
+    assert cfg_reads == {"params", "costs", "constraint_C", "channel", "master_seed", "reps",
+                         "t_max", "grid"}
+    grid = {"u_min": 0.001, "u_max": 10.0, "points": 4, "spacing": "log"}
+    cfg = cli.load_config(write_config(tmp_path, grid=grid))
+    assert [a for a in sorted(cfg_reads) if not hasattr(cfg, a)] == []
+    assert callable(cfg.grid.values)
     # the traced mode passes (pair, cal, workers) positionally
     for fn in (seqjde.sim.monte_carlo, seqjde.sim.compare_schemes):
         inspect.signature(fn).bind(None, None, 1)
@@ -1223,6 +1296,35 @@ def test_fuzzed_configs_end_in_a_known_exit_code(raw):
             # a run that succeeds prints no nan
             assert code != 0 or not any("nan" in out.read_text()
                                         for out in Path(tmp).glob("out*")), argv
+
+
+@pytest.mark.parametrize("channel", [
+    {"type": "constant", "h": -0.5},
+    {"type": "iid_gaussian", "std": 1.0},
+    {"type": "rayleigh", "scale": 0.8},
+    {"type": "from_file", "path": "gains.txt"},
+], ids=lambda channel: channel["type"])
+def test_outputs_do_not_depend_on_an_unreached_horizon(tmp_path, monkeypatch, channel):
+    # T is the first t with U_t >= gamma on the gains, so no horizon past T moves a byte
+    monkeypatch.chdir(tmp_path)
+    Path("gains.txt").write_text("\n".join(map(repr, np.linspace(0.1, 1.0, 400).tolist())))
+
+    def run(t_max):
+        mc = {"reps": 50, "master_seed": 42, "t_max": t_max}
+        cfg = write_config(tmp_path, overrides={"channel": channel, "mc": mc}, constraint_C=0.5)
+        codes = [main(["simulate", "--truth", "H1", "--config", cfg, "--out", "s.json"]),
+                 main(["montecarlo", "--config", cfg, "--out", "m.json"])]
+        files = ("s.json", "s.trace.csv", "m.json", "m.reps.csv")
+        return codes, [Path(f).read_bytes() for f in files if Path(f).exists()]
+
+    codes, outputs = run(400)
+    T = json.loads(outputs[0])["T"]
+    assert codes == [0, 0] and 1 < T < 200
+    for t_max in (T, T + 1, 2 * T):
+        assert run(t_max) == (codes, outputs), t_max
+    for f in tmp_path.glob("[sm].*"):
+        f.unlink()
+    assert run(T - 1) == ([4, 4], [])
 
 
 @pytest.mark.parametrize("argv, key, size", [

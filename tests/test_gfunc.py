@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from seqjde import CostWeights, Hypothesis, ModelParams, gfunc, solve_gamma
+from seqjde import CostWeights, Hypothesis, ModelParams, gfunc, run_sequential, solve_gamma
 from seqjde.errors import ConfigError, NumericalError, QuadratureNonConvergence
 from seqjde.gfunc import (
     Calibration,
@@ -842,8 +842,14 @@ class TestBracketGamma:
         for bad in (0.0, math.nan):
             with pytest.raises(ConfigError):
                 stopping_rule(bad, REF_P, REF_C)
-        with pytest.raises(NumericalError, match="not determined"):
-            stopping_rule(1e-17, REF_P, REF_C)
+        # a C whose target rounds to G's limit is refused where gamma is solved
+        rule = stopping_rule(1e-17, REF_P, REF_C)
+        assert rule == Calibration(C=1e-17)
+        for solve in (lambda: solve_gamma(1e-17, REF_P, REF_C),
+                      lambda: threshold_bound(np.ones(3), rule.C, REF_P, REF_C),
+                      lambda: run_sequential(iter([(0.0, 1.0)]), rule, REF_P, REF_C, 10)):
+            with pytest.raises(NumericalError, match="not determined"):
+                solve()
 
     @pytest.mark.parametrize("scale", [1e6, 1e9, 1e12])
     def test_acceptance_bound_grows_with_the_cost_scale(self, scale):

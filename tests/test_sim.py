@@ -1,7 +1,9 @@
 import math
 import struct
+import sys
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +91,14 @@ class TestChannelValidation:
             ScenarioConfig(Hypothesis.H0, P, C, Constant(1.0),
                            master_seed=1, reps=10, t_max=True)
 
+    @pytest.mark.parametrize("name", ["reps", "t_max"])
+    def test_scenario_refuses_a_size_too_large_to_allocate(self, name):
+        # NumPy indexes bytes with a signed word, so it cannot address more doubles
+        cfg, _ = pair(Constant(1.0))
+        replace(cfg, **{name: sys.maxsize // 8})
+        with pytest.raises(ValueError, match=f"^{name} is a size too large to allocate, got "):
+            replace(cfg, **{name: sys.maxsize // 8 + 1})
+
 
 class TestGenChannel:
     def test_constant_path(self):
@@ -144,6 +154,16 @@ class TestGenChannel:
         h = gen_channel(Ar1(0.9, 0.3, 0.3), 3, 5000)
         r = np.corrcoef(h[:-1], h[1:])[0, 1]
         assert r > 0.8
+
+    @pytest.mark.parametrize("model", [Constant(-0.5), IidGaussian(1.0), Rayleigh(0.8),
+                                       FromFile("gains.txt")], ids=lambda m: type(m).__name__)
+    def test_a_shorter_path_is_a_prefix(self, tmp_path, monkeypatch, model):
+        # T is read off the path's prefix, so it must not depend on the horizon
+        monkeypatch.chdir(tmp_path)
+        Path("gains.txt").write_text("\n".join(map(repr, np.linspace(0.1, 3.0, 300).tolist())))
+        full = gen_channel(model, 7, 300)
+        for n in (1, 2, 5, 150, 299):
+            assert gen_channel(model, 7, n).tobytes() == full[:n].tobytes(), n
 
     def test_rejects_empty_horizon(self):
         with pytest.raises(ValueError, match="t_max"):
