@@ -233,7 +233,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "G_at_gamma": cal.G,
         "target": gfunc.threshold_target(cfg.constraint_C, p, c),
         "decision": cal.decision,
-        "estimate": cal.estimate,
+        "estimate": p.mu_x if cal.decision is Hypothesis.H1 else None,
     }
     _write_json(doc, args.out)
     return 0

@@ -32,17 +32,17 @@ class TripletOutcome:
 
 def outcome(s: stats.SufficientStats, cal: Calibration, p: ModelParams,
             c: CostWeights) -> TripletOutcome:
-    """The decision and, on H1, the estimate on stopping at history ``s`` (``stats.init()``
-    under a prior decision); OverflowError if the running sums there are not finite."""
+    """The decision and, on H1, the estimate on stopping at history ``s``: the prior mean
+    ``mu_x`` under a prior decision, at ``stats.init()``.  OverflowError: sums not finite."""
     if cal.decision is None and not (math.isfinite(s.U) and math.isfinite(s.V)):
         raise OverflowError(f"running sums overflow a float at t={s.t}")
     cost = predicted_cost(s.U, p, c)  # first: a NumericalError where U leaves G's range
-    decision, xhat, logL = cal.decision, cal.estimate, 0.0
-    if decision is None:
+    logL, xhat, h1 = 0.0, p.mu_x, cal.decision is Hypothesis.H1
+    if cal.decision is None:
         logL, xhat = stats.log_likelihood_ratio(s, p), stats.estimate(s, p)
         h1 = stats.accepts_alternative(logL, xhat, c)
-        decision, xhat = (Hypothesis.H1, xhat) if h1 else (Hypothesis.H0, None)
-    return TripletOutcome(T=s.t, decision=decision, estimate=xhat, U_T=s.U, V_T=s.V,
+    return TripletOutcome(T=s.t, decision=Hypothesis.H1 if h1 else Hypothesis.H0,
+                          estimate=xhat if h1 else None, U_T=s.U, V_T=s.V,
                           logL_T=logL, predicted_cost=cost)
 
 

@@ -65,19 +65,16 @@ class Calibration:
     """Stopping rule for a constraint level C.
 
     A rule with a prior ``decision`` stops at zero: the constraint is already
-    met by prior information, so the decision (and, when it is H1, the
-    prior-mean estimate) is fixed before any observation and there is no
-    threshold.  Any other rule samples until the running energy reaches
-    ``gamma``; ``G`` is ``G(gamma)`` as the calibration accepted it.  From
-    ``stopping_rule`` both are None: the threshold is resolved where it is
-    used, by ``solve_gamma`` or, as far as one gain path needs it, by
-    ``threshold_bound``.
+    met by prior information, so the decision is fixed before any observation
+    and there is no threshold.  Any other rule samples until the running energy
+    reaches ``gamma``; ``G`` is ``G(gamma)`` as the calibration accepted it.
+    From ``stopping_rule`` both are None: the threshold is resolved where it is
+    used, by ``solve_gamma`` or, as far as one gain path needs it, by ``threshold_bound``.
     """
 
     C: float
     gamma: float | None = None
     decision: Hypothesis | None = None
-    estimate: float | None = None
     G: float | None = None
 
     def __post_init__(self):
@@ -87,8 +84,6 @@ class Calibration:
             raise ValueError("an unsolved rule carries no threshold, so no G")
         if self.gamma is not None and not self.gamma > 0:
             raise ValueError("a threshold requires gamma > 0")
-        if (self.estimate is not None) != (self.decision is Hypothesis.H1):
-            raise ValueError("estimate present iff decision is H1")
 
 
 def _check_energy(U: float) -> None:
@@ -304,8 +299,9 @@ def g_eval_region(U: float, V1: float, V2: float, p: ModelParams, c: CostWeights
     probabilities and the first two truncated moments of the unit normal,
     using that V has null law ``N(0, sigma^2 U)`` and marginal alternative
     law ``N(mu_x U, sigma_x^2 U (U+kappa))``.  Needs a finite U with
-    ``U*(U+kappa) > 0``.  NumericalError: a value that is not finite, e.g.
-    where ``U*(U+kappa)`` overflows.
+    ``U*(U+kappa) > 0`` and a valid region, ``V1 + V2 >= 0``: overlapping tails
+    count twice.  NumericalError: a value that is not finite, e.g. where
+    ``U*(U+kappa)`` overflows.
     """
     A = U + p.kappa
     if not (math.isfinite(U) and U * A > 0.0):
@@ -462,7 +458,7 @@ def stopping_rule(C: float, p: ModelParams, c: CostWeights) -> Calibration:
     c_max = admissible_cost_bound(p, c)
     if C >= c_max:
         if c.c0 <= c.c1 + c.ce * p.mu_x**2:
-            return Calibration(C=C, decision=Hypothesis.H1, estimate=p.mu_x)
+            return Calibration(C=C, decision=Hypothesis.H1)
         return Calibration(C=C, decision=Hypothesis.H0)
     return Calibration(C=C)
 

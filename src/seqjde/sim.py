@@ -272,9 +272,9 @@ def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig],
     per arm, ``SeedSequence([master_seed, 3, arm])``, draws all amplitudes (H1
     only), then all V_T.  Log likelihood ratio, estimate and decision are the
     ``stats`` functions at (T, U_T, V_T), once for the whole arm; in the prior
-    regime nothing is observed and they are the calibration's, as the engine
-    returns them.  ConfigError: fewer than 2 replications, which leave no
-    standard error.
+    regime nothing is observed, the decision is the calibration's and the
+    estimate the prior mean ``mu_x``, as the engine returns them.
+    ConfigError: fewer than 2 replications, which leave no standard error.
     """
     cfg0, cfg1 = cfg_pair
     if cfg0.truth is not Hypothesis.H0 or replace(cfg0, truth=Hypothesis.H1) != cfg1:
@@ -300,8 +300,7 @@ def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig],
             decision = stats.accepts_alternative(logL, xhat, c)
         else:
             V, logL = np.zeros(n), np.zeros(n)
-            prior = stats.estimate(stats.init(), p) if cal.estimate is None else cal.estimate
-            xhat = np.full(n, prior)
+            xhat = np.full(n, p.mu_x)
             decision = np.full(n, cal.decision is Hypothesis.H1)
         arms.append(ArmSamples(T=T, U_T=U_T, predicted=predicted,
                                x=x, V=V, logL=logL, xhat=xhat, decision=decision))

@@ -7,6 +7,7 @@ import inspect
 import io
 import json
 import math
+import struct
 import subprocess
 import sys
 import tempfile
@@ -275,6 +276,32 @@ class TestCalibrate:
         assert doc["gamma"] is None
         assert doc["decision"] == "H1"
         assert doc["estimate"] == 0.0
+
+    def test_stop_at_zero_estimate_is_the_prior_mean_bit_for_bit(self, tmp_path):
+        # at this model the posterior mean with no data, (0 + mu_x*kappa)/(0 + kappa),
+        # rounds to 0.8899999999999999: the prior H1 estimate must be mu_x itself
+        cfg = write_config(tmp_path, overrides={"model": {"mu_x": 0.89, "sigma_x": 0.8,
+                                                          "sigma": 2.8}}, constraint_C=2.0)
+        run = cli.load_config(cfg)
+        p = run.params
+        assert stats.estimate(stats.init(), p) != p.mu_x
+        assert admissible_cost_bound(p, run.costs) <= run.constraint_C  # C_max = 1.64
+        bits = struct.pack("<d", 0.89)
+        for argv in (["calibrate"], ["simulate", "--truth", "H0"],
+                     ["simulate", "--truth", "H1"]):
+            out = tmp_path / "o.json"
+            assert main(argv + ["--config", cfg, "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            assert doc["decision"] == "H1"
+            assert struct.pack("<d", doc["estimate"]) == bits, argv
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "mc.json")]) == 0
+        rows = [line.split(",") for line in (tmp_path / "mc.reps.csv").read_text().splitlines()]
+        assert len(rows) == 1 + 2 * BASE_CONFIG["mc"]["reps"]
+        assert {row[4] for row in rows[1:]} == {"0.89000000000000001"}
+        cal = gfunc.stopping_rule(run.constraint_C, run.params, run.costs)
+        for arm in sim.run_arms(cli._scenario_pair(run), cal):
+            assert arm.T == 0 and arm.decision.all()
+            assert (arm.xhat == p.mu_x).all()
 
     def test_zero_constraint_is_infeasible(self, tmp_path, capsys):
         cfg = write_config(tmp_path, constraint_C=0.0)
@@ -992,6 +1019,22 @@ def test_byte_matrix_digests_are_pinned():
     moved = sorted(name for name in pinned.keys() | found.keys()
                    if pinned.get(name) != found.get(name))
     assert moved == [], f"{len(moved)} configs moved: {' '.join(moved)}"
+
+
+def test_cold_start_config_runs_every_command(tmp_path, capsys):
+    # tools/cold_start.py times its COMMANDS in fresh interpreters on its own
+    # CONFIG; run each once in-process so a config-schema change breaks a test
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    spec = importlib.util.spec_from_file_location("cold_start", tools / "cold_start.py")
+    cold_start = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cold_start)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cold_start.CONFIG))
+    for command, extra in cold_start.COMMANDS.items():
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--config", str(config), "--out", str(out), *extra]) == 0, command
+        assert out.is_file()
+    assert capsys.readouterr().err == ""
 
 
 def test_benchmark_golden_pins_hold(tmp_path, monkeypatch):

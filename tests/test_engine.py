@@ -34,7 +34,7 @@ class TestRunSequential:
                 consumed.append(k)
                 yield (1.0, 1.0)
 
-        cal = Calibration(C=2.5, decision=Hypothesis.H1, estimate=0.0)
+        cal = Calibration(C=2.5, decision=Hypothesis.H1)
         out = run_sequential(stream(), cal, P, C, t_max=10)
         assert out.T == 0
         assert out.decision is Hypothesis.H1

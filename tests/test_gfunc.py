@@ -8,7 +8,16 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from seqjde import CostWeights, Hypothesis, ModelParams, gfunc, run_sequential, solve_gamma
+from seqjde import (
+    CostWeights,
+    Hypothesis,
+    ModelParams,
+    engine,
+    gfunc,
+    run_sequential,
+    solve_gamma,
+    stats,
+)
 from seqjde.errors import ConfigError, NumericalError, QuadratureNonConvergence
 from seqjde.gfunc import (
     Calibration,
@@ -34,6 +43,13 @@ COST_CONFIGS = [
     (ModelParams(-0.7, 1.5, 0.8), CostWeights(1.0, 1.0, 0.0)),
     (ModelParams(0.5, 0.8, 1.2), CostWeights(0.6, 0.1, 2.5)),
 ]
+# tools/byte_matrix.py's four models and three cost sets, and energies across G's range
+MATRIX_CONFIGS = [
+    (ModelParams(*model), CostWeights(*costs))
+    for model in ((0.0, 1.0, 1.0), (1.0, 1.0, 1.0), (0.5, 0.8, 1.2), (-0.3, 1.5, 0.7))
+    for costs in ((1.0, 1.0, 1.0), (1.0, 1.0, 0.0), (1.0, 0.2, 5.0))
+]
+MATRIX_ENERGIES = np.logspace(-2, 3, 11).tolist()
 # the same configs at a noise scale far below 1, where an absolute tolerance on
 # the margin root is coarse against its scale 2*sigma^2*(U+kappa)
 SCALED_NOISE_CONFIGS = [(replace(p, sigma=a * p.sigma), c)
@@ -520,6 +536,28 @@ class TestGEvalRegion:
             else:
                 assert joint <= separate
 
+    @pytest.mark.parametrize("p, c", MATRIX_CONFIGS)
+    def test_the_region_is_optimal(self, p, c):
+        # no valid region (V1 + V2 >= 0) near the optimal one has a smaller G
+        rng = np.random.default_rng(25)
+        slack = 1e-12 * max(1.0, admissible_cost_bound(p, c))
+        for U in MATRIX_ENERGIES:
+            G, (V1, V2) = g_eval(U, p, c), region(U, p, c)
+            for scale in (1e-3, 1e-1, 1.0):
+                for d1, d2 in rng.normal(0.0, scale * p.sigma * math.sqrt(U), size=(8, 2)):
+                    if V1 + d1 + V2 + d2 >= 0.0:
+                        assert g_eval_region(U, V1 + d1, V2 + d2, p, c) >= G - slack
+
+    @pytest.mark.parametrize("p, c", MATRIX_CONFIGS)
+    def test_slope_is_the_slope_at_a_fixed_region(self, p, c):
+        # the envelope theorem: moving the optimal region with U does not change dG/dU
+        for U in MATRIX_ENERGIES:
+            h, fixed = 1e-4 * U, region(U, p, c)
+            full = (g_eval(U + h, p, c) - g_eval(U - h, p, c)) / (2 * h)
+            frozen = (g_eval_region(U + h, *fixed, p, c)
+                      - g_eval_region(U - h, *fixed, p, c)) / (2 * h)
+            assert full == pytest.approx(frozen, rel=1e-6, abs=0.0), U
+
     @pytest.mark.parametrize("U", [0.0, 5e-324, math.inf, math.nan])
     def test_needs_positive_variance(self, U):
         p = ModelParams(0.0, 1.0, 1e-5)  # U*(U+kappa) underflows at U = 5e-324
@@ -692,14 +730,14 @@ class TestSolveGamma:
     def test_stop_at_zero_decides_h1_at_tie(self):
         cal = solve_gamma(2.5, REF_P, REF_C)
         assert cal.decision is Hypothesis.H1
-        assert cal.estimate == 0.0
+        assert engine.outcome(stats.init(), cal, REF_P, REF_C).estimate == 0.0
 
     def test_stop_at_zero_decides_h0_when_false_alarms_costly(self):
         p = ModelParams(0.5, 1.0, 1.0)
         c = CostWeights(5.0, 1.0, 1.0)
         cal = solve_gamma(100.0, p, c)
         assert cal.decision is Hypothesis.H0
-        assert cal.estimate is None
+        assert engine.outcome(stats.init(), cal, p, c).estimate is None
 
     def test_boundary_constraint_maps_to_stop_at_zero(self):
         cal = solve_gamma(2.0, REF_P, REF_C)  # C == C_max exactly
@@ -867,9 +905,10 @@ class TestCalibrationType:
             Calibration(C=1.0, gamma=0.0)
 
     def test_estimate_only_with_h1(self):
-        with pytest.raises(ValueError):
+        # a rule carries no estimate at all: the outcome reads the prior mean off the model
+        with pytest.raises(TypeError):
             Calibration(C=5.0, decision=Hypothesis.H0, estimate=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             Calibration(C=1.0, gamma=2.0, estimate=1.0)
 
     @pytest.mark.parametrize("field", [{"gamma": 2.0}, {"G": -0.5}], ids=["gamma", "G"])

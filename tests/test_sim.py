@@ -735,3 +735,39 @@ class TestLazyThreshold:
         outcomes = [run_sequential(zip(y.tolist(), h.tolist()), cal, P, C, cfg.t_max)
                     for cal in (stopping_rule(Cc, P, C), solve_gamma(Cc, P, C))]
         assert outcomes[0] == outcomes[1]
+
+
+# E[T] on IidGaussian(1) at mu_x = 1 and costs 1/0.2/5, for C/C_max in MEAN_STOP's keys
+MEAN_STOP = {0.9: 1.3494, 0.5: 2.5538, 0.2: 6.5006, 0.05: 28.8242}
+
+
+@pytest.mark.parametrize("channel", [IidGaussian(1.0), Rayleigh(0.8)],
+                         ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("frac", list(MEAN_STOP))
+def test_stopping_time_has_the_law_of_the_energy(channel, frac):
+    # T depends on the gains alone, so P(T > t) = P(U_t < gamma): with U_t/s^2
+    # chi-squared on t (IidGaussian(s)) or 2t (Rayleigh(s)) degrees of freedom
+    from scipy.special import gammainc
+
+    p, c = ModelParams(1.0, 1.0, 1.0), CostWeights(1.0, 0.2, 5.0)
+    cal = solve_gamma(frac * admissible_cost_bound(p, c), p, c)
+    n, t_max = 2000, 500
+    t = np.arange(1, t_max + 1)
+    if isinstance(channel, IidGaussian):
+        below = gammainc(t / 2, cal.gamma / (2 * channel.std**2))
+    else:
+        below = gammainc(t, cal.gamma / (2 * channel.scale**2))
+    survival = np.concatenate(([1.0], below))  # P(T > t) for t = 0..t_max
+    assert survival[-1] < 1e-15  # the horizon is out of reach
+    mean = survival.sum()  # E[T] = sum over t >= 0 of P(T > t)
+    if isinstance(channel, IidGaussian):
+        assert mean == pytest.approx(MEAN_STOP[frac], abs=5e-5)
+
+    T = np.array([stopping_index(gen_channel(channel, seed, t_max), cal, p, c)[0]
+                  for seed in range(n)])
+    assert abs(T.mean() - mean) <= 4 * T.std(ddof=1) / math.sqrt(n)
+    seen = (T[:, None] > np.arange(t_max + 1)).mean(axis=0)
+    checked = (0.01 < survival) & (survival < 0.99)
+    se = np.sqrt(survival * (1 - survival) / n)
+    assert checked.any()
+    assert (np.abs(seen - survival) <= 4 * se)[checked].all()
