@@ -33,7 +33,7 @@ class TripletOutcome:
 def outcome(s: stats.SufficientStats, cal: Calibration, p: ModelParams,
             c: CostWeights) -> TripletOutcome:
     """The decision and, on H1, the estimate on stopping at history ``s``: the prior mean
-    ``mu_x`` under a prior decision, at ``stats.init()``.  OverflowError: sums not finite."""
+    ``mu_x`` under a prior decision, at ``SufficientStats()``.  OverflowError: sums not finite."""
     if cal.decision is None and not (math.isfinite(s.U) and math.isfinite(s.V)):
         raise OverflowError(f"running sums overflow a float at t={s.t}")
     cost = predicted_cost(s.U, p, c)  # first: a NumericalError where U leaves G's range
@@ -59,7 +59,7 @@ def run_sequential(stream: Iterable[tuple[float, float]], cal: Calibration,
     overflow to inf on the way.
     """
     check_int("t_max", t_max, 1)
-    s = stats.init()
+    s = stats.SufficientStats()
     if cal.decision is not None:
         return outcome(s, cal, p, c)
 

@@ -105,7 +105,7 @@ def _check_finite(U: float, name: str, value: float) -> None:
 
 
 def _margin_root(U: float, p: ModelParams, c: CostWeights) -> float:
-    """The margin equation's root in ``d = g - (mu_x*kappa)^2`` (see ``g_root``)."""
+    """The margin equation's root in ``d = g - (mu_x*kappa)^2`` (see ``boundary``)."""
     kappa = p.kappa
     A = U + kappa
     scale = 2.0 * p.sigma**2 * A
@@ -163,8 +163,25 @@ def _margin_root(U: float, p: ModelParams, c: CostWeights) -> float:
     return 0.5 * (lo + hi)
 
 
-def _boundary(U: float, p: ModelParams, c: CostWeights) -> tuple[float, float, float]:
-    """``(g, V1, V2)`` at energy U, from one margin root in d."""
+def boundary(U: float, p: ModelParams, c: CostWeights) -> tuple[float, float, float]:
+    """Margin root g(U) and the region (-inf,-V1] u [V2,inf) it fixes, as ``(g, V1, V2)``.
+
+    Solves ``c0 = sqrt(kappa/A) * exp((d - mu_x^2*kappa*U)/(2*sigma^2*A)) * (c1
+    + ce*(d + (mu_x*kappa)^2)/A^2)``, ``A = U + kappa``, for d, the value of
+    ``V^2 + 2*mu_x*kappa*V`` at the decision boundary, and returns ``g = d +
+    (mu_x*kappa)^2``, that of ``(V + mu_x*kappa)^2``; both may be negative.
+    For ce = 0 the closed form is used; otherwise the right side is strictly
+    increasing in d above ``-A^2*c1/ce - (mu_x*kappa)^2`` and a bracketed
+    bisection is run to tolerance ``1e-10*min(1, 2*sigma^2*A)``, relative to
+    the scale the root grows with, or to adjacent floats.
+
+    The margin is nonpositive on the region, with ``V1 = sqrt(max(g,0)) +
+    mu_x*kappa`` and ``V2 = sqrt(max(g,0)) - mu_x*kappa``; when g <= 0 the two
+    tails meet and the region is the whole line.  The near one is
+    ``d/(sqrt(g) + |mu_x|*kappa)`` where it would cancel.  NumericalError: a
+    root that is not finite, where ``(mu_x*kappa)^2``, ``A/kappa`` or ``A^2``
+    overflows, and a scale ``2*sigma^2*A`` that rounds to 0 or overflows.
+    """
     _check_energy(U)
     d = _margin_root(U, p, c)
     mk = p.mu_x * p.kappa
@@ -175,33 +192,6 @@ def _boundary(U: float, p: ModelParams, c: CostWeights) -> tuple[float, float, f
     # root - |mk| cancels where |mk| is over half of root; d/(root + |mk|) does not
     near = d / far if 0.0 < root < 2.0 * abs(mk) else root - abs(mk)
     return (g, far, near) if mk >= 0.0 else (g, near, far)
-
-
-def g_root(U: float, p: ModelParams, c: CostWeights) -> float:
-    """Root g(U) of the decision-margin equation at energy U.
-
-    Solves ``c0 = sqrt(kappa/A) * exp((d - mu_x^2*kappa*U)/(2*sigma^2*A)) * (c1
-    + ce*(d + (mu_x*kappa)^2)/A^2)``, ``A = U + kappa``, for d, the value of
-    ``V^2 + 2*mu_x*kappa*V`` at the decision boundary, and returns ``g = d +
-    (mu_x*kappa)^2``, that of ``(V + mu_x*kappa)^2``; both may be negative.
-    For ce = 0 the closed form is used; otherwise the right side is strictly
-    increasing in d above ``-A^2*c1/ce - (mu_x*kappa)^2`` and a bracketed
-    bisection is run to tolerance ``1e-10*min(1, 2*sigma^2*A)``, relative to
-    the scale the root grows with, or to adjacent floats.  NumericalError: a
-    root that is not finite, where ``(mu_x*kappa)^2``, ``A/kappa`` or ``A^2``
-    overflows, and a scale ``2*sigma^2*A`` that rounds to 0 or overflows.
-    """
-    return _boundary(U, p, c)[0]
-
-
-def region(U: float, p: ModelParams, c: CostWeights) -> tuple[float, float]:
-    """Endpoints (V1, V2) of the nonpositive-margin region (-inf,-V1] u [V2,inf).
-
-    ``V1 = sqrt(max(g,0)) + mu_x*kappa`` and ``V2 = sqrt(max(g,0)) -
-    mu_x*kappa``; when g <= 0 the two tails meet and the region is the whole
-    line.  The near one is ``d/(sqrt(g) + |mu_x|*kappa)`` where it would cancel.
-    """
-    return _boundary(U, p, c)[1:]
 
 
 def g_limits(p: ModelParams, c: CostWeights) -> tuple[float, float]:
@@ -284,12 +274,12 @@ def g_eval(U: float, p: ModelParams, c: CostWeights) -> float:
     At U = 0 the null law of V is a point mass and the exact limit
     ``min(c0 - c1 - ce*mu_x^2, 0)`` is returned, as it is at an energy so
     small that ``U*(U+kappa)`` underflows.  Otherwise it is
-    ``g_eval_region`` at ``region(U, p, c)``.
+    ``g_eval_region`` at ``boundary``'s region.
     """
     _check_energy(U)
     if U * (U + p.kappa) == 0.0:
         return g_limits(p, c)[0]
-    return g_eval_region(U, *region(U, p, c), p, c)
+    return g_eval_region(U, *boundary(U, p, c)[1:], p, c)
 
 
 def g_eval_region(U: float, V1: float, V2: float, p: ModelParams, c: CostWeights) -> float:
@@ -299,13 +289,15 @@ def g_eval_region(U: float, V1: float, V2: float, p: ModelParams, c: CostWeights
     probabilities and the first two truncated moments of the unit normal,
     using that V has null law ``N(0, sigma^2 U)`` and marginal alternative
     law ``N(mu_x U, sigma_x^2 U (U+kappa))``.  Needs a finite U with
-    ``U*(U+kappa) > 0`` and a valid region, ``V1 + V2 >= 0``: overlapping tails
-    count twice.  NumericalError: a value that is not finite, e.g. where
-    ``U*(U+kappa)`` overflows.
+    ``U*(U+kappa) > 0`` and a valid region, ``V1 + V2 >= 0``, since overlapping
+    tails would count twice.  NumericalError: a value that is not finite, e.g.
+    where ``U*(U+kappa)`` overflows.
     """
     A = U + p.kappa
     if not (math.isfinite(U) and U * A > 0.0):
         raise ValueError(f"G over a region needs a finite U with U*(U+kappa) > 0, got {U!r}")
+    if not V1 + V2 >= 0.0:
+        raise ValueError(f"a region needs V1 + V2 >= 0, got V1={V1!r}, V2={V2!r}")
     mu = p.mu_x
     s0 = p.sigma * math.sqrt(U)
     s1 = p.sigma_x * math.sqrt(U * A)
@@ -343,7 +335,7 @@ def g_eval_quadrature(U: float, p: ModelParams, c: CostWeights, tol: float = 1e-
     or if the value lies below G's infinite-energy limit by more than
     ``tol``, that sum and a rounding allowance.
     """
-    return g_eval_quadrature_region(U, *region(U, p, c), p, c, tol)
+    return g_eval_quadrature_region(U, *boundary(U, p, c)[1:], p, c, tol)
 
 
 def g_eval_quadrature_region(U: float, V1: float, V2: float, p: ModelParams,
@@ -352,7 +344,7 @@ def g_eval_quadrature_region(U: float, V1: float, V2: float, p: ModelParams,
 
     The integrand is the negative part of the decision margin, so the result
     is G(U) only where the margin is nonpositive on the whole region, as it is
-    on ``region(U, p, c)``; ``g_eval_region`` is exact for any region.
+    on ``boundary``'s region; ``g_eval_region`` is exact for any region.
     """
     import scipy.integrate  # not at module level: SciPy is ~half of a cold start
 
@@ -440,7 +432,7 @@ def g_eval_quadrature_region(U: float, V1: float, V2: float, p: ModelParams,
 
 def g_point(U: float, p: ModelParams, c: CostWeights) -> GPoint:
     """Bundle root, region endpoints, and closed-form value at one energy."""
-    g, V1, V2 = _boundary(U, p, c)
+    g, V1, V2 = boundary(U, p, c)
     G = g_limits(p, c)[0] if U * (U + p.kappa) == 0.0 else g_eval_region(U, V1, V2, p, c)
     return GPoint(U=U, g=g, V1=V1, V2=V2, G=G)
 

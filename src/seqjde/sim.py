@@ -394,7 +394,7 @@ def separate_predicted_cost(U_T: float, p: ModelParams, c: CostWeights) -> float
         h1 = stats.accepts_alternative(0.0, p.mu_x, sep)
         G = c.c0 - c.c1 - c.ce * p.mu_x**2 if h1 else 0.0
     else:
-        G = gfunc.g_eval_region(U_T, *gfunc.region(U_T, p, sep), p, c)
+        G = gfunc.g_eval_region(U_T, *gfunc.boundary(U_T, p, sep)[1:], p, c)
     return gfunc.combined_cost(G, p, c)
 
 

@@ -18,16 +18,11 @@ from .model import CostWeights, Hypothesis, ModelParams
 
 @dataclass(frozen=True)
 class SufficientStats:
-    """Sample count plus the two running sums that summarize the history."""
+    """Sample count plus the two running sums that summarize the history; empty by default."""
 
-    t: int
-    U: float
-    V: float
-
-
-def init() -> SufficientStats:
-    """Empty-history state: no samples, zero energy, zero correlation."""
-    return SufficientStats(t=0, U=0.0, V=0.0)
+    t: int = 0
+    U: float = 0.0
+    V: float = 0.0
 
 
 def update(s: SufficientStats, y: float, h: float) -> SufficientStats:
@@ -39,7 +34,7 @@ def update(s: SufficientStats, y: float, h: float) -> SufficientStats:
 
 def running(y: np.ndarray, h: np.ndarray) -> SufficientStats:
     """Every prefix's statistics as arrays, the empty prefix first: row t is ``update``'s
-    state after t pairs, bit for bit, as ``np.cumsum`` adds in its order from ``init``'s zeros."""
+    state after t pairs, bit for bit, as ``np.cumsum`` adds in its order from zeros."""
     with np.errstate(over="ignore", invalid="ignore"):  # silent inf and nan, as Python floats
         U = np.cumsum(np.concatenate(([0.0], h * h)))
         V = np.cumsum(np.concatenate(([0.0], y * h)))

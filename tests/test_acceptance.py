@@ -21,9 +21,9 @@ from seqjde import (
     run_sequential,
     solve_gamma,
 )
-from seqjde.gfunc import Calibration, g_eval, g_eval_quadrature, g_limits, g_root
+from seqjde.gfunc import Calibration, boundary, g_eval, g_eval_quadrature, g_limits
 from seqjde.sim import Ar1, IidGaussian, Rayleigh, compare_schemes, run_arms, separate_decisions
-from seqjde.stats import estimate, init, log_likelihood_ratio
+from seqjde.stats import SufficientStats, estimate, log_likelihood_ratio
 from seqjde.cli import main as cli_main
 from test_gfunc import oracle_root
 
@@ -56,10 +56,10 @@ def test_criterion_01_exact_closed_forms():
     ok = True
     detail = []
     for p, c in configs:
-        if abs(log_likelihood_ratio(init(), p)) > 1e-12:
+        if abs(log_likelihood_ratio(SufficientStats(), p)) > 1e-12:
             ok = False
             detail.append(f"logL0 != 0 for {p}")
-        if abs(estimate(init(), p) - p.mu_x) > 1e-12:
+        if abs(estimate(SufficientStats(), p) - p.mu_x) > 1e-12:
             ok = False
             detail.append(f"estimate(0,0) != mu_x for {p}")
         full = CostWeights(c.c0, c.c1, 1.5)
@@ -68,7 +68,7 @@ def test_criterion_01_exact_closed_forms():
             ok = False
             detail.append(f"G(0) mismatch for {p}")
         for U in (0.0, 0.5, 2.0, 10.0):
-            closed = g_root(U, p, c)
+            closed = boundary(U, p, c)[0]
             if abs(closed - oracle_root(U, p, c)) > 1e-9:
                 ok = False
                 detail.append(f"ce=0 root mismatch at U={U} for {p}")
@@ -112,7 +112,7 @@ def test_criterion_03_shape_and_limits():
     hits = 0
     for u in np.logspace(-3, 4, 50):
         u = float(u)
-        if g_root(u, p, c) <= 0:
+        if boundary(u, p, c)[0] <= 0:
             hits += 1
             expect = c.c0 - c.c1 - c.ce * (p.mu_x**2 + p.sigma_x**2 * u / (u + p.kappa))
             if abs(g_eval(u, p, c) - expect) > 1e-10:

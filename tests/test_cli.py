@@ -284,7 +284,7 @@ class TestCalibrate:
                                                           "sigma": 2.8}}, constraint_C=2.0)
         run = cli.load_config(cfg)
         p = run.params
-        assert stats.estimate(stats.init(), p) != p.mu_x
+        assert stats.estimate(stats.SufficientStats(), p) != p.mu_x
         assert admissible_cost_bound(p, run.costs) <= run.constraint_C  # C_max = 1.64
         bits = struct.pack("<d", 0.89)
         for argv in (["calibrate"], ["simulate", "--truth", "H0"],
@@ -590,7 +590,7 @@ def _reference_simulate(cfg_path: str, truth: str, x_override: float | None):
     cal = gfunc.solve_gamma(cfg.constraint_C, p, c)
     out = engine.run_sequential(zip(ys, hs), cal, p, c, cfg.t_max)
     lines = ["t,h,y,U,V,logL,xhat\n"]
-    s = stats.init()
+    s = stats.SufficientStats()
     for y_t, h_t in zip(ys[:out.T], hs):
         s = stats.update(s, y_t, h_t)
         lines.append(f"{s.t:d},{h_t:.17g},{y_t:.17g},{s.U:.17g},{s.V:.17g},"

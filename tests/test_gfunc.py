@@ -21,13 +21,12 @@ from seqjde import (
 from seqjde.errors import ConfigError, NumericalError, QuadratureNonConvergence
 from seqjde.gfunc import (
     Calibration,
+    boundary,
     g_eval,
     g_eval_quadrature,
     g_eval_region,
     g_limits,
     g_point,
-    g_root,
-    region,
     stopping_rule,
     threshold_bound,
 )
@@ -207,54 +206,54 @@ class TestGRoot:
     def test_ce_zero_closed_form_value(self):
         p = ModelParams(0.0, 1.0, 1.0)
         c = CostWeights(1.0, 1.0, 0.0)
-        assert g_root(1.0, p, c) == pytest.approx(2 * math.log(2), abs=1e-12)
+        assert boundary(1.0, p, c)[0] == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_root_zero_at_origin_for_reference(self):
         # e^{g/2} (1 + g) = 1 is solved by g = 0
-        assert g_root(0.0, REF_P, REF_C) == pytest.approx(0.0, abs=1e-9)
+        assert boundary(0.0, REF_P, REF_C)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_bisection_case_against_oracle(self):
         p = ModelParams(1.0, 1.0, 1.0)
         c = CostWeights(2.0, 0.5, 1.0)
-        g = g_root(3.0, p, c)
+        g = boundary(3.0, p, c)[0]
         assert g == pytest.approx(oracle_root(3.0, p, c), abs=1e-8)
         assert margin_rhs(g, 3.0, p, c) == pytest.approx(c.c0, abs=1e-9 * c.c0)
 
     @pytest.mark.parametrize("p, c", COST_CONFIGS + SCALED_NOISE_CONFIGS)
     @pytest.mark.parametrize("U", [0.0, 0.1, 1.0, 10.0, 100.0, 1e4])
     def test_residual_on_grid(self, p, c, U):
-        g = g_root(U, p, c)
+        g = boundary(U, p, c)[0]
         assert abs(margin_rhs(g, U, p, c) - c.c0) <= 1e-9 * c.c0
 
     def test_pure_estimation_costs(self):
         # c1 = 0 forces a positive root bracketed from zero
         p = ModelParams(0.0, 1.0, 1.0)
         c = CostWeights(1.0, 0.0, 1.0)
-        g = g_root(2.0, p, c)
+        g = boundary(2.0, p, c)[0]
         assert g > 0
         assert margin_rhs(g, 2.0, p, c) == pytest.approx(c.c0, abs=1e-9)
 
     def test_invalid_costs(self):
         # refused where the weights are made, so no root ever sees them
         with pytest.raises(ValueError, match="c0 must be positive"):
-            g_root(1.0, REF_P, CostWeights(0.0, 1.0, 1.0))
+            boundary(1.0, REF_P, CostWeights(0.0, 1.0, 1.0))
         with pytest.raises(ValueError, match="c1 and ce cannot both be zero"):
-            g_root(1.0, REF_P, CostWeights(1.0, 0.0, 0.0))
+            boundary(1.0, REF_P, CostWeights(1.0, 0.0, 0.0))
 
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
-            g_root(-1.0, REF_P, REF_C)
+            boundary(-1.0, REF_P, REF_C)
 
     def test_energy_too_large_for_kappa(self):
         # kappa/(U+kappa) is a denormal for kappa = 1e-160 at U = 1e150, which is
         # not refused, and 0 for kappa = 1e-140 at U = 1e300, where its log is
         # undefined
         # (c1 = 0 puts the bisection's lower end at 0, where it converges)
-        g = g_root(1e150, ModelParams(0.0, 1.0, 1e-80), CostWeights(1.0, 0.0, 1.0))
+        g = boundary(1e150, ModelParams(0.0, 1.0, 1e-80), CostWeights(1.0, 0.0, 1.0))[0]
         assert 0.0 < g < 1.0
         p = ModelParams(0.0, 1.0, 1e-70)
         with pytest.raises(NumericalError, match=r"U=1e\+300"):
-            g_root(1e300, p, REF_C)
+            boundary(1e300, p, REF_C)
         # the ce = 0 closed form has no log(kappa/A), but the quadrature does
         with pytest.raises(NumericalError, match=r"U=1e\+300"):
             g_eval_quadrature(1e300, p, CostWeights(1.0, 1.0, 0.0))
@@ -266,7 +265,7 @@ class TestGRoot:
         p = ModelParams(0.0, 1.0, 1e-70)
         for c, g in ((CostWeights(1.0, 1.0, 0.0), "inf"), (REF_C, "-inf")):
             with pytest.raises(NumericalError, match=rf"U=1e\+170 .* g = {g}$"):
-                g_root(1e170, p, c)
+                boundary(1e170, p, c)
             with pytest.raises(NumericalError, match=r"U=1e\+170 "):
                 g_eval(1e170, p, c)
 
@@ -277,7 +276,7 @@ class TestGRoot:
         c = CostWeights(c0, c1, 0.0)
         for U in (0.0, 1.0, 50.0):
             A = U + 1.0
-            g = g_root(U, REF_P, c)
+            g = boundary(U, REF_P, c)[0]
             expect = 2.0 * A * (math.log(c0) - math.log(c1) + 0.5 * math.log(A))
             assert g == pytest.approx(expect, rel=1e-14)
             # the margin equation in log form
@@ -288,14 +287,14 @@ class TestGRoot:
     def test_cost_ratio_in_range_keeps_the_ratio(self):
         # a denormal but nonzero c0/c1 still goes through log(c0/c1), bit for bit
         c = CostWeights(1e-300, 1e10, 0.0)
-        assert g_root(1.0, REF_P, c) == 4.0 * (math.log(c.c0 / c.c1) + 0.5 * math.log(2.0))
+        assert boundary(1.0, REF_P, c)[0] == 4.0 * (math.log(c.c0 / c.c1) + 0.5 * math.log(2.0))
 
     def test_wide_bracket_bisects_to_the_root(self):
         # kappa = 1e-160 at U = 1e150 puts the bracket's lower end at -1e300:
         # 500 halvings stopped at g = -1.5e149 (log residual -7.6e158), and G
         # took the whole-line value -1
         U, p = 1e150, ModelParams(0.0, 1.0, 1e-80)
-        g = g_root(U, p, REF_C)
+        g = boundary(U, p, REF_C)[0]
         A = U + p.kappa
         scale = 2.0 * p.sigma**2 * A
         residual = 0.5 * math.log(p.kappa / A) + g / scale + math.log(1.0 + g / (A * A))
@@ -309,7 +308,7 @@ class TestGRoot:
         # of steps and reported no upper bracket
         p = ModelParams(0.0, 1.0, 1e77)
         with pytest.raises(NumericalError, match=r"U=1\.0 .* 2\*sigma\^2\*\(U\+kappa\) = inf$"):
-            g_root(1.0, p, REF_C)
+            boundary(1.0, p, REF_C)
 
     def test_root_beyond_the_float_range_has_no_bracket(self):
         # kappa = 1e10 makes mu_x*kappa = 1e155, whose square the root
@@ -318,35 +317,33 @@ class TestGRoot:
         p = ModelParams(1e145, 1e-5, 1.0)
         with pytest.raises(NumericalError, match=r"^\(mu_x\*kappa\)\^2 overflows a float: "
                                                  r"mu_x=1e\+145, kappa=[0-9.e+]+$"):
-            g_root(1.0, p, REF_C)
+            boundary(1.0, p, REF_C)
 
     def test_energy_scale_underflow(self):
         # 2*sigma^2*(U+kappa) is a denormal at U = 1 and 0 at U = 1e-10; the root
         # search divides by it
         p = ModelParams(0.0, 1e-80, 1e-160)
-        assert math.isfinite(g_root(1.0, p, REF_C))
+        assert math.isfinite(boundary(1.0, p, REF_C)[0])
         with pytest.raises(NumericalError, match=r"U=1e-10 "):
-            g_root(1e-10, p, REF_C)
+            boundary(1e-10, p, REF_C)
 
 
 class TestRegion:
     def test_whole_line_when_root_nonpositive(self):
         p = ModelParams(1.0, 1.0, 1.0)
         c = CostWeights(0.2, 1.0, 1.0)  # c0 far below c1 pushes g below 0
-        g = g_root(0.5, p, c)
+        g, V1, V2 = boundary(0.5, p, c)
         assert g <= 0
-        V1, V2 = region(0.5, p, c)
         assert (-V1, V2) == (-p.mu_x * p.kappa, -p.mu_x * p.kappa)
 
     def test_symmetric_when_mean_zero(self):
-        V1, V2 = region(1.0, REF_P, REF_C)
+        V1, V2 = boundary(1.0, REF_P, REF_C)[1:]
         assert V1 == V2 > 0
 
     def test_offsets_with_nonzero_mean(self):
         p = ModelParams(1.0, 1.0, 1.0)
         c = CostWeights(2.0, 0.5, 1.0)
-        g = g_root(3.0, p, c)
-        V1, V2 = region(3.0, p, c)
+        g, V1, V2 = boundary(3.0, p, c)
         assert V1 == pytest.approx(math.sqrt(g) + 1.0, rel=1e-12)
         assert V2 == pytest.approx(math.sqrt(g) - 1.0, rel=1e-12)
 
@@ -380,7 +377,7 @@ class TestGEval:
     def test_whole_line_identity_where_applicable(self, p, c):
         for U in np.logspace(-3, 3, 25):
             U = float(U)
-            if g_root(U, p, c) <= 0:
+            if boundary(U, p, c)[0] <= 0:
                 expect = c.c0 - c.c1 - c.ce * (
                     p.mu_x**2 + p.sigma_x**2 * U / (U + p.kappa)
                 )
@@ -390,7 +387,7 @@ class TestGEval:
         # cheap false alarms push the root negative at small energies
         p = ModelParams(1.0, 1.0, 1.0)
         c = CostWeights(0.2, 1.0, 1.0)
-        assert any(g_root(float(U), p, c) <= 0 for U in np.logspace(-3, 3, 25))
+        assert any(boundary(float(U), p, c)[0] <= 0 for U in np.logspace(-3, 3, 25))
 
     def test_against_quadrature_at_u50(self):
         ge = g_eval(50.0, REF_P, REF_C)
@@ -418,7 +415,7 @@ class TestGEval:
         p = ModelParams(0.5, 1.0, 1.0)
         c = CostWeights(1.0, 1.0, 0.0)
         assert g_eval(1e150, p, c) == pytest.approx(-1.0)
-        assert math.isfinite(g_root(1e155, p, c))
+        assert math.isfinite(boundary(1e155, p, c)[0])
         with pytest.raises(NumericalError, match=r"U=1e\+155 .* G = nan$"):
             g_eval(1e155, p, c)
 
@@ -454,7 +451,7 @@ class TestGEvalQuadrature:
         c = CostWeights(9.358433318920415e+131, 4.779038261474787e+140, 0.0)
         U = 3.775896748181862e+26
         with pytest.raises(QuadratureNonConvergence, match="below G's infinite-energy limit"):
-            gfunc.g_eval_quadrature_region(U, *region(U, p, c), p, c, 1e-9)
+            gfunc.g_eval_quadrature_region(U, *boundary(U, p, c)[1:], p, c, 1e-9)
 
     def test_negative_error_estimate_is_a_quadrature_failure(self):
         # QUADPACK returns abserr -1.7e94 on the left core interval here; the
@@ -463,7 +460,7 @@ class TestGEvalQuadrature:
         c = CostWeights(7.124807172536587e-49, 11226210.219135704, 0.0)
         U = 1.917644899271261e+54
         with pytest.raises(QuadratureNonConvergence, match=r"error estimate -1\.669e\+94$"):
-            gfunc.g_eval_quadrature_region(U, *region(U, p, c), p, c, 1e-9)
+            gfunc.g_eval_quadrature_region(U, *boundary(U, p, c)[1:], p, c, 1e-9)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -491,7 +488,7 @@ class TestQuadratureCore:
     @staticmethod
     def outcome(quadrature, U, p, c):
         try:
-            return float.hex(quadrature(U, *region(U, p, c), p, c, 1e-9))
+            return float.hex(quadrature(U, *boundary(U, p, c)[1:], p, c, 1e-9))
         except (NumericalError, QuadratureNonConvergence) as exc:
             return type(exc).__name__  # the same failure is the same outcome
 
@@ -511,7 +508,7 @@ class TestQuadratureCore:
         p = ModelParams(0.0, 9.0e-4, 6.8e-8)
         c = CostWeights(2.0e151, 1.2e-65, 0.0)
         U = 3.8e13
-        V1, V2 = region(U, p, c)
+        V1, V2 = boundary(U, p, c)[1:]
         tail_lo, core_left, core_right, tail_hi = (
             val for val, _ in four_interval_quadrature_terms(U, V1, V2, p, c, 1e-9))
         assert tail_lo != 0.0 and tail_hi != 0.0
@@ -528,8 +525,8 @@ class TestGEvalRegion:
         # region), both under the full costs; they coincide where ce = 0
         separate_costs = replace(c, ce=0.0)
         for U in np.logspace(-3, 5, 400).tolist():
-            joint = g_eval_region(U, *region(U, p, c), p, c)
-            separate = g_eval_region(U, *region(U, p, separate_costs), p, c)
+            joint = g_eval_region(U, *boundary(U, p, c)[1:], p, c)
+            separate = g_eval_region(U, *boundary(U, p, separate_costs)[1:], p, c)
             assert joint == g_eval(U, p, c)
             if c.ce == 0.0:
                 assert joint == separate
@@ -542,7 +539,7 @@ class TestGEvalRegion:
         rng = np.random.default_rng(25)
         slack = 1e-12 * max(1.0, admissible_cost_bound(p, c))
         for U in MATRIX_ENERGIES:
-            G, (V1, V2) = g_eval(U, p, c), region(U, p, c)
+            G, (V1, V2) = g_eval(U, p, c), boundary(U, p, c)[1:]
             for scale in (1e-3, 1e-1, 1.0):
                 for d1, d2 in rng.normal(0.0, scale * p.sigma * math.sqrt(U), size=(8, 2)):
                     if V1 + d1 + V2 + d2 >= 0.0:
@@ -552,7 +549,7 @@ class TestGEvalRegion:
     def test_slope_is_the_slope_at_a_fixed_region(self, p, c):
         # the envelope theorem: moving the optimal region with U does not change dG/dU
         for U in MATRIX_ENERGIES:
-            h, fixed = 1e-4 * U, region(U, p, c)
+            h, fixed = 1e-4 * U, boundary(U, p, c)[1:]
             full = (g_eval(U + h, p, c) - g_eval(U - h, p, c)) / (2 * h)
             frozen = (g_eval_region(U + h, *fixed, p, c)
                       - g_eval_region(U - h, *fixed, p, c)) / (2 * h)
@@ -563,6 +560,13 @@ class TestGEvalRegion:
         p = ModelParams(0.0, 1.0, 1e-5)  # U*(U+kappa) underflows at U = 5e-324
         with pytest.raises(ValueError):
             g_eval_region(U, 1.0, 1.0, p, REF_C)
+
+    def test_overlapping_tails_are_refused(self):
+        # (-inf, 1] u [-1, inf) counted [-1, 1] twice: -0.378 at U = 1, where
+        # the whole line, (0, 0), gives -0.5
+        assert g_eval_region(1.0, 0.0, 0.0, REF_P, REF_C) == pytest.approx(-0.5)
+        with pytest.raises(ValueError, match=r"V1 \+ V2 >= 0, got V1=-1\.0, V2=-1\.0$"):
+            g_eval_region(1.0, -1.0, -1.0, REF_P, REF_C)
 
 
 class TestWorkCounts:
@@ -595,7 +599,7 @@ KNOWN_AMPLITUDE_GAMMAS = [
     (-0.3, (1.0, 0.2, 5.0), 30.230873185908422),
 ]
 NEAR_SIGMA_X = [1e-2, 1e-4, 1e-6, 1e-8, 1e-10]
-# float.hex of the near endpoint sqrt(g) - |mu_x|*kappa of region(3.0) at
+# float.hex of the near endpoint sqrt(g) - |mu_x|*kappa of boundary(3.0)[1:] at
 # costs 1/1/0 and sigma = 1, for each of NEAR_SIGMA_X: mpmath at 80 digits of
 # g = A*ln(A/kappa) + mu_x^2*kappa*A, A = 3 + kappa, kappa = 1/sigma_x^2
 NEAR_ENDPOINT_PINS = {
@@ -632,7 +636,7 @@ class TestNearlyKnownAmplitude:
     @pytest.mark.parametrize("mu_x", sorted(NEAR_ENDPOINT_PINS))
     def test_near_endpoint_matches_80_digits(self, mu_x):
         for sigma_x, pin in zip(NEAR_SIGMA_X, NEAR_ENDPOINT_PINS[mu_x]):
-            V1, V2 = region(3.0, ModelParams(mu_x, sigma_x, 1.0), CostWeights(1.0, 1.0, 0.0))
+            V1, V2 = boundary(3.0, ModelParams(mu_x, sigma_x, 1.0), CostWeights(1.0, 1.0, 0.0))[1:]
             want = float.fromhex(pin)
             assert abs((V2 if mu_x > 0 else V1) - want) <= 4 * math.ulp(want), sigma_x
 
@@ -703,17 +707,26 @@ def test_zero_prior_mean_keeps_the_old_bits(mu_x, sigma_x, sigma, c0, c1, ce, hi
         g = old_margin_root(u, p, c)
         root = math.sqrt(g) if g > 0.0 else 0.0
         mk = p.mu_x * p.kappa
-        assert float.hex(g_root(u, p, c)) == float.hex(g)
-        assert [float.hex(x) for x in region(u, p, c)] == [float.hex(root + mk),
+        assert float.hex(boundary(u, p, c)[0]) == float.hex(g)
+        assert [float.hex(x) for x in boundary(u, p, c)[1:]] == [float.hex(root + mk),
                                                            float.hex(root - mk)]
+
+
+@given(mu_x=st.floats(-1e2, 1e2), sigma_x=st.floats(1e-2, 1e2), sigma=st.floats(1e-2, 1e2),
+       c0=st.floats(1e-3, 1e3), c1=_costs, ce=_costs, U=st.floats(0.0, 1e6))
+def test_every_boundary_region_is_valid(mu_x, sigma_x, sigma, c0, c1, ce, U):
+    # the tails of (-inf,-V1] u [V2,inf) never overlap, so g_eval_region takes them
+    assume(c1 + ce > 0.0)
+    V1, V2 = boundary(U, ModelParams(mu_x, sigma_x, sigma), CostWeights(c0, c1, ce))[1:]
+    assert V1 + V2 >= 0.0
 
 
 class TestGPoint:
     def test_bundles_consistent_fields(self):
         pt = g_point(2.0, REF_P, REF_C)
         assert pt.U == 2.0
-        assert pt.g == g_root(2.0, REF_P, REF_C)
-        assert (pt.V1, pt.V2) == region(2.0, REF_P, REF_C)
+        assert pt.g == boundary(2.0, REF_P, REF_C)[0]
+        assert (pt.V1, pt.V2) == boundary(2.0, REF_P, REF_C)[1:]
         assert pt.G == g_eval(2.0, REF_P, REF_C)
         G0, Ginf = g_limits(REF_P, REF_C)
         assert Ginf <= pt.G <= G0
@@ -723,21 +736,21 @@ class TestGPoint:
         p = ModelParams(0.0, 1.0, 1e-5)  # U*(U+kappa) underflows at U = 5e-324
         pt = g_point(U, p, REF_C)
         assert pt.G == g_eval(U, p, REF_C) == g_limits(p, REF_C)[0]
-        assert pt.g == g_root(U, p, REF_C)
+        assert pt.g == boundary(U, p, REF_C)[0]
 
 
 class TestSolveGamma:
     def test_stop_at_zero_decides_h1_at_tie(self):
         cal = solve_gamma(2.5, REF_P, REF_C)
         assert cal.decision is Hypothesis.H1
-        assert engine.outcome(stats.init(), cal, REF_P, REF_C).estimate == 0.0
+        assert engine.outcome(stats.SufficientStats(), cal, REF_P, REF_C).estimate == 0.0
 
     def test_stop_at_zero_decides_h0_when_false_alarms_costly(self):
         p = ModelParams(0.5, 1.0, 1.0)
         c = CostWeights(5.0, 1.0, 1.0)
         cal = solve_gamma(100.0, p, c)
         assert cal.decision is Hypothesis.H0
-        assert engine.outcome(stats.init(), cal, p, c).estimate is None
+        assert engine.outcome(stats.SufficientStats(), cal, p, c).estimate is None
 
     def test_boundary_constraint_maps_to_stop_at_zero(self):
         cal = solve_gamma(2.0, REF_P, REF_C)  # C == C_max exactly

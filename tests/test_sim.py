@@ -22,7 +22,7 @@ from seqjde import (
     solve_gamma,
 )
 from seqjde.errors import ConfigError, HorizonExhausted
-from seqjde.gfunc import g_eval_region, predicted_cost, region, stopping_rule
+from seqjde.gfunc import boundary, g_eval_region, predicted_cost, stopping_rule
 from seqjde.model import admissible_cost_bound
 from seqjde.sim import (
     _AR1_BLOCK,
@@ -576,7 +576,7 @@ class TestCompareSchemes:
         if U == 0.0:
             G = costs.c0 - costs.c1 - costs.ce * params.mu_x**2 if costs.c0 <= costs.c1 else 0.0
         else:
-            G = g_eval_region(U, *region(U, params, replace(costs, ce=0.0)), params, costs)
+            G = g_eval_region(U, *boundary(U, params, replace(costs, ce=0.0))[1:], params, costs)
         assert sep.predicted == G + costs.c1 + costs.ce * (params.mu_x**2 + params.sigma_x**2)
         assert joint.predicted == predicted_cost(U, params, costs)
         assert joint.predicted <= sep.predicted

@@ -11,7 +11,6 @@ from seqjde.stats import (
     accepts_alternative,
     decide,
     estimate,
-    init,
     log_likelihood_ratio,
     running,
     update,
@@ -21,7 +20,7 @@ finite_obs = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
 def fold(pairs):
-    s = init()
+    s = SufficientStats()
     for y, h in pairs:
         s = update(s, y, h)
     return s
@@ -29,11 +28,11 @@ def fold(pairs):
 
 class TestSufficientStats:
     def test_init_is_empty(self):
-        s = init()
+        s = SufficientStats()
         assert (s.t, s.U, s.V) == (0, 0.0, 0.0)
 
     def test_single_update(self):
-        s = update(init(), y=1.5, h=2.0)
+        s = update(SufficientStats(), y=1.5, h=2.0)
         assert (s.t, s.U, s.V) == (1, 4.0, 3.0)
 
     def test_zero_gain_carries_no_information(self):
@@ -47,7 +46,7 @@ class TestSufficientStats:
     @pytest.mark.parametrize("y, h", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0)])
     def test_rejects_nonfinite(self, y, h):
         with pytest.raises(ValueError):
-            update(init(), y, h)
+            update(SufficientStats(), y, h)
 
     @given(st.lists(st.tuples(finite_obs, finite_obs), min_size=1, max_size=30))
     def test_batch_equals_incremental(self, pairs):
@@ -60,7 +59,7 @@ class TestSufficientStats:
 
     @given(st.lists(st.tuples(finite_obs, finite_obs), min_size=1, max_size=30))
     def test_energy_nondecreasing(self, pairs):
-        s = init()
+        s = SufficientStats()
         for y, h in pairs:
             s2 = update(s, y, h)
             assert s2.U >= s.U
@@ -82,7 +81,7 @@ def test_running_rows_are_the_folds_bit_for_bit(p):
     h = np.concatenate(([-0.0, 0.0, -0.0], rng.standard_t(3, size=3000)))
     y = np.abs(rng.normal(size=len(h)))
     run = running(y, h)
-    folds = [init()]
+    folds = [SufficientStats()]
     for y_t, h_t in zip(y.tolist(), h.tolist()):
         folds.append(update(folds[-1], y_t, h_t))
     assert run.t.tolist() == [s.t for s in folds]
@@ -100,7 +99,7 @@ class TestEstimator:
 
     def test_prior_mean_with_no_data(self):
         p = ModelParams(mu_x=2.0, sigma_x=1.0, sigma=1.0)
-        assert estimate(init(), p) == pytest.approx(2.0, abs=1e-15)
+        assert estimate(SufficientStats(), p) == pytest.approx(2.0, abs=1e-15)
 
     def test_large_energy_limit_is_empirical_ratio(self):
         p = ModelParams(mu_x=2.0, sigma_x=1.0, sigma=1.0)
@@ -132,7 +131,7 @@ class TestLogLikelihoodRatio:
         ],
     )
     def test_empty_history_is_zero(self, p):
-        assert log_likelihood_ratio(init(), p) == pytest.approx(0.0, abs=1e-12)
+        assert log_likelihood_ratio(SufficientStats(), p) == pytest.approx(0.0, abs=1e-12)
 
     def test_known_values(self):
         p = ModelParams(0.0, 1.0, 1.0)
@@ -203,7 +202,7 @@ class TestDecide:
     def test_prior_only_decision(self):
         p = ModelParams(0.0, 1.0, 1.0)
         c = CostWeights(c0=2.0, c1=1.0, ce=1.0)
-        assert decide(init(), p, c) is Hypothesis.H0
+        assert decide(SufficientStats(), p, c) is Hypothesis.H0
 
     def test_ce_zero_reduces_to_lrt(self):
         p = ModelParams(0.3, 1.2, 0.9)
@@ -219,11 +218,11 @@ class TestDecide:
         p = ModelParams(0.0, 1.0, 1.0)
         c = CostWeights(c0=1.0, c1=1.0, ce=0.0)
         # empty history has logL = 0 exactly; threshold log(c0/c1) = 0
-        assert decide(init(), p, c) is Hypothesis.H1
+        assert decide(SufficientStats(), p, c) is Hypothesis.H1
 
     def test_degenerate_weight_conventions(self):
         p = ModelParams(0.0, 1.0, 1.0)
-        s = init()  # xhat = 0, so c1 + ce*xhat^2 = 0 when c1 = 0
+        s = SufficientStats()  # xhat = 0, so c1 + ce*xhat^2 = 0 when c1 = 0
         assert decide(s, p, CostWeights(1.0, 0.0, 1.0)) is Hypothesis.H0
 
     def test_log_domain_matches_linear_domain(self):
