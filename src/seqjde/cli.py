@@ -25,7 +25,6 @@ from . import engine, gfunc, sim, stats
 from .errors import ConfigError, QuadratureNonConvergence, SeqjdeError
 from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound, check_int
 
-_GTABLE_QUAD_TOL = 1e-9
 # reps.csv and trace rows formatted per block: bounds the Python floats held by a writer
 _REP_BLOCK = 1024
 _TRACE_ROW = "%d" + ",%.17g" * 6 + "\n"
@@ -250,15 +249,15 @@ def cmd_gtable(args: argparse.Namespace) -> int:
         nonlocal failures
         yield "U,g,V1,V2,G,G_quadrature,abs_diff\n"
         for U in cfg.grid.values().tolist():
-            pt = gfunc.g_point(U, p, c)
+            g, V1, V2, G = gfunc.g_point(U, p, c)
             quad = ","  # the zero-energy row has no quadrature
             if U != 0.0:
                 try:
-                    gq = gfunc.g_eval_quadrature_region(U, pt.V1, pt.V2, p, c, _GTABLE_QUAD_TOL)
-                    quad = f"{gq:.17g},{abs(pt.G - gq):.17g}"
+                    gq = gfunc.g_eval_quadrature_region(U, V1, V2, p, c)
+                    quad = f"{gq:.17g},{abs(G - gq):.17g}"
                 except QuadratureNonConvergence:
                     failures += 1
-            yield f"{U:.17g},{pt.g:.17g},{pt.V1:.17g},{pt.V2:.17g},{pt.G:.17g},{quad}\n"
+            yield f"{U:.17g},{g:.17g},{V1:.17g},{V2:.17g},{G:.17g},{quad}\n"
 
     _write_files([(args.out, lines())])
     if failures:

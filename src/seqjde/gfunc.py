@@ -47,17 +47,8 @@ _GAMMA_RESIDUAL_REL = 1e-13
 # floats, since its width shrinks from at most 2**1025 to at least 2**-1074,
 # and doublings that take any positive float past the largest.
 _MAX_STEPS = 2200
-
-
-@dataclass(frozen=True)
-class GPoint:
-    """One row of a G-table: root, region endpoints, and value at energy U."""
-
-    U: float
-    g: float
-    V1: float
-    V2: float
-    G: float
+# Absolute error bound of the quadrature oracle, gtable's G_quadrature column
+_QUAD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -324,7 +315,7 @@ def g_eval_region(U: float, V1: float, V2: float, p: ModelParams, c: CostWeights
     return G
 
 
-def g_eval_quadrature(U: float, p: ModelParams, c: CostWeights, tol: float = 1e-9) -> float:
+def g_eval_quadrature(U: float, p: ModelParams, c: CostWeights, tol: float = _QUAD_TOL) -> float:
     """Adaptive-quadrature evaluation of G(U), the cross-checking oracle.
 
     Integrates the negative part of the decision margin against the null
@@ -339,7 +330,7 @@ def g_eval_quadrature(U: float, p: ModelParams, c: CostWeights, tol: float = 1e-
 
 
 def g_eval_quadrature_region(U: float, V1: float, V2: float, p: ModelParams,
-                             c: CostWeights, tol: float) -> float:
+                             c: CostWeights, tol: float = _QUAD_TOL) -> float:
     """``g_eval_quadrature``'s integral over a given region (-inf,-V1] u [V2,inf).
 
     The integrand is the negative part of the decision margin, so the result
@@ -430,11 +421,11 @@ def g_eval_quadrature_region(U: float, V1: float, V2: float, p: ModelParams,
     return total
 
 
-def g_point(U: float, p: ModelParams, c: CostWeights) -> GPoint:
-    """Bundle root, region endpoints, and closed-form value at one energy."""
+def g_point(U: float, p: ModelParams, c: CostWeights) -> tuple[float, float, float, float]:
+    """One G-table row at energy U: ``boundary``'s ``(g, V1, V2)`` and G there, as ``g_eval``."""
     g, V1, V2 = boundary(U, p, c)
     G = g_limits(p, c)[0] if U * (U + p.kappa) == 0.0 else g_eval_region(U, V1, V2, p, c)
-    return GPoint(U=U, g=g, V1=V1, V2=V2, G=G)
+    return g, V1, V2, G
 
 
 def stopping_rule(C: float, p: ModelParams, c: CostWeights) -> Calibration:

@@ -367,19 +367,13 @@ def monte_carlo(cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibratio
     return cost_report(arm1, arm0.decision, arm1.decision, cfg_pair[1].costs, cal.C)
 
 
-def _separate_costs(c: CostWeights) -> CostWeights:
-    """Cost weights of the separate test: the joint rule's with ce = 0."""
+def separate_costs(c: CostWeights) -> CostWeights:
+    """Cost weights of the separate detect-then-estimate baseline: the joint rule's with
+    ce = 0, a likelihood ratio test at threshold c0/c1 that ``stats.accepts_alternative``
+    applies as it does the joint rule.  ConfigError: c1 = 0, where the test is undefined."""
     if c.c1 == 0:
-        raise ConfigError("separate detection needs c0 > 0 and c1 > 0")
+        raise ConfigError("separate detection needs c1 > 0")
     return replace(c, ce=0.0)
-
-
-def separate_decisions(arm: ArmSamples, c: CostWeights) -> np.ndarray:
-    """Estimation-blind baseline on every replication of an arm (True is H1).
-
-    The joint rule with ce = 0: a likelihood ratio test at threshold c0/c1.
-    """
-    return stats.accepts_alternative(arm.logL, arm.xhat, _separate_costs(c))
 
 
 def separate_predicted_cost(U_T: float, p: ModelParams, c: CostWeights) -> float:
@@ -389,7 +383,7 @@ def separate_predicted_cost(U_T: float, p: ModelParams, c: CostWeights) -> float
     full costs, as ``gfunc.predicted_cost`` is over the optimal region.  Where
     nothing is observed it is the cost of the separate test's prior decision.
     """
-    sep = _separate_costs(c)
+    sep = separate_costs(c)
     if U_T * (U_T + p.kappa) == 0.0:
         h1 = stats.accepts_alternative(0.0, p.mu_x, sep)
         G = c.c0 - c.c1 - c.ce * p.mu_x**2 if h1 else 0.0
@@ -405,12 +399,14 @@ def compare_schemes(
 
     Both schemes share the stopping index, the estimator, and every
     replication draw; only the decision rule differs, and each report's
-    ``predicted`` is its own scheme's exact cost.  ``workers`` has no effect;
-    it is accepted for compatibility.
+    ``predicted`` is its own scheme's exact cost.  The baseline's costs are
+    derived before any gain is read, so costs it cannot run (c1 = 0) are a
+    ConfigError first.  ``workers`` has no effect; it is accepted for compatibility.
     """
-    arm0, arm1 = run_arms(cfg_pair, cal)
     p, c = cfg_pair[1].params, cfg_pair[1].costs
+    sep = separate_costs(c)
+    arm0, arm1 = run_arms(cfg_pair, cal)
     joint = cost_report(arm1, arm0.decision, arm1.decision, c, cal.C)
-    separate = cost_report(arm1, separate_decisions(arm0, c), separate_decisions(arm1, c),
-                           c, cal.C)
+    d0, d1 = (stats.accepts_alternative(arm.logL, arm.xhat, sep) for arm in (arm0, arm1))
+    separate = cost_report(arm1, d0, d1, c, cal.C)
     return joint, replace(separate, predicted=separate_predicted_cost(arm1.U_T, p, c))

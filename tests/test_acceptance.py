@@ -22,8 +22,8 @@ from seqjde import (
     solve_gamma,
 )
 from seqjde.gfunc import Calibration, boundary, g_eval, g_eval_quadrature, g_limits
-from seqjde.sim import Ar1, IidGaussian, Rayleigh, compare_schemes, run_arms, separate_decisions
-from seqjde.stats import SufficientStats, estimate, log_likelihood_ratio
+from seqjde.sim import Ar1, IidGaussian, Rayleigh, compare_schemes, run_arms, separate_costs
+from seqjde.stats import SufficientStats, accepts_alternative, estimate, log_likelihood_ratio
 from seqjde.cli import main as cli_main
 from test_gfunc import oracle_root
 
@@ -208,10 +208,9 @@ def test_criterion_08_joint_beats_separate():
     cal0 = solve_gamma(0.1, p, c0)
     cfg0, cfg1 = scenario_pair(Constant(1.0), p, c0, reps=30_000)
     arm0, arm1 = run_arms((cfg0, cfg1), cal0)
-    agree = bool(
-        np.array_equal(arm0.decision, separate_decisions(arm0, c0))
-        and np.array_equal(arm1.decision, separate_decisions(arm1, c0))
-    )
+    agree = all(np.array_equal(arm.decision,
+                               accepts_alternative(arm.logL, arm.xhat, separate_costs(c0)))
+                for arm in (arm0, arm1))
     check(8, "joint scheme beats separate baseline", ok and agree,
           f"gap={gap:.4f} pooled_se={pooled:.4f} ce0_agree={agree}")
 

@@ -829,6 +829,30 @@ class TestCompare:
         doc = json.loads(out.read_text())
         assert doc["difference"]["value"] == 0.0
 
+    # costs 1/0/1 on the reference model (C_max = 1): a run that ends in
+    # horizon exhaustion, an undetermined threshold and an unreadable channel
+    # file, each of which the joint rule reaches, since it is defined at c1 = 0
+    @pytest.mark.parametrize("setup, montecarlo_code", [
+        ({"channel": {"type": "constant", "h": 1e-3},
+          "mc": {"reps": 400, "master_seed": 42, "t_max": 10}, "constraint_C": 0.3}, 4),
+        ({"constraint_C": 1e-17}, 3),
+        ({"channel": {"type": "from_file", "path": "no_such_gains.txt"},
+          "constraint_C": 0.3}, 2),
+    ], ids=["horizon", "undetermined", "missing_file"])
+    def test_separate_costs_are_refused_before_any_gain_is_read(
+            self, tmp_path, capsys, monkeypatch, setup, montecarlo_code):
+        monkeypatch.chdir(tmp_path)  # the channel file's path is relative
+        costs = {"c0": 1.0, "c1": 0.0, "ce": 1.0}
+        cfg = write_config(tmp_path, overrides=dict(setup, costs=costs))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["compare", "--config", cfg, "--out", str(out / "cmp.json")]) == 2
+        assert capsys.readouterr().err == "seqjde: separate detection needs c1 > 0\n"
+        assert list(out.iterdir()) == []
+        code = main(["montecarlo", "--config", cfg, "--out", str(out / "mc.json")])
+        assert code == montecarlo_code
+        assert "separate detection" not in capsys.readouterr().err
+
 
 class TestWorkCounts:
     """Each energy's margin root is solved once per call, its quadrature over two

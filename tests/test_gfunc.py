@@ -722,21 +722,22 @@ def test_every_boundary_region_is_valid(mu_x, sigma_x, sigma, c0, c1, ce, U):
 
 
 class TestGPoint:
-    def test_bundles_consistent_fields(self):
-        pt = g_point(2.0, REF_P, REF_C)
-        assert pt.U == 2.0
-        assert pt.g == boundary(2.0, REF_P, REF_C)[0]
-        assert (pt.V1, pt.V2) == boundary(2.0, REF_P, REF_C)[1:]
-        assert pt.G == g_eval(2.0, REF_P, REF_C)
-        G0, Ginf = g_limits(REF_P, REF_C)
-        assert Ginf <= pt.G <= G0
+    @pytest.mark.parametrize("p, c", MATRIX_CONFIGS)
+    def test_bundles_consistent_fields(self, p, c):
+        # boundary's (g, V1, V2) and g_eval's G, bit for bit
+        G0, Ginf = g_limits(p, c)
+        for U in MATRIX_ENERGIES + [0.0]:
+            row = g_point(U, p, c)
+            assert list(map(float.hex, row)) == list(
+                map(float.hex, (*boundary(U, p, c), g_eval(U, p, c)))), U
+            assert Ginf <= row[3] <= G0
 
     @pytest.mark.parametrize("U", [0.0, 5e-324])
     def test_zero_variance_energy_takes_the_limit(self, U):
         p = ModelParams(0.0, 1.0, 1e-5)  # U*(U+kappa) underflows at U = 5e-324
-        pt = g_point(U, p, REF_C)
-        assert pt.G == g_eval(U, p, REF_C) == g_limits(p, REF_C)[0]
-        assert pt.g == boundary(U, p, REF_C)[0]
+        g, _, _, G = g_point(U, p, REF_C)
+        assert G == g_eval(U, p, REF_C) == g_limits(p, REF_C)[0]
+        assert g == boundary(U, p, REF_C)[0]
 
 
 class TestSolveGamma:

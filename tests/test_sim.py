@@ -39,10 +39,11 @@ from seqjde.sim import (
     run_arms,
     sample_observations,
     sample_scenario,
-    separate_decisions,
+    separate_costs,
     stopping_index,
 )
-from seqjde.stats import SufficientStats, decide, estimate, log_likelihood_ratio
+from seqjde.stats import (SufficientStats, accepts_alternative, decide, estimate,
+                          log_likelihood_ratio)
 
 P = ModelParams(0.0, 1.0, 1.0)
 C = CostWeights(1.0, 1.0, 1.0)
@@ -447,18 +448,16 @@ def test_cost_report_keeps_the_bits_of_mean_std_and_var(n, decided, exponent, co
                           decision=decision)
 
     arm0, arm1 = arm(False), arm(True)
-    separate = separate_decisions(arm0, c), separate_decisions(arm1, c)
+    sep = separate_costs(c)
+    separate = [accepts_alternative(a.logL, a.xhat, sep) for a in (arm0, arm1)]
     for d0, d1 in ((arm0.decision, arm1.decision), separate):
         args = (arm1, d0, d1, c, 1.5)
         assert _report_outcome(cost_report, *args) == _report_outcome(_reference_cost_report, *args)
 
 
 def _separate(s: SufficientStats, p: ModelParams, c: CostWeights) -> Hypothesis:
-    """``separate_decisions`` on a one-replication arm that stopped at history ``s``."""
-    arm = ArmSamples(T=s.t, U_T=s.U, predicted=0.0, x=np.zeros(1),
-                     V=np.array([s.V]), logL=np.array([log_likelihood_ratio(s, p)]),
-                     xhat=np.array([estimate(s, p)]), decision=np.zeros(1, dtype=bool))
-    return Hypothesis.H1 if separate_decisions(arm, c)[0] else Hypothesis.H0
+    """The separate test's decision at history ``s``."""
+    return decide(s, p, separate_costs(c))
 
 
 class TestSeparateDecide:
@@ -469,11 +468,10 @@ class TestSeparateDecide:
         assert _separate(s, P, CostWeights(1.0, 1.0, 5.0)) is Hypothesis.H1
 
     def test_agrees_with_joint_rule_when_ce_zero(self):
+        # the separate test is the joint rule under separate_costs, which keep
+        # pure-detection costs as they are
         costs = CostWeights(1.4, 0.7, 0.0)
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            s = SufficientStats(2, float(rng.uniform(0, 10)), float(rng.normal(0, 3)))
-            assert _separate(s, P, costs) is decide(s, P, costs)
+        assert separate_costs(costs) == costs
 
     def test_disagreement_example(self):
         s = SufficientStats(1, 1.0, 2.0)
@@ -486,13 +484,16 @@ class TestSeparateDecide:
         s = SufficientStats(1, 1.0, 0.0)
         assert _separate(s, P, CostWeights(5e-324, 3.0, 1.0)) is Hypothesis.H1
 
-    def test_requires_positive_detection_costs(self):
+    def test_requires_positive_detection_costs(self, tmp_path):
         s = SufficientStats(1, 1.0, 0.0)
-        with pytest.raises(ConfigError):
-            _separate(s, P, CostWeights(1.0, 0.0, 1.0))
-        arm = run_arms(pair(Constant(1.0), reps=3), solve_gamma(1.5, P, C))[0]
-        with pytest.raises(ConfigError):
-            separate_decisions(arm, CostWeights(1.0, 0.0, 1.0))
+        costs = CostWeights(1.0, 0.0, 1.0)
+        with pytest.raises(ConfigError, match=r"^separate detection needs c1 > 0$"):
+            _separate(s, P, costs)
+        # compare_schemes refuses them before any gain is read: this channel
+        # file does not exist, and reading it would be another ConfigError
+        missing = FromFile(str(tmp_path / "no_such_gains.txt"))
+        with pytest.raises(ConfigError, match=r"^separate detection needs c1 > 0$"):
+            compare_schemes(pair(missing, costs=costs, reps=3), stopping_rule(0.3, P, costs))
 
     def test_arm_decisions_match_scalar_test(self):
         params, costs = ModelParams(0.5, 1.3, 0.8), CostWeights(1.0, 0.2, 5.0)
@@ -500,7 +501,7 @@ class TestSeparateDecide:
         accepted = 0
         for arm in run_arms(pair(IidGaussian(1.0), params=params, costs=costs, reps=300,
                                  t_max=200), cal):
-            d = separate_decisions(arm, costs)
+            d = accepts_alternative(arm.logL, arm.xhat, separate_costs(costs))
             assert d.tolist() == [
                 decide(SufficientStats(arm.T, arm.U_T, v), params, replace(costs, ce=0.0))
                 is Hypothesis.H1 for v in arm.V.tolist()
@@ -553,9 +554,9 @@ class TestCompareSchemes:
             return apply(arm0), apply(arm1)
 
         joint_mean, joint_se = aux_cost(arm0.decision, arm1.decision)
-        sep_d0 = separate_decisions(arm0, costs)
-        sep_d1 = separate_decisions(arm1, costs)
-        for d0, d1 in [(sep_d0, sep_d1), rule(0.5), rule(2.0)]:
+        sep = separate_costs(costs)
+        separate = [accepts_alternative(a.logL, a.xhat, sep) for a in (arm0, arm1)]
+        for d0, d1 in [separate, rule(0.5), rule(2.0)]:
             other_mean, other_se = aux_cost(d0, d1)
             pooled = math.sqrt(joint_se**2 + other_se**2)
             assert joint_mean <= other_mean + 3 * pooled
