@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,14 +54,10 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    params: ModelParams
-    costs: CostWeights
+class RunConfig(sim.ScenarioConfig):
+    """A run config: its H0 arm's scenario, plus the level C and the gtable grid."""
+
     constraint_C: float
-    channel: sim.ChannelModel
-    reps: int
-    master_seed: int
-    t_max: int
     grid: GridSpec | None
 
 
@@ -125,33 +121,30 @@ def _parse_channel(section) -> sim.ChannelModel:
 
 
 def load_config(path: str, master_seed: int | None = None, reps: int | None = None) -> RunConfig:
-    """Read and check a run config.  A ``master_seed`` or ``reps`` given (the ``--seed`` and
-    ``--reps`` flags) replaces the ``mc`` section's, which is checked first, by the same rule:
-    the run sizes are ``sim.ScenarioConfig``'s."""
+    """Read and check a run config; ``truth`` is H0.  A ``master_seed`` or ``reps`` given (the
+    ``--seed`` and ``--reps`` flags) replaces the ``mc`` section's, which is checked first, by
+    the same rule: the run sizes are ``sim.ScenarioConfig``'s."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep or long
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     _require_keys(raw, {"model": True, "costs": True, "constraint_C": True,
                         "channel": True, "mc": True, "grid": False}, "config")
-    params = _read_section(raw["model"], ModelParams, "model")
-    costs = _read_section(raw["costs"], CostWeights, "costs")
-    constraint_C = _read_value(raw, "constraint_C", "float", "config")
-    channel = _parse_channel(raw["channel"])
-    given = dict(truth=Hypothesis.H0, params=params, costs=costs, channel=channel)
-    mc = _read_section(raw["mc"], sim.ScenarioConfig, "mc", **given)
+    given = dict(truth=Hypothesis.H0, params=_read_section(raw["model"], ModelParams, "model"),
+                 costs=_read_section(raw["costs"], CostWeights, "costs"),
+                 constraint_C=_read_value(raw, "constraint_C", "float", "config"),
+                 channel=_parse_channel(raw["channel"]), grid=None)
+    cfg = _read_section(raw["mc"], RunConfig, "mc", **given)
     flags = {k: v for k, v in (("master_seed", master_seed), ("reps", reps)) if v is not None}
     if flags:
-        mc = _read_section({**raw["mc"], **flags}, sim.ScenarioConfig, "mc", **given)
-    return RunConfig(
-        params=params, costs=costs, constraint_C=constraint_C, channel=channel,
-        reps=mc.reps, master_seed=mc.master_seed, t_max=mc.t_max,
-        grid=_read_section(raw["grid"], GridSpec, "grid") if "grid" in raw else None,
-    )
+        cfg = _read_section({**raw["mc"], **flags}, RunConfig, "mc", **given)
+    if "grid" in raw:
+        cfg = replace(cfg, grid=_read_section(raw["grid"], GridSpec, "grid"))
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +199,8 @@ def _report_dict(r: sim.CostReport) -> dict:
     return doc
 
 
-def _scenario(cfg: RunConfig, truth: Hypothesis) -> sim.ScenarioConfig:
-    return sim.ScenarioConfig(
-        truth=truth, params=cfg.params, costs=cfg.costs, channel=cfg.channel,
-        master_seed=cfg.master_seed, reps=cfg.reps, t_max=cfg.t_max,
-    )
-
-
-def _scenario_pair(cfg: RunConfig) -> tuple[sim.ScenarioConfig, sim.ScenarioConfig]:
-    return _scenario(cfg, Hypothesis.H0), _scenario(cfg, Hypothesis.H1)
+def _scenario_pair(cfg: RunConfig) -> tuple[RunConfig, RunConfig]:
+    return cfg, replace(cfg, truth=Hypothesis.H1)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +263,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if cal.decision is None:
         h = sim.gen_channel(cfg.channel, cfg.master_seed, cfg.t_max)
         h = h[:sim.stopping_index(h, cal, p, c)[0]].copy()
-        x, y = sim.sample_observations(_scenario(cfg, Hypothesis[args.truth]), 0, h)
+        x, y = sim.sample_observations(replace(cfg, truth=Hypothesis[args.truth]), 0, h)
         if xo is not None:
             y = y + (xo - x) * h
 

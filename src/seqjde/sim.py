@@ -137,8 +137,8 @@ class CostReport:
 def _parse_channel_file(path: str, t_max: int) -> np.ndarray:
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read channel file {path!r}: {exc}") from exc
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -105,6 +105,36 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("seqjde: ") and err.count("\n") == 1
 
+    _UNDECODABLE = {
+        "not-utf8": b"\xff" + json.dumps(BASE_CONFIG).encode(),
+        "too-deep": b"[" * 100000 + b"]" * 100000,
+        "int-too-long": json.dumps(BASE_CONFIG).replace("1.5", "1" * 5000).encode(),
+    }
+
+    @pytest.mark.parametrize("command", [["calibrate"], ["montecarlo"]], ids=lambda a: a[0])
+    @pytest.mark.parametrize("text", _UNDECODABLE.values(), ids=_UNDECODABLE.keys())
+    def test_undecodable_config_file_is_a_one_line_error(self, tmp_path, capsys, command, text):
+        p = tmp_path / "c.json"
+        p.write_bytes(text)
+        assert main(command + ["--config", str(p), "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"seqjde: config {str(p)!r} is not valid JSON: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert list(tmp_path.glob("o*")) == []
+
+    @pytest.mark.parametrize("command", [["montecarlo"], ["compare"],
+                                         ["simulate", "--truth", "H1"]], ids=lambda a: a[0])
+    def test_undecodable_channel_file_is_a_one_line_error(self, tmp_path, capsys, command):
+        # calibrate reads no channel file, so only the commands that draw a path refuse it
+        gains = tmp_path / "gains.txt"
+        gains.write_bytes(b"\xff" + b"1.0\n" * 200)
+        cfg = write_config(tmp_path, channel={"type": "from_file", "path": str(gains)})
+        assert main(command + ["--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"seqjde: cannot read channel file {str(gains)!r}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert list(tmp_path.glob("o*")) == []
+
     @pytest.mark.parametrize("argv", [
         ["montecarlo", "--seed", "-1"],
         ["montecarlo", "--reps", "0"],
@@ -251,6 +281,63 @@ class TestConfigValidation:
         assert main(command + ["--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
         assert capsys.readouterr().err == ("seqjde: a config value overflows a float: "
                                            "Ar1 channel drew a gain that is not finite\n")
+
+
+class TestRunConfig:
+    """A loaded config is its run's H0 scenario, plus the level C and the grid."""
+
+    GRID = {"u_min": 0.001, "u_max": 10.0, "points": 4, "spacing": "log"}
+
+    def test_declares_only_the_level_and_the_grid(self):
+        inherited = [f.name for f in dataclasses.fields(sim.ScenarioConfig)]
+        names = [f.name for f in dataclasses.fields(cli.RunConfig)]
+        assert issubclass(cli.RunConfig, sim.ScenarioConfig)
+        assert names == inherited + ["constraint_C", "grid"]
+
+    def test_load_config_is_the_h0_scenario(self, tmp_path):
+        cfg = cli.load_config(write_config(tmp_path, grid=self.GRID))
+        # BASE_CONFIG's H0 scenario, built by hand
+        scenario = sim.ScenarioConfig(
+            truth=Hypothesis.H0, params=seqjde.ModelParams(mu_x=0.0, sigma_x=1.0, sigma=1.0),
+            costs=seqjde.CostWeights(c0=1.0, c1=1.0, ce=1.0), channel=sim.Constant(1.0),
+            master_seed=42, reps=400, t_max=200)
+        assert isinstance(cfg, sim.ScenarioConfig) and cfg.truth is Hypothesis.H0
+        for f in dataclasses.fields(sim.ScenarioConfig):
+            assert getattr(cfg, f.name) == getattr(scenario, f.name), f.name
+        assert (cfg.constraint_C, cfg.grid) == (1.5, cli.GridSpec(0.001, 10.0, 4, "log"))
+        assert cli.load_config(write_config(tmp_path)).grid is None
+
+    @pytest.mark.parametrize("C", [1.5, 2.5], ids=["observe", "stop_at_zero"])
+    def test_arms_match_a_hand_built_pair(self, tmp_path, C):
+        cfg = cli.load_config(write_config(tmp_path, channel={"type": "rayleigh", "scale": 0.7},
+                                           constraint_C=C))
+        cal = gfunc.stopping_rule(C, cfg.params, cfg.costs)
+        pair = [sim.ScenarioConfig(truth=truth, params=cfg.params, costs=cfg.costs,
+                                   channel=cfg.channel, master_seed=42, reps=400, t_max=200)
+                for truth in (Hypothesis.H0, Hypothesis.H1)]
+        got = sim.run_arms((cfg, dataclasses.replace(cfg, truth=Hypothesis.H1)), cal)
+        for arm, want in zip(got, sim.run_arms(tuple(pair), cal)):
+            for f in dataclasses.fields(sim.ArmSamples):
+                a, b = (np.asarray(getattr(samples, f.name)) for samples in (arm, want))
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+
+    def test_flags_keep_the_level_and_the_grid(self, tmp_path):
+        cfg = cli.load_config(write_config(tmp_path, grid=self.GRID, constraint_C=2.0),
+                              master_seed=7, reps=100)
+        assert (cfg.master_seed, cfg.reps, cfg.t_max, cfg.truth) == (7, 100, 200, Hypothesis.H0)
+        assert (cfg.constraint_C, cfg.grid) == (2.0, cli.GridSpec(0.001, 10.0, 4, "log"))
+
+    @pytest.mark.parametrize("mc, flags, message", [
+        ({"reps": 0}, [], "reps must be an integer >= 1, got 0"),
+        ({}, ["--reps", "0"], "reps must be an integer >= 1, got 0"),
+        ({}, ["--seed", "-1"], "master_seed must be an integer >= 0, got -1"),
+    ], ids=["mc", "reps-flag", "seed-flag"])
+    def test_run_sizes_are_checked_before_the_grid(self, tmp_path, capsys, mc, flags, message):
+        bad_grid = {**self.GRID, "points": 1}
+        cfg = write_config(tmp_path, grid=bad_grid, mc={**BASE_CONFIG["mc"], **mc})
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o.json")]
+                    + flags) == 2
+        assert capsys.readouterr().err == f"seqjde: {message}\n"
 
 
 class TestCalibrate:
