@@ -23,7 +23,7 @@ import numpy as np
 
 from . import engine, gfunc, sim, stats
 from .errors import ConfigError, QuadratureNonConvergence, SeqjdeError
-from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound, check_int
+from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound, check_int, quoted
 
 # reps.csv and trace rows formatted per block: bounds the Python floats held by a writer
 _REP_BLOCK = 1024
@@ -39,7 +39,7 @@ class GridSpec:
 
     def __post_init__(self):
         if self.spacing not in ("linear", "log"):
-            raise ValueError(f"grid.spacing must be 'linear' or 'log', got {self.spacing!r}")
+            raise ValueError(f"grid.spacing must be 'linear' or 'log', got {quoted(self.spacing)}")
         if not (math.isfinite(self.u_min) and math.isfinite(self.u_max)) \
                 or self.u_min < 0 or self.u_min >= self.u_max:
             raise ValueError(f"grid needs 0 <= u_min < u_max, got [{self.u_min}, {self.u_max}]")
@@ -65,7 +65,7 @@ def _require_keys(section: dict, allowed: dict[str, bool], where: str) -> None:
     """allowed maps key -> required; unknown keys are rejected."""
     for key in section:
         if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
+            raise ConfigError(f"unknown key {quoted(key)} in {where}")
     for key, required in allowed.items():
         if required and key not in section:
             raise ConfigError(f"missing key {key!r} in {where}")
@@ -79,7 +79,7 @@ _JSON_TYPES = {"float": (int, float), "int": int, "str": str}
 def _read_value(section: dict, key: str, kind: str, where: str):
     v = section[key]
     if isinstance(v, bool) or not isinstance(v, _JSON_TYPES[kind]):
-        raise ConfigError(f"{where}.{key} must be of type {kind}, got {v!r}")
+        raise ConfigError(f"{where}.{key} must be of type {kind}, got {quoted(v)}")
     return float(v) if kind == "float" else v
 
 
@@ -99,7 +99,7 @@ def _read_section(section, cls, where: str, **given):
     a ValueError from the dataclass's own checks becomes a ConfigError.
     """
     if not isinstance(section, dict):
-        raise ConfigError(f"{where} section must be a JSON object, got {section!r}")
+        raise ConfigError(f"{where} section must be a JSON object, got {quoted(section)}")
     kinds = {f.name: f.type for f in fields(cls) if f.name not in given}
     _require_keys(section, dict.fromkeys(kinds, True), where)
     values = {name: _read_value(section, name, kind, where) for name, kind in kinds.items()}
@@ -115,7 +115,7 @@ def _parse_channel(section) -> sim.ChannelModel:
     kind = section["type"]
     cls = _CHANNEL_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ConfigError(f"unknown channel type {kind!r}")
+        raise ConfigError(f"unknown channel type {quoted(kind)}")
     body = {key: v for key, v in section.items() if key != "type"}
     return _read_section(body, cls, f"channel({kind})")
 
@@ -284,32 +284,34 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rep_lines(arm0: sim.ArmSamples, arm1: sim.ArmSamples):
-    """reps.csv: one line per replication, the H0 arm first; no estimate where H0 is decided.
+def _rep_lines(arms: sim.Arms):
+    """reps.csv: one line per replication, the H0 row first; no estimate where H0 is decided.
 
-    Yields the header, then one string per block of at most ``_REP_BLOCK`` rows
-    of an arm, formatted by one ``%``, so the Python floats alive at a time do
-    not grow with the number of replications.
+    Yields the header, then one string per block of at most ``_REP_BLOCK`` lines
+    of both rows in turn, formatted by one ``%``, so the Python floats alive at a
+    time do not grow with the number of replications.
     """
     yield "rep,arm,x,decision,estimate\n"
-    for tag, arm in enumerate((arm0, arm1)):
-        rows = (f"%d,{tag:d},%.17g,0,\n", f"%d,{tag:d},%.17g,1,%.17g\n")
-        for start in range(0, len(arm.x), _REP_BLOCK):
-            block = slice(start, start + _REP_BLOCK)
-            x, xhat, d = arm.x[block], arm.xhat[block], arm.decision[block]
-            # object dtype keeps rep a Python int, which %d formats faster than a float
-            rep = np.arange(start, start + len(x), dtype=object)
-            keep = d[:, None] | np.array([True, True, False])  # no estimate where H0 is decided
-            cells = np.column_stack((rep, x, xhat))[keep].tolist()
-            yield "".join(map(rows.__getitem__, d.tolist())) % tuple(cells)
+    templates = np.array(["%d,0,%.17g,0,\n", "%d,0,%.17g,1,%.17g\n", "%d,1,%.17g,0,\n",
+                          "%d,1,%.17g,1,%.17g\n"], dtype=object)  # by 2 * arm + decision
+    n = arms.x.shape[1]
+    x, xhat, d = arms.x.ravel(), arms.xhat.ravel(), arms.decision.ravel()
+    lines = templates[(arms.decision + [[0], [2]]).ravel()]
+    for start in range(0, 2 * n, _REP_BLOCK):
+        block = slice(start, start + _REP_BLOCK)
+        # object dtype keeps rep a Python int, which %d formats faster than a float
+        rep = (np.arange(start, min(start + _REP_BLOCK, 2 * n)) % n).astype(object)
+        keep = d[block, None] | np.array([True, True, False])  # no estimate where H0 is decided
+        cells = np.column_stack((rep, x[block], xhat[block]))[keep].tolist()
+        yield "".join(lines[block].tolist()) % tuple(cells)
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.seed, args.reps)
     cal = gfunc.stopping_rule(cfg.constraint_C, cfg.params, cfg.costs)
-    arm0, arm1 = sim.run_arms(_scenario_pair(cfg), cal)
-    report = sim.cost_report(arm1, arm0.decision, arm1.decision, cfg.costs, cal.C)
-    _write_json(_report_dict(report), args.out, ("reps", _rep_lines(arm0, arm1)))
+    arms = sim.run_arms(_scenario_pair(cfg), cal)
+    report = sim.cost_report(arms, arms.decision, cfg.costs, cal.C)
+    _write_json(_report_dict(report), args.out, ("reps", _rep_lines(arms)))
     return 0
 
 

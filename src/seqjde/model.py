@@ -23,13 +23,19 @@ def is_finite_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def quoted(value, limit: int = 60) -> str:
+    """``repr(value)`` for a one-line error message, cut to ``limit`` characters and a marker."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
 def check_int(name: str, v, low: int, size: bool = False) -> None:
     """ValueError unless ``v`` is an int, not a bool, with ``v >= low``; a ``size``
     must also be a number of doubles whose bytes NumPy can address."""
     if isinstance(v, bool) or not isinstance(v, int) or v < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+        raise ValueError(f"{name} must be an integer >= {low}, got {quoted(v)}")
     if size and v > sys.maxsize // 8:
-        raise ValueError(f"{name} is a size too large to allocate, got {v}")
+        raise ValueError(f"{name} is a size too large to allocate, got {quoted(v)}")
 
 
 @dataclass(frozen=True)

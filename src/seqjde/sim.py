@@ -7,7 +7,7 @@ the terminal energy are therefore identical across replications of a run,
 and since ``(t, U, V)`` is sufficient, Monte Carlo draws each replication's
 amplitude and terminal correlation ``V_T`` directly from their exact law
 instead of sampling and folding a noise path; one ``stats.accepts_alternative``
-call decides a whole arm.  ``sample_scenario`` draws full observation paths.
+call decides both arms.  ``sample_scenario`` draws full observation paths.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ import numpy as np
 from . import gfunc, stats
 from .errors import ConfigError, HorizonExhausted
 from .gfunc import Calibration
-from .model import CostWeights, Hypothesis, ModelParams, check_int, is_finite_real
+from .model import CostWeights, Hypothesis, ModelParams, check_int, is_finite_real, quoted
 
 # Stream tags keeping the draws independent: sample_scenario keys a
 # replication by [seed, arm, rep], the channel by [seed, 2], and Monte Carlo's
-# terminal draws by [seed, 3, arm].
-_H0_STREAM = 0
-_H1_STREAM = 1
+# terminal draws by [seed, 3, arm], where arm is the truth's Hypothesis.value;
+# default_rng seeds a SeedSequence with each such list.
 _CHANNEL_STREAM = 2
 _TERMINAL_STREAM = 3
 # AR(1) innovations converted to Python floats per block of this many steps
@@ -151,7 +150,7 @@ def _parse_channel_file(path: str, t_max: int) -> np.ndarray:
             value = math.nan  # unparseable text is reported like nan and inf
         if not math.isfinite(value):
             raise ConfigError(
-                f"channel file {path!r} line {lineno}: not a finite number: {body!r}"
+                f"channel file {path!r} line {lineno}: not a finite number: {quoted(body)}"
             )
         values.append(value)
     if len(values) < t_max:
@@ -215,15 +214,15 @@ def sample_observations(cfg: ScenarioConfig, rep_index: int,
     NumPy's normal draws are prefix-consistent, so these are the path's first ``len(h)``."""
     if not 0 <= rep_index < cfg.reps:
         raise ValueError(f"rep_index {rep_index} out of range [0, {cfg.reps})")
-    arm = _H1_STREAM if cfg.truth is Hypothesis.H1 else _H0_STREAM
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, arm, rep_index]))
-    x = rng.normal(cfg.params.mu_x, cfg.params.sigma_x) if arm == _H1_STREAM else 0.0
+    rng = np.random.default_rng([cfg.master_seed, cfg.truth.value, rep_index])
+    x = rng.normal(cfg.params.mu_x, cfg.params.sigma_x) if cfg.truth is Hypothesis.H1 else 0.0
     return x, x * h + rng.normal(0.0, cfg.params.sigma, size=len(h))
 
 
 @dataclass
-class ArmSamples:
-    """Per-replication terminal data for one truth arm (shared T and U_T)."""
+class Arms:
+    """Per-replication terminal data of both truth arms: T, U_T and the predicted cost
+    are shared, and each array is ``(2, reps)``, row ``Hypothesis.value`` (H0 = 0, H1 = 1)."""
 
     T: int
     U_T: float
@@ -259,20 +258,19 @@ def stopping_index(h: np.ndarray, cal: Calibration, p: ModelParams,
     return idx + 1, float(energy[idx])
 
 
-def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig],
-             cal: Calibration) -> tuple[ArmSamples, ArmSamples]:
+def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibration) -> Arms:
     """Draw every replication of both arms from the exact law of their terminal statistic.
 
     ``cfg_pair`` is an ``(H0 scenario, H1 scenario)`` pair that agrees on every
     other field.  The gain path, and with it T, U_T and the predicted cost, is
-    computed once for both arms; the path is freed before any arm is drawn.  A
-    stop-at-zero rule reads no channel: its (T, U_T) is (0, 0.0).
-    A replication is then just the amplitude x (0 under H0,
-    N(mu_x, sigma_x^2) under H1) and V_T ~ N(x*U_T, sigma^2*U_T).  One stream
-    per arm, ``SeedSequence([master_seed, 3, arm])``, draws all amplitudes (H1
-    only), then all V_T.  Log likelihood ratio, estimate and decision are the
-    ``stats`` functions at (T, U_T, V_T), once for the whole arm; in the prior
-    regime nothing is observed, the decision is the calibration's and the
+    computed once for both arms and freed before any draw; a stop-at-zero rule
+    reads no channel: its (T, U_T) is (0, 0.0).  A replication is the amplitude x
+    (0 under H0, N(mu_x, sigma_x^2) under H1) and V_T ~ N(x*U_T, sigma^2*U_T).  One
+    stream per arm, ``SeedSequence([master_seed, 3, arm])``, draws all amplitudes
+    (H1 only), then a standard normal z per V_T: x*U_T + sigma*sqrt(U_T)*z is bit
+    for bit ``rng.normal(x*U_T, sigma*sqrt(U_T))``.  Log likelihood ratio, estimate and
+    decision are the ``stats`` functions at (T, U_T, V_T), in one pass over both arms;
+    in the prior regime nothing is observed, the decision is the calibration's and the
     estimate the prior mean ``mu_x``, as the engine returns them.
     ConfigError: fewer than 2 replications, which leave no standard error.
     """
@@ -286,25 +284,23 @@ def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig],
     T, U_T = (stopping_index(gen_channel(cfg0.channel, cfg0.master_seed, cfg0.t_max), cal, p, c)
               if observe else (0, 0.0))
     predicted = gfunc.predicted_cost(U_T, p, c)
-
-    arms = []
-    for truth, arm in ((Hypothesis.H0, _H0_STREAM), (Hypothesis.H1, _H1_STREAM)):
-        seed = np.random.SeedSequence([cfg0.master_seed, _TERMINAL_STREAM, arm])
-        rng = np.random.default_rng(seed)
-        x = rng.normal(p.mu_x, p.sigma_x, size=n) if truth is Hypothesis.H1 else np.zeros(n)
+    x, z = np.zeros((2, n)), np.zeros((2, n))
+    for arm in Hypothesis:
+        rng = np.random.default_rng([cfg0.master_seed, _TERMINAL_STREAM, arm.value])
+        if arm is Hypothesis.H1:
+            x[1] = rng.normal(p.mu_x, p.sigma_x, size=n)
         if observe:
-            V = rng.normal(x * U_T, p.sigma * math.sqrt(U_T))
-            terminal = stats.SufficientStats(t=T, U=U_T, V=V)
-            logL = stats.log_likelihood_ratio(terminal, p)
-            xhat = stats.estimate(terminal, p)
-            decision = stats.accepts_alternative(logL, xhat, c)
-        else:
-            V, logL = np.zeros(n), np.zeros(n)
-            xhat = np.full(n, p.mu_x)
-            decision = np.full(n, cal.decision is Hypothesis.H1)
-        arms.append(ArmSamples(T=T, U_T=U_T, predicted=predicted,
-                               x=x, V=V, logL=logL, xhat=xhat, decision=decision))
-    return arms[0], arms[1]
+            rng.standard_normal(out=z[arm.value])
+    if observe:
+        V = x * U_T + p.sigma * math.sqrt(U_T) * z
+        terminal = stats.SufficientStats(t=T, U=U_T, V=V)
+        logL, xhat = stats.log_likelihood_ratio(terminal, p), stats.estimate(terminal, p)
+        decision = stats.accepts_alternative(logL, xhat, c)
+    else:
+        V, logL, xhat = z, np.zeros_like(z), np.full_like(z, p.mu_x)
+        decision = np.full(z.shape, cal.decision is Hypothesis.H1)
+    return Arms(T=T, U_T=U_T, predicted=predicted,
+                x=x, V=V, logL=logL, xhat=xhat, decision=decision)
 
 
 def _mean_var(a: np.ndarray) -> tuple[np.float64, np.float64]:
@@ -319,38 +315,35 @@ def _mean_var(a: np.ndarray) -> tuple[np.float64, np.float64]:
     return m, np.add.reduce(np.square(dev)) / (n - 1)
 
 
-def cost_report(arm1: ArmSamples, d0: np.ndarray, d1: np.ndarray,
-                c: CostWeights, constraint_C: float) -> CostReport:
-    """Cost report for decisions ``d0`` on the H0 arm and ``d1`` on the H1 arm ``arm1``."""
-    n0 = len(d0)
-    n1 = len(d1)
+def cost_report(arms: Arms, decision: np.ndarray, c: CostWeights,
+                constraint_C: float) -> CostReport:
+    """Cost report for the ``(2, reps)`` decisions ``decision`` on ``arms``, row H0 then H1."""
+    d0, d1 = decision
+    n = len(d1)
     # np.mean of a bool array is this count over n
-    p0 = float(np.count_nonzero(d0) / n0)
-    p0_se = math.sqrt(p0 * (1.0 - p0) / n0)
+    p0 = float(np.count_nonzero(d0) / n)
+    p0_se = math.sqrt(p0 * (1.0 - p0) / n)
     miss = ~d1
-    p1 = float(np.count_nonzero(miss) / n1)
-    p1_se = math.sqrt(p1 * (1.0 - p1) / n1)
+    p1 = float(np.count_nonzero(miss) / n)
+    p1_se = math.sqrt(p1 * (1.0 - p1) / n)
 
-    sq_err = np.where(d1, (arm1.xhat - arm1.x) ** 2, arm1.x**2)  # per replication
+    sq_err = np.where(d1, (arms.xhat[1] - arms.x[1]) ** 2, arms.x[1]**2)  # per replication
     mse_d1, var_d1 = _mean_var(np.where(d1, sq_err, 0.0))
     mse_d0, var_d0 = _mean_var(np.where(d1, 0.0, sq_err))
     mse_d1, mse_d0 = float(mse_d1), float(mse_d0)
 
     combined = c.c0 * p0 + c.c1 * p1 + c.ce * (mse_d1 + mse_d0)
     h1_cost = c.c1 * miss + c.ce * sq_err
-    combined_var = (c.c0**2) * _mean_var(d0.astype(float))[1] / n0 \
-        + _mean_var(h1_cost)[1] / n1
+    combined_var = (c.c0**2) * _mean_var(d0.astype(float))[1] / n \
+        + _mean_var(h1_cost)[1] / n
     combined_se = math.sqrt(float(combined_var))
 
     return CostReport(
-        reps=n1,
-        p0_d1=p0, p0_d1_se=p0_se,
-        p1_d0=p1, p1_d0_se=p1_se,
-        mse_d1=mse_d1, mse_d1_se=math.sqrt(var_d1) / math.sqrt(n1),
-        mse_d0=mse_d0, mse_d0_se=math.sqrt(var_d0) / math.sqrt(n1),
+        reps=n, p0_d1=p0, p0_d1_se=p0_se, p1_d0=p1, p1_d0_se=p1_se,
+        mse_d1=mse_d1, mse_d1_se=math.sqrt(var_d1) / math.sqrt(n),
+        mse_d0=mse_d0, mse_d0_se=math.sqrt(var_d0) / math.sqrt(n),
         combined=combined, combined_se=combined_se,
-        predicted=arm1.predicted, constraint_C=constraint_C,
-    )
+        predicted=arms.predicted, constraint_C=constraint_C)
 
 
 def monte_carlo(cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibration,
@@ -363,8 +356,8 @@ def monte_carlo(cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibratio
     effect: it is accepted for compatibility, and identical configs give
     bit-identical reports.
     """
-    arm0, arm1 = run_arms(cfg_pair, cal)
-    return cost_report(arm1, arm0.decision, arm1.decision, cfg_pair[1].costs, cal.C)
+    arms = run_arms(cfg_pair, cal)
+    return cost_report(arms, arms.decision, cfg_pair[1].costs, cal.C)
 
 
 def separate_costs(c: CostWeights) -> CostWeights:
@@ -405,8 +398,7 @@ def compare_schemes(
     """
     p, c = cfg_pair[1].params, cfg_pair[1].costs
     sep = separate_costs(c)
-    arm0, arm1 = run_arms(cfg_pair, cal)
-    joint = cost_report(arm1, arm0.decision, arm1.decision, c, cal.C)
-    d0, d1 = (stats.accepts_alternative(arm.logL, arm.xhat, sep) for arm in (arm0, arm1))
-    separate = cost_report(arm1, d0, d1, c, cal.C)
-    return joint, replace(separate, predicted=separate_predicted_cost(arm1.U_T, p, c))
+    arms = run_arms(cfg_pair, cal)
+    joint = cost_report(arms, arms.decision, c, cal.C)
+    separate = cost_report(arms, stats.accepts_alternative(arms.logL, arms.xhat, sep), c, cal.C)
+    return joint, replace(separate, predicted=separate_predicted_cost(arms.U_T, p, c))

@@ -150,9 +150,9 @@ def test_criterion_05_martingale_monte_carlo():
     ok = True
     detail = []
     for channel in (Constant(1.0), Ar1(0.9, 0.3, 0.3)):
-        arm0 = run_arms(scenario_pair(channel, p, REF_C, reps=N_MC, seed=11, t_max=200), cal)[0]
-        assert arm0.U_T < p.kappa, "test config must keep U_T below kappa"
-        lrs = np.exp(arm0.logL)
+        arms = run_arms(scenario_pair(channel, p, REF_C, reps=N_MC, seed=11, t_max=200), cal)
+        assert arms.U_T < p.kappa, "test config must keep U_T below kappa"
+        lrs = np.exp(arms.logL[0])  # the H0 row
         se = float(lrs.std(ddof=1) / math.sqrt(len(lrs)))
         dev = abs(float(lrs.mean()) - 1.0)
         if dev > 3 * se:
@@ -163,10 +163,10 @@ def test_criterion_05_martingale_monte_carlo():
 
 def test_criterion_06_mse_identity():
     cal = solve_gamma(1.5, REF_P, REF_C)
-    arm1 = run_arms(scenario_pair(Constant(1.0), REF_P, REF_C, reps=N_MC), cal)[1]
-    pv = REF_P.sigma**2 / (arm1.U_T + REF_P.kappa)
-    d = arm1.decision
-    err_d1 = np.where(d, (arm1.xhat - arm1.x) ** 2, 0.0)
+    arms = run_arms(scenario_pair(Constant(1.0), REF_P, REF_C, reps=N_MC), cal)
+    pv = REF_P.sigma**2 / (arms.U_T + REF_P.kappa)
+    d = arms.decision[1]  # the H1 row
+    err_d1 = np.where(d, (arms.xhat[1] - arms.x[1]) ** 2, 0.0)
     paired = err_d1 - pv * d.astype(float)
     se = float(paired.std(ddof=1) / math.sqrt(len(paired)))
     dev = abs(float(paired.mean()))
@@ -207,10 +207,9 @@ def test_criterion_08_joint_beats_separate():
     c0 = CostWeights(1.0, 0.2, 0.0)
     cal0 = solve_gamma(0.1, p, c0)
     cfg0, cfg1 = scenario_pair(Constant(1.0), p, c0, reps=30_000)
-    arm0, arm1 = run_arms((cfg0, cfg1), cal0)
-    agree = all(np.array_equal(arm.decision,
-                               accepts_alternative(arm.logL, arm.xhat, separate_costs(c0)))
-                for arm in (arm0, arm1))
+    arms = run_arms((cfg0, cfg1), cal0)
+    agree = np.array_equal(arms.decision,
+                           accepts_alternative(arms.logL, arms.xhat, separate_costs(c0)))
     check(8, "joint scheme beats separate baseline", ok and agree,
           f"gap={gap:.4f} pooled_se={pooled:.4f} ce0_agree={agree}")
 

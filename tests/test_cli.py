@@ -111,6 +111,27 @@ class TestConfigValidation:
         "int-too-long": json.dumps(BASE_CONFIG).replace("1.5", "1" * 5000).encode(),
     }
 
+    @pytest.mark.parametrize("overrides, top, length", [
+        ({}, {"constraint_C": "x" * 1_000_000}, 1_000_002),
+        ({"channel": {"type": "t" * 100_000}}, {}, 100_002),
+        ({}, {"k" * 100_000: 1.0}, 100_002),
+        ({"mc": {"reps": 10**4000, "master_seed": 42, "t_max": 200}}, {}, 4001),
+        ({"grid": {"u_min": 0.0, "u_max": 1.0, "points": 3, "spacing": "s" * 100_000}}, {},
+         100_002),
+        ({"channel": {"type": "from_file", "path": "gains.txt"}}, {}, 100_002),
+    ], ids=["value", "channel-type", "unknown-key", "int-size", "grid-spacing", "channel-line"])
+    def test_long_values_are_cut_in_the_message(self, tmp_path, capsys, monkeypatch,
+                                                overrides, top, length):
+        # the message quotes a value's first characters and its length, on one short line
+        monkeypatch.chdir(tmp_path)
+        Path("gains.txt").write_text("1.0\n" + "z" * 100_000 + "\n")
+        cfg = write_config(tmp_path, overrides=overrides, **top)
+        assert main(["montecarlo", "--config", cfg, "--out", "o.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200, err[:300]
+        assert f"... ({length} characters)" in err
+        assert not list(tmp_path.glob("o*"))
+
     @pytest.mark.parametrize("command", [["calibrate"], ["montecarlo"]], ids=lambda a: a[0])
     @pytest.mark.parametrize("text", _UNDECODABLE.values(), ids=_UNDECODABLE.keys())
     def test_undecodable_config_file_is_a_one_line_error(self, tmp_path, capsys, command, text):
@@ -316,10 +337,10 @@ class TestRunConfig:
                                    channel=cfg.channel, master_seed=42, reps=400, t_max=200)
                 for truth in (Hypothesis.H0, Hypothesis.H1)]
         got = sim.run_arms((cfg, dataclasses.replace(cfg, truth=Hypothesis.H1)), cal)
-        for arm, want in zip(got, sim.run_arms(tuple(pair), cal)):
-            for f in dataclasses.fields(sim.ArmSamples):
-                a, b = (np.asarray(getattr(samples, f.name)) for samples in (arm, want))
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        want = sim.run_arms(tuple(pair), cal)
+        for f in dataclasses.fields(sim.Arms):
+            a, b = (np.asarray(getattr(arms, f.name)) for arms in (got, want))
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
 
     def test_flags_keep_the_level_and_the_grid(self, tmp_path):
         cfg = cli.load_config(write_config(tmp_path, grid=self.GRID, constraint_C=2.0),
@@ -386,9 +407,9 @@ class TestCalibrate:
         assert len(rows) == 1 + 2 * BASE_CONFIG["mc"]["reps"]
         assert {row[4] for row in rows[1:]} == {"0.89000000000000001"}
         cal = gfunc.stopping_rule(run.constraint_C, run.params, run.costs)
-        for arm in sim.run_arms(cli._scenario_pair(run), cal):
-            assert arm.T == 0 and arm.decision.all()
-            assert (arm.xhat == p.mu_x).all()
+        arms = sim.run_arms(cli._scenario_pair(run), cal)
+        assert arms.T == 0 and arms.decision.all()
+        assert (arms.xhat == p.mu_x).all()
 
     def test_zero_constraint_is_infeasible(self, tmp_path, capsys):
         cfg = write_config(tmp_path, constraint_C=0.0)
@@ -859,19 +880,22 @@ class TestMonteCarlo:
         x, xhat = values[0][:n], values[1][::-1][:n].copy()
         decision = {"mixed": np.arange(n) % 3 == 1, "H0": np.zeros(n, bool),
                     "H1": np.ones(n, bool)}[decided]
-        arms = [sim.ArmSamples(T=3, U_T=2.0, predicted=1.0, x=x, V=xhat, logL=xhat,
-                               xhat=xhat, decision=decision)] * 2
+        # the rows differ, so a swapped or repeated row shows
+        x, xhat = np.stack([x, xhat]), np.stack([xhat, x])
+        arms = sim.Arms(T=3, U_T=2.0, predicted=1.0, x=x, V=xhat, logL=xhat, xhat=xhat,
+                        decision=np.stack([decision, decision]))
 
-        def f_string_writer(arm0, arm1):
+        def f_string_writer(arms):
             yield "rep,arm,x,decision,estimate\n"
-            for tag, arm in enumerate((arm0, arm1)):
-                columns = (arm.x.tolist(), arm.decision.tolist(), arm.xhat.tolist())
+            for tag in (0, 1):
+                columns = (arms.x[tag].tolist(), arms.decision[tag].tolist(),
+                           arms.xhat[tag].tolist())
                 for rep, (x, d, xhat) in enumerate(zip(*columns)):
                     estimate = f"{xhat:.17g}" if d else ""
                     yield f"{rep:d},{tag:d},{x:.17g},{d:d},{estimate}\n"
 
-        expect = "".join(f_string_writer(*arms)).splitlines(keepends=True)
-        got = "".join(cli._rep_lines(*arms)).splitlines(keepends=True)
+        expect = "".join(f_string_writer(arms)).splitlines(keepends=True)
+        got = "".join(cli._rep_lines(arms)).splitlines(keepends=True)
         assert len(got) == 1 + 2 * n
         # name the first differing line: a diff of two ~4100-line strings takes minutes
         for i, (line, want) in enumerate(zip(got, expect)):

@@ -22,13 +22,15 @@ from seqjde import (
     solve_gamma,
 )
 from seqjde.errors import ConfigError, HorizonExhausted
-from seqjde.gfunc import boundary, g_eval_region, predicted_cost, stopping_rule
+from seqjde.cli import _REP_BLOCK
+from seqjde.gfunc import (Calibration, boundary, g_eval_region, predicted_cost,
+                           stopping_rule)
 from seqjde.model import admissible_cost_bound
 from seqjde.sim import (
     _AR1_BLOCK,
     _CHANNEL_STREAM,
     Ar1,
-    ArmSamples,
+    Arms,
     CostReport,
     FromFile,
     IidGaussian,
@@ -242,51 +244,52 @@ class TestSampleScenario:
         params, costs = ModelParams(0.5, 1.3, 0.8), CostWeights(1.0, 0.2, 5.0)
         cal = solve_gamma(0.2, params, costs)  # T = 33: U_T sums in the engine's order
         cfg0, cfg1 = pair(IidGaussian(1.0), params=params, costs=costs, reps=300, t_max=200)
-        arm0, arm1 = run_arms((cfg0, cfg1), cal)
-        for cfg, arm in ((cfg0, arm0), (cfg1, arm1)):
+        arms = run_arms((cfg0, cfg1), cal)
+        for cfg in (cfg0, cfg1):
             _, y, h = sample_scenario(cfg, 0)
             out = run_sequential(zip(y.tolist(), h.tolist()), cal, params, costs, cfg.t_max)
-            assert (arm.T, arm.U_T, arm.predicted) == (out.T, out.U_T, out.predicted_cost)
-            assert 0 < arm.decision.sum() < cfg.reps
+            assert (arms.T, arms.U_T, arms.predicted) == (out.T, out.U_T, out.predicted_cost)
+            row = cfg.truth.value
+            assert 0 < arms.decision[row].sum() < cfg.reps
             for rep in range(cfg.reps):
-                s = SufficientStats(arm.T, arm.U_T, float(arm.V[rep]))
-                assert arm.decision[rep] == (decide(s, params, costs) is Hypothesis.H1)
-                assert arm.xhat[rep] == estimate(s, params)
-                assert arm.logL[rep] == log_likelihood_ratio(s, params)
+                s = SufficientStats(arms.T, arms.U_T, float(arms.V[row, rep]))
+                assert arms.decision[row, rep] == (decide(s, params, costs) is Hypothesis.H1)
+                assert arms.xhat[row, rep] == estimate(s, params)
+                assert arms.logL[row, rep] == log_likelihood_ratio(s, params)
         for costs, prior in ((C, Hypothesis.H1), (CostWeights(1.0, 0.5, 1.0), Hypothesis.H0)):
             cal = solve_gamma(2.5, P, costs)
             assert cal.decision is prior
             out = run_sequential(iter(()), cal, P, costs, 10)
-            for arm in run_arms(pair(Constant(1.0), costs=costs, reps=50), cal):
-                assert (arm.T, arm.U_T, arm.predicted) == (out.T, out.U_T, out.predicted_cost)
-                assert (arm.V == out.V_T).all() and (arm.logL == out.logL_T).all()
-                assert (arm.decision == (out.decision is Hypothesis.H1)).all()
-                if out.estimate is not None:
-                    assert (arm.xhat == out.estimate).all()
+            arms = run_arms(pair(Constant(1.0), costs=costs, reps=50), cal)
+            assert (arms.T, arms.U_T, arms.predicted) == (out.T, out.U_T, out.predicted_cost)
+            assert arms.x.shape == arms.V.shape == arms.decision.shape == (2, 50)
+            assert (arms.V == out.V_T).all() and (arms.logL == out.logL_T).all()
+            assert (arms.decision == (out.decision is Hypothesis.H1)).all()
+            if out.estimate is not None:
+                assert (arms.xhat == out.estimate).all()
 
         # reference: the engine folding sample_scenario paths gives the same
         # combined cost within 3 pooled standard errors
         cal = solve_gamma(1.5, P, C)
         for channel in (Constant(1.0), IidGaussian(1.0), Rayleigh(1.0), Ar1(0.9, 0.5, 0.5)):
             cfgs = pair(channel, reps=3000, t_max=60)
-            engine_arms = []
+            rows = []  # each arm's replications, H0 then H1
             for cfg in cfgs:
                 outs, xs = [], []
                 for rep in range(cfg.reps):
                     x, y, h = sample_scenario(cfg, rep)
                     outs.append(run_sequential(zip(y.tolist(), h.tolist()), cal, P, C, cfg.t_max))
                     xs.append(x)
-                engine_arms.append(ArmSamples(
-                    T=outs[0].T, U_T=outs[0].U_T,
-                    predicted=outs[0].predicted_cost, x=np.array(xs),
-                    V=np.array([o.V_T for o in outs]), logL=np.array([o.logL_T for o in outs]),
-                    xhat=np.array([0.0 if o.estimate is None else o.estimate for o in outs]),
-                    decision=np.array([o.decision is Hypothesis.H1 for o in outs]),
+                rows.append(dict(
+                    x=xs, V=[o.V_T for o in outs], logL=[o.logL_T for o in outs],
+                    xhat=[0.0 if o.estimate is None else o.estimate for o in outs],
+                    decision=[o.decision is Hypothesis.H1 for o in outs],
                 ))
-            ref0, ref1 = engine_arms
-            ref = cost_report(ref1, ref0.decision, ref1.decision, C, cal.C)
-            arm0, arm1 = run_arms(cfgs, cal)
-            new = cost_report(arm1, arm0.decision, arm1.decision, C, cal.C)
+            engine_arms = Arms(T=outs[0].T, U_T=outs[0].U_T, predicted=outs[0].predicted_cost,
+                               **{k: np.array([row[k] for row in rows]) for k in rows[0]})
+            ref = cost_report(engine_arms, engine_arms.decision, C, cal.C)
+            arms = run_arms(cfgs, cal)
+            new = cost_report(arms, arms.decision, C, cal.C)
             pooled = math.sqrt(ref.combined_se**2 + new.combined_se**2)
             assert abs(ref.combined - new.combined) <= 3 * pooled, type(channel).__name__
 
@@ -339,17 +342,18 @@ class TestMonteCarlo:
         costs = CostWeights(1.0, 1.0, 0.0)
         cal = solve_gamma(0.6, P, costs)
         cfg0, cfg1 = pair(Constant(1.0), costs=costs, reps=2000)
-        arm0, arm1 = run_arms((cfg0, cfg1), cal)
-        rep = cost_report(arm1, arm0.decision, arm1.decision, costs, cal.C)
-        freq = float(np.mean(arm0.logL >= 0.0))
+        arms = run_arms((cfg0, cfg1), cal)
+        rep = cost_report(arms, arms.decision, costs, cal.C)
+        freq = float(np.mean(arms.logL[0] >= 0.0))
         assert rep.p0_d1 == freq
 
     def test_same_stopping_index_across_arms_and_reps(self):
         cal = solve_gamma(1.5, P, C)
         cfg0, cfg1 = pair(Ar1(0.9, 0.5, 0.5), reps=500)
-        arm0, arm1 = run_arms((cfg0, cfg1), cal)
-        assert arm0.T == arm1.T
-        assert arm0.U_T == arm1.U_T
+        arms = run_arms((cfg0, cfg1), cal)
+        # one T and U_T for both arms' 500 replications: the gain path's stop
+        assert arms.V.shape == (2, 500)
+        assert (arms.T, arms.U_T) == stopping_index(gen_channel(cfg0.channel, 42, 500), cal, P, C)
 
     def test_workers_do_not_change_the_report(self):
         cal = solve_gamma(1.5, P, C)
@@ -361,9 +365,9 @@ class TestMonteCarlo:
         params = ModelParams(0.0, 1.0, 2.0)
         cal = solve_gamma(1.5, params, C)
         cfg0, cfg1 = pair(Constant(1.0), params=params, reps=20_000)
-        arm0, _ = run_arms((cfg0, cfg1), cal)
-        assert arm0.U_T < params.kappa  # finite-variance regime for the ratio
-        lrs = np.exp(arm0.logL)
+        arms = run_arms((cfg0, cfg1), cal)
+        assert arms.U_T < params.kappa  # finite-variance regime for the ratio
+        lrs = np.exp(arms.logL[0])
         se = lrs.std(ddof=1) / math.sqrt(len(lrs))
         assert abs(lrs.mean() - 1.0) <= 3 * se
 
@@ -385,9 +389,77 @@ class TestMonteCarlo:
         assert rep.predicted == 2.0  # cost bound attained at zero energy
 
 
-def _reference_cost_report(arm1: ArmSamples, d0: np.ndarray, d1: np.ndarray,
+def _per_arm_draws(cfgs, cal: Calibration) -> list[np.ndarray]:
+    """x, V, logL, xhat and decision drawn and decided one arm at a time, V by
+    ``rng.normal`` itself, and stacked into ``run_arms``' rows: the per-arm reference."""
+    cfg = cfgs[0]
+    p, n = cfg.params, cfg.reps
+    T, U_T = ((0, 0.0) if cal.decision is not None else
+              stopping_index(gen_channel(cfg.channel, cfg.master_seed, cfg.t_max), cal, p,
+                             cfg.costs))
+    rows = []
+    for arm in (0, 1):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 3, arm]))
+        x = rng.normal(p.mu_x, p.sigma_x, n) if arm else np.zeros(n)
+        if cal.decision is not None:
+            rows.append((x, np.zeros(n), np.zeros(n), np.full(n, p.mu_x),
+                         np.full(n, cal.decision is Hypothesis.H1)))
+            continue
+        V = rng.normal(x * U_T, p.sigma * math.sqrt(U_T))
+        s = SufficientStats(T, U_T, V)
+        logL, xhat = log_likelihood_ratio(s, p), estimate(s, p)
+        rows.append((x, V, logL, xhat, accepts_alternative(logL, xhat, cfg.costs)))
+    return [np.stack(column) for column in zip(*rows)]
+
+
+def _outcome(run, *args):
+    """Each array's dtype, shape and bytes, or the error raised, under cli.main's errstate."""
+    with np.errstate(over="raise"):
+        try:
+            result = run(*args)
+        except (FloatingPointError, OverflowError) as exc:
+            return type(exc), str(exc)
+    if isinstance(result, Arms):
+        result = [getattr(result, name) for name in ("x", "V", "logL", "xhat", "decision")]
+    return [(a.dtype, a.shape, a.tobytes()) for a in result]
+
+
+@pytest.mark.parametrize("regime", ["observe", "stop_at_zero"])
+def test_arms_rows_are_the_per_arm_streams(regime):
+    # row 1 of x is SeedSequence([seed, 3, 1])'s normal(mu_x, sigma_x, reps), and row k
+    # of V its stream's next normal(x*U_T, sigma*sqrt(U_T)), bit for bit, over more
+    # replications than one reps.csv block
+    p, c = ModelParams(0.7, 1.3, 0.8), CostWeights(1.0, 0.2, 5.0)
+    Cc = 0.3 if regime == "observe" else 1.1 * admissible_cost_bound(p, c)
+    cal = stopping_rule(Cc, p, c)
+    assert (cal.decision is None) == (regime == "observe")
+    cfgs = pair(IidGaussian(1.0), params=p, costs=c, reps=_REP_BLOCK + 1, seed=7, t_max=200)
+    assert _outcome(run_arms, cfgs, cal) == _outcome(_per_arm_draws, cfgs, cal)
+    arms = run_arms(cfgs, cal)
+    assert arms.x.shape == (2, _REP_BLOCK + 1)
+    if regime == "observe":
+        assert 0 < arms.decision.sum() < arms.decision.size
+
+
+@pytest.mark.parametrize("sigma_x, sigma", [(1e100, 1e100), (1e150, 1e150), (1e154, 1e100),
+                                            (1.3e154, 1e150)])
+def test_overflow_ends_as_the_per_arm_draws_do(sigma_x, sigma):
+    # V*V overflows in log_likelihood_ratio at the larger sigma_x: the one pass over
+    # both rows raises the error the per-arm passes raised, and a V that rng.normal
+    # would leave finite stays finite
+    p = ModelParams(0.0, sigma_x, sigma)
+    cal = Calibration(C=1.0, gamma=0.5)
+    cfgs = pair(Constant(1.0), params=p, reps=40, seed=3, t_max=5)
+    got = _outcome(run_arms, cfgs, cal)
+    assert got == _outcome(_per_arm_draws, cfgs, cal)
+    assert (got[0] is FloatingPointError) == (sigma_x > 1e150)
+
+
+def _reference_cost_report(arms: Arms, decision: np.ndarray,
                            c: CostWeights, constraint_C: float) -> CostReport:
     """``cost_report`` with ``np.mean``, ``np.std`` and ``np.var``, each summing on its own."""
+    d0, d1 = decision
+    x, xhat = arms.x[1], arms.xhat[1]
     n0 = len(d0)
     n1 = len(d1)
     p0 = float(np.mean(d0))
@@ -395,8 +467,8 @@ def _reference_cost_report(arm1: ArmSamples, d0: np.ndarray, d1: np.ndarray,
     miss = ~d1
     p1 = float(np.mean(miss))
     p1_se = math.sqrt(p1 * (1.0 - p1) / n1)
-    err_d1 = np.where(d1, (arm1.xhat - arm1.x) ** 2, 0.0)
-    err_d0 = np.where(d1, 0.0, arm1.x**2)
+    err_d1 = np.where(d1, (xhat - x) ** 2, 0.0)
+    err_d0 = np.where(d1, 0.0, x**2)
     mse_d1 = float(np.mean(err_d1))
     mse_d1_se = float(np.std(err_d1, ddof=1) / math.sqrt(n1))
     mse_d0 = float(np.mean(err_d0))
@@ -409,7 +481,7 @@ def _reference_cost_report(arm1: ArmSamples, d0: np.ndarray, d1: np.ndarray,
         reps=n1, p0_d1=p0, p0_d1_se=p0_se, p1_d0=p1, p1_d0_se=p1_se,
         mse_d1=mse_d1, mse_d1_se=mse_d1_se, mse_d0=mse_d0, mse_d0_se=mse_d0_se,
         combined=combined, combined_se=math.sqrt(float(combined_var)),
-        predicted=arm1.predicted, constraint_C=constraint_C,
+        predicted=arms.predicted, constraint_C=constraint_C,
     )
 
 
@@ -443,15 +515,15 @@ def test_cost_report_keeps_the_bits_of_mean_std_and_var(n, decided, exponent, co
         x = rng.normal(size=n) * scale if truth_h1 else np.zeros(n)
         decision = {"H0": np.zeros(n, bool), "H1": np.ones(n, bool),
                     "mixed": rng.permutation(np.arange(n) % 2 == 1)}[decided]
-        return ArmSamples(T=1, U_T=1.0, predicted=1.25, x=x, V=np.zeros(n),
-                          logL=rng.normal(size=n), xhat=rng.normal(size=n) * scale,
-                          decision=decision)
+        return dict(x=x, V=np.zeros(n), logL=rng.normal(size=n),
+                    xhat=rng.normal(size=n) * scale, decision=decision)
 
-    arm0, arm1 = arm(False), arm(True)
-    sep = separate_costs(c)
-    separate = [accepts_alternative(a.logL, a.xhat, sep) for a in (arm0, arm1)]
-    for d0, d1 in ((arm0.decision, arm1.decision), separate):
-        args = (arm1, d0, d1, c, 1.5)
+    rows = arm(False), arm(True)
+    arms = Arms(T=1, U_T=1.0, predicted=1.25,
+                **{k: np.stack([row[k] for row in rows]) for k in rows[0]})
+    separate = accepts_alternative(arms.logL, arms.xhat, separate_costs(c))
+    for decision in (arms.decision, separate):
+        args = (arms, decision, c, 1.5)
         assert _report_outcome(cost_report, *args) == _report_outcome(_reference_cost_report, *args)
 
 
@@ -498,16 +570,14 @@ class TestSeparateDecide:
     def test_arm_decisions_match_scalar_test(self):
         params, costs = ModelParams(0.5, 1.3, 0.8), CostWeights(1.0, 0.2, 5.0)
         cal = solve_gamma(0.2, params, costs)
-        accepted = 0
-        for arm in run_arms(pair(IidGaussian(1.0), params=params, costs=costs, reps=300,
-                                 t_max=200), cal):
-            d = accepts_alternative(arm.logL, arm.xhat, separate_costs(costs))
-            assert d.tolist() == [
-                decide(SufficientStats(arm.T, arm.U_T, v), params, replace(costs, ce=0.0))
-                is Hypothesis.H1 for v in arm.V.tolist()
-            ]
-            accepted += int(d.sum())
-        assert 0 < accepted < 600
+        arms = run_arms(pair(IidGaussian(1.0), params=params, costs=costs, reps=300,
+                             t_max=200), cal)
+        d = accepts_alternative(arms.logL, arms.xhat, separate_costs(costs))
+        assert d.tolist() == [[
+            decide(SufficientStats(arms.T, arms.U_T, v), params, replace(costs, ce=0.0))
+            is Hypothesis.H1 for v in row] for row in arms.V.tolist()
+        ]
+        assert 0 < int(d.sum()) < 600
 
 
 class TestCompareSchemes:
@@ -534,10 +604,10 @@ class TestCompareSchemes:
         costs = CostWeights(1.0, 0.2, 5.0)
         cal = solve_gamma(3.0, params, costs)
         cfg0, cfg1 = pair(Constant(1.0), params=params, costs=costs, reps=20_000)
-        arm0, arm1 = run_arms((cfg0, cfg1), cal)
+        arms = run_arms((cfg0, cfg1), cal)
         k = params.kappa
-        A = arm1.U_T + k
-        shrunk_sq = ((arm1.V + params.mu_x * k) / A) ** 2
+        A = arms.U_T + k
+        shrunk_sq = ((arms.V[1] + params.mu_x * k) / A) ** 2
 
         def aux_cost(d0, d1):
             h0 = costs.c0 * d0.astype(float)
@@ -548,14 +618,11 @@ class TestCompareSchemes:
 
         def rule(factor):
             # threshold test c0*factor <= L*(c1 + ce*xhat^2), per replication
-            def apply(arm):
-                weight = costs.c1 + costs.ce * arm.xhat**2
-                return arm.logL + np.log(weight) >= math.log(costs.c0 * factor)
-            return apply(arm0), apply(arm1)
+            weight = costs.c1 + costs.ce * arms.xhat**2
+            return arms.logL + np.log(weight) >= math.log(costs.c0 * factor)
 
-        joint_mean, joint_se = aux_cost(arm0.decision, arm1.decision)
-        sep = separate_costs(costs)
-        separate = [accepts_alternative(a.logL, a.xhat, sep) for a in (arm0, arm1)]
+        joint_mean, joint_se = aux_cost(*arms.decision)
+        separate = accepts_alternative(arms.logL, arms.xhat, separate_costs(costs))
         for d0, d1 in [separate, rule(0.5), rule(2.0)]:
             other_mean, other_se = aux_cost(d0, d1)
             pooled = math.sqrt(joint_se**2 + other_se**2)
@@ -594,6 +661,12 @@ class TestCompareSchemes:
                                           seed=seed, t_max=2000), cal)
         assert abs(sep.combined - sep.predicted) <= 4 * sep.combined_se
         assert joint.predicted < sep.predicted
+
+
+def _assert_same_arms(a: Arms, b: Arms) -> None:
+    assert (a.T, a.U_T, a.predicted) == (b.T, b.U_T, b.predicted)
+    for name in ("x", "V", "logL", "xhat", "decision"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def _eager_stop(h: np.ndarray, gamma: float) -> tuple[int, float]:
@@ -687,10 +760,7 @@ class TestLazyThreshold:
         assert T == (2 if v >= cal.gamma else 3)
         lazy = run_arms(pair(channel, reps=50, t_max=22), stopping_rule(Cc, P, C))
         eager = run_arms(pair(channel, reps=50, t_max=22), cal)
-        for a, b in zip(lazy, eager):
-            assert (a.T, a.U_T, a.predicted) == (b.T, b.U_T, b.predicted)
-            for name in ("x", "V", "logL", "xhat", "decision"):
-                assert np.array_equal(getattr(a, name), getattr(b, name))
+        _assert_same_arms(lazy, eager)
 
     def test_horizon_exhaustion_names_the_drained_gamma(self):
         cal = solve_gamma(1.5, P, C)
@@ -721,10 +791,7 @@ class TestLazyThreshold:
         assert solves[0] == solves[1] > 2
         assert rule == stopping_rule(0.2, P, C) and rule.gamma is None
         if run is run_arms:
-            for a, b in zip(*results):
-                assert (a.T, a.U_T, a.predicted) == (b.T, b.U_T, b.predicted)
-                for name in ("x", "V", "logL", "xhat", "decision"):
-                    assert np.array_equal(getattr(a, name), getattr(b, name))
+            _assert_same_arms(*results)
         else:
             assert results[0] == results[1]
 

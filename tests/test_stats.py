@@ -239,7 +239,7 @@ class TestDecide:
 
     def test_array_rule_equals_scalar_decide(self):
         # each point's (p, c, U) with its own V and every 10th point's V, as run_arms
-        # holds one energy per arm
+        # holds one energy for both arms
         points = list(random_points())
         others = [s.V for _, _, s in points[::10]]
         for p, c, s in points:
@@ -251,6 +251,10 @@ class TestDecide:
             assert accepts_alternative(logl, xhat, c).tolist() == scalar
             # a strided view decides each element as the whole array does
             assert accepts_alternative(logl[1::3], xhat[1::3], c).tolist() == scalar[1::3]
+            # and so does a (2, reps) batch, as run_arms decides both arms
+            both = SufficientStats(2, s.U, np.stack([V, V[::-1]]))
+            assert accepts_alternative(log_likelihood_ratio(both, p), estimate(both, p),
+                                       c).tolist() == [scalar, scalar[::-1]]
 
     def test_array_tie_goes_to_h1(self):
         logl = np.array([0.0, -1e-300, 1e-12])
