@@ -296,14 +296,13 @@ def _rep_lines(arms: sim.Arms):
                           "%d,1,%.17g,1,%.17g\n"], dtype=object)  # by 2 * arm + decision
     n = arms.x.shape[1]
     x, xhat, d = arms.x.ravel(), arms.xhat.ravel(), arms.decision.ravel()
-    lines = templates[(arms.decision + [[0], [2]]).ravel()]
     for start in range(0, 2 * n, _REP_BLOCK):
         block = slice(start, start + _REP_BLOCK)
+        line = np.arange(start, min(start + _REP_BLOCK, 2 * n))  # arm * n + rep
         # object dtype keeps rep a Python int, which %d formats faster than a float
-        rep = (np.arange(start, min(start + _REP_BLOCK, 2 * n)) % n).astype(object)
         keep = d[block, None] | np.array([True, True, False])  # no estimate where H0 is decided
-        cells = np.column_stack((rep, x[block], xhat[block]))[keep].tolist()
-        yield "".join(lines[block].tolist()) % tuple(cells)
+        cells = np.column_stack(((line % n).astype(object), x[block], xhat[block]))[keep].tolist()
+        yield "".join(templates[2 * (line >= n) + d[block]].tolist()) % tuple(cells)
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:

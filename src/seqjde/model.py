@@ -23,10 +23,10 @@ def is_finite_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def quoted(value, limit: int = 60) -> str:
-    """``repr(value)`` for a one-line error message, cut to ``limit`` characters and a marker."""
+def quoted(value) -> str:
+    """``repr(value)`` for a one-line error message, cut to 60 characters and a marker."""
     text = repr(value)
-    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 
 def check_int(name: str, v, low: int, size: bool = False) -> None:

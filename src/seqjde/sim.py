@@ -134,11 +134,11 @@ class CostReport:
 
 
 def _parse_channel_file(path: str, t_max: int) -> np.ndarray:
-    p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read channel file {path!r}: {exc}") from exc
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        reason = exc.strerror if isinstance(exc, OSError) else exc  # str(OSError) repeats path
+        raise ConfigError(f"cannot read channel file {quoted(path)}: {reason}") from exc
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -150,12 +150,12 @@ def _parse_channel_file(path: str, t_max: int) -> np.ndarray:
             value = math.nan  # unparseable text is reported like nan and inf
         if not math.isfinite(value):
             raise ConfigError(
-                f"channel file {path!r} line {lineno}: not a finite number: {quoted(body)}"
+                f"channel file {quoted(path)} line {lineno}: not a finite number: {quoted(body)}"
             )
         values.append(value)
     if len(values) < t_max:
         raise ConfigError(
-            f"channel file {path!r} has {len(values)} values, need t_max={t_max}"
+            f"channel file {quoted(path)} has {len(values)} values, need t_max={t_max}"
         )
     return np.asarray(values[:t_max], dtype=float)
 

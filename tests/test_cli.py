@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import seqjde
 from seqjde import Hypothesis, cli, engine, errors, gfunc, sim, stats
 from seqjde.cli import main
-from seqjde.model import admissible_cost_bound
+from seqjde.model import admissible_cost_bound, quoted
 
 BASE_CONFIG = {
     "model": {"mu_x": 0.0, "sigma_x": 1.0, "sigma": 1.0},
@@ -119,12 +119,16 @@ class TestConfigValidation:
         ({"grid": {"u_min": 0.0, "u_max": 1.0, "points": 3, "spacing": "s" * 100_000}}, {},
          100_002),
         ({"channel": {"type": "from_file", "path": "gains.txt"}}, {}, 100_002),
-    ], ids=["value", "channel-type", "unknown-key", "int-size", "grid-spacing", "channel-line"])
+        ({"channel": {"type": "from_file", "path": "p" * 1_000_000}}, {}, 1_000_002),
+        ({"channel": {"type": "from_file", "path": "./" * 1000 + "short.txt"}}, {}, 2011),
+    ], ids=["value", "channel-type", "unknown-key", "int-size", "grid-spacing", "channel-line",
+            "unreadable-path", "short-file-path"])
     def test_long_values_are_cut_in_the_message(self, tmp_path, capsys, monkeypatch,
                                                 overrides, top, length):
         # the message quotes a value's first characters and its length, on one short line
         monkeypatch.chdir(tmp_path)
         Path("gains.txt").write_text("1.0\n" + "z" * 100_000 + "\n")
+        Path("short.txt").write_text("1.0\n")
         cfg = write_config(tmp_path, overrides=overrides, **top)
         assert main(["montecarlo", "--config", cfg, "--out", "o.json"]) == 2
         err = capsys.readouterr().err
@@ -152,7 +156,7 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, channel={"type": "from_file", "path": str(gains)})
         assert main(command + ["--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"seqjde: cannot read channel file {str(gains)!r}: ")
+        assert err.startswith(f"seqjde: cannot read channel file {quoted(str(gains))}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert list(tmp_path.glob("o*")) == []
 

@@ -193,6 +193,10 @@ class TestFromFile:
         with pytest.raises(ConfigError):
             gen_channel(FromFile("/nonexistent/gains.txt"), 0, 3)
 
+    def test_nul_in_the_path_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"channel file 'a\\x00b': embedded null byte"):
+            gen_channel(FromFile("a\0b"), 0, 3)
+
     def test_unparseable_line(self, tmp_path):
         f = tmp_path / "gains.txt"
         f.write_text("1.0\nbogus\n")
