@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,12 @@ _CHANNEL_TYPES = {
 }
 
 
+@functools.cache
+def _kinds(cls, given: tuple[str, ...]) -> dict[str, str]:
+    """Name -> annotated type of each field of dataclass ``cls`` not named in ``given``."""
+    return {f.name: f.type for f in fields(cls) if f.name not in given}
+
+
 def _read_section(section, cls, where: str, **given):
     """Build dataclass ``cls`` from ``given`` and a JSON object keyed by exactly its other fields.
 
@@ -100,8 +107,9 @@ def _read_section(section, cls, where: str, **given):
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{where} section must be a JSON object, got {quoted(section)}")
-    kinds = {f.name: f.type for f in fields(cls) if f.name not in given}
-    _require_keys(section, dict.fromkeys(kinds, True), where)
+    kinds = _kinds(cls, tuple(given))
+    if section.keys() != kinds.keys():
+        _require_keys(section, dict.fromkeys(kinds, True), where)
     values = {name: _read_value(section, name, kind, where) for name, kind in kinds.items()}
     try:
         return cls(**values, **given)
@@ -125,7 +133,8 @@ def load_config(path: str, master_seed: int | None = None, reps: int | None = No
     ``--seed`` and ``--reps`` flags) replaces the ``mc`` section's, which is checked first, by
     the same rule: the run sizes are ``sim.ScenarioConfig``'s."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:
+            raw = json.loads(f.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep or long
@@ -162,21 +171,24 @@ def _json_lines(v, indent: int) -> str:
         return _fmt(v)
     pad = "  " * indent
     inner = ",\n".join(
-        f"{pad}  {json.dumps(k)}: {_json_lines(val, indent + 1)}" for k, val in v.items()
+        f"{pad}  {encode_basestring_ascii(k)}: {_json_lines(val, indent + 1)}"
+        for k, val in v.items()
     )
     return "{\n" + inner + "\n" + pad + "}"
 
 
 def _write_files(files) -> None:
-    """Stream each ``(path, lines)`` in turn; a failure removes every regular file it wrote."""
+    """Stream each ``(path, lines)`` in turn as UTF-8 bytes, so every platform writes the
+    same ``\\n``; a failure removes every regular file it wrote."""
     written = []
     try:
         for path, lines in files:
-            with open(path, "w") as f:
-                written.append(Path(path))
-                f.writelines(lines)
+            with open(path, "wb") as f:
+                written.append(path)
+                for chunk in lines:
+                    f.write(chunk.encode())
     except BaseException as exc:
-        for done in written:
+        for done in map(Path, written):
             if done.is_file() and not done.is_symlink():  # a device or link written through stays
                 done.unlink()
         if isinstance(exc, OSError):
@@ -197,10 +209,6 @@ def _report_dict(r: sim.CostReport) -> dict:
     for name in ("p0_d1", "p1_d0", "mse_d1", "mse_d0", "combined"):
         doc[name] = {"value": doc[name], "stderr": getattr(r, f"{name}_se")}
     return doc
-
-
-def _scenario_pair(cfg: RunConfig) -> tuple[RunConfig, RunConfig]:
-    return cfg, replace(cfg, truth=Hypothesis.H1)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +316,7 @@ def _rep_lines(arms: sim.Arms):
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.seed, args.reps)
     cal = gfunc.stopping_rule(cfg.constraint_C, cfg.params, cfg.costs)
-    arms = sim.run_arms(_scenario_pair(cfg), cal)
+    arms = sim.run_arms(cfg, cal)
     report = sim.cost_report(arms, arms.decision, cfg.costs, cal.C)
     _write_json(_report_dict(report), args.out, ("reps", _rep_lines(arms)))
     return 0
@@ -317,7 +325,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.seed, args.reps)
     cal = gfunc.stopping_rule(cfg.constraint_C, cfg.params, cfg.costs)
-    joint, separate = sim.compare_schemes(_scenario_pair(cfg), cal)
+    joint, separate = sim.compare_schemes((cfg, replace(cfg, truth=Hypothesis.H1)), cal)
     diff = joint.combined - separate.combined
     diff_se = math.sqrt(joint.combined_se**2 + separate.combined_se**2)
     doc = {
@@ -327,6 +335,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     }
     _write_json(doc, args.out)
     return 0
+
+
+# each subcommand's own parser, by name; build_parser fills it
+_SUBCOMMANDS: dict[str, argparse.ArgumentParser] = {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,10 +373,29 @@ def build_parser() -> argparse.ArgumentParser:
            cmd_montecarlo, mc=True)
     common(sub.add_parser("compare", help="joint rule versus separate detect-then-estimate"),
            cmd_compare, mc=True)
+    _SUBCOMMANDS.update(sub.choices)
     return parser
 
 
 _parser = functools.cache(build_parser)
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``'s namespace, or its message and exit.
+
+    A known subcommand is parsed by its own parser alone, which is what the top-level
+    parser hands it to.  No subcommand, an unknown one, a top-level option, or
+    arguments the subcommand leaves unrecognised go to the top-level parser, so every
+    message and exit code is its own.
+    """
+    parser = _parser()  # built on the first call and reused
+    argv = sys.argv[1:] if argv is None else argv
+    own = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if own is not None:
+        args, rest = own.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -372,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
 
     The parser, which binds each ``cmd_*`` handler, is built on the first call and reused.
     """
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         with np.errstate(over="raise"):
             return args.run(args)

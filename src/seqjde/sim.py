@@ -258,11 +258,11 @@ def stopping_index(h: np.ndarray, cal: Calibration, p: ModelParams,
     return idx + 1, float(energy[idx])
 
 
-def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibration) -> Arms:
+def run_arms(cfg: ScenarioConfig, cal: Calibration) -> Arms:
     """Draw every replication of both arms from the exact law of their terminal statistic.
 
-    ``cfg_pair`` is an ``(H0 scenario, H1 scenario)`` pair that agrees on every
-    other field.  The gain path, and with it T, U_T and the predicted cost, is
+    ``cfg`` gives every field but the truth, which is ignored: both arms are drawn.
+    The gain path, and with it T, U_T and the predicted cost, is
     computed once for both arms and freed before any draw; a stop-at-zero rule
     reads no channel: its (T, U_T) is (0, 0.0).  A replication is the amplitude x
     (0 under H0, N(mu_x, sigma_x^2) under H1) and V_T ~ N(x*U_T, sigma^2*U_T).  One
@@ -274,19 +274,16 @@ def run_arms(cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibration) 
     estimate the prior mean ``mu_x``, as the engine returns them.
     ConfigError: fewer than 2 replications, which leave no standard error.
     """
-    cfg0, cfg1 = cfg_pair
-    if cfg0.truth is not Hypothesis.H0 or replace(cfg0, truth=Hypothesis.H1) != cfg1:
-        raise ValueError("config pair must be (H0 scenario, H1 scenario) sharing all other fields")
-    p, c, n = cfg0.params, cfg0.costs, cfg0.reps
+    p, c, n = cfg.params, cfg.costs, cfg.reps
     if n < 2:
         raise ConfigError(f"Monte Carlo needs reps >= 2 for standard errors, got {n}")
     observe = cal.decision is None
-    T, U_T = (stopping_index(gen_channel(cfg0.channel, cfg0.master_seed, cfg0.t_max), cal, p, c)
+    T, U_T = (stopping_index(gen_channel(cfg.channel, cfg.master_seed, cfg.t_max), cal, p, c)
               if observe else (0, 0.0))
     predicted = gfunc.predicted_cost(U_T, p, c)
     x, z = np.zeros((2, n)), np.zeros((2, n))
     for arm in Hypothesis:
-        rng = np.random.default_rng([cfg0.master_seed, _TERMINAL_STREAM, arm.value])
+        rng = np.random.default_rng([cfg.master_seed, _TERMINAL_STREAM, arm.value])
         if arm is Hypothesis.H1:
             x[1] = rng.normal(p.mu_x, p.sigma_x, size=n)
         if observe:
@@ -346,18 +343,29 @@ def cost_report(arms: Arms, decision: np.ndarray, c: CostWeights,
         predicted=arms.predicted, constraint_C=constraint_C)
 
 
+def _h0_scenario(cfg_pair: tuple[ScenarioConfig, ScenarioConfig]) -> ScenarioConfig:
+    """The H0 scenario of an ``(H0 scenario, H1 scenario)`` pair that agrees on every
+    other field; ValueError for any other pair."""
+    cfg0, cfg1 = cfg_pair
+    if cfg0.truth is not Hypothesis.H0 or replace(cfg0, truth=Hypothesis.H1) != cfg1:
+        raise ValueError("config pair must be (H0 scenario, H1 scenario) sharing all other fields")
+    return cfg0
+
+
 def monte_carlo(cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibration,
                 workers: int = 1) -> CostReport:
     """Estimate the combined cost of the calibrated triplet on a shared gain path.
 
-    Draws every replication's terminal statistic under each truth with
-    ``run_arms``; the stopping index and terminal energy are common to all
+    ``cfg_pair`` is an ``(H0 scenario, H1 scenario)`` pair that agrees on every
+    other field.  Draws every replication's terminal statistic under each truth
+    with ``run_arms``; the stopping index and terminal energy are common to all
     replications because the gain path is shared.  ``workers`` has no
     effect: it is accepted for compatibility, and identical configs give
     bit-identical reports.
     """
-    arms = run_arms(cfg_pair, cal)
-    return cost_report(arms, arms.decision, cfg_pair[1].costs, cal.C)
+    cfg = _h0_scenario(cfg_pair)
+    arms = run_arms(cfg, cal)
+    return cost_report(arms, arms.decision, cfg.costs, cal.C)
 
 
 def separate_costs(c: CostWeights) -> CostWeights:
@@ -388,7 +396,8 @@ def separate_predicted_cost(U_T: float, p: ModelParams, c: CostWeights) -> float
 def compare_schemes(
     cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibration, workers: int = 1,
 ) -> tuple[CostReport, CostReport]:
-    """Joint rule versus the separate detect-then-estimate baseline.
+    """Joint rule versus the separate detect-then-estimate baseline on an ``(H0, H1)``
+    scenario pair, as ``monte_carlo`` takes it.
 
     Both schemes share the stopping index, the estimator, and every
     replication draw; only the decision rule differs, and each report's
@@ -396,9 +405,10 @@ def compare_schemes(
     derived before any gain is read, so costs it cannot run (c1 = 0) are a
     ConfigError first.  ``workers`` has no effect; it is accepted for compatibility.
     """
-    p, c = cfg_pair[1].params, cfg_pair[1].costs
+    cfg = _h0_scenario(cfg_pair)
+    p, c = cfg.params, cfg.costs
     sep = separate_costs(c)
-    arms = run_arms(cfg_pair, cal)
+    arms = run_arms(cfg, cal)
     joint = cost_report(arms, arms.decision, c, cal.C)
     separate = cost_report(arms, stats.accepts_alternative(arms.logL, arms.xhat, sep), c, cal.C)
     return joint, replace(separate, predicted=separate_predicted_cost(arms.U_T, p, c))

@@ -150,7 +150,7 @@ def test_criterion_05_martingale_monte_carlo():
     ok = True
     detail = []
     for channel in (Constant(1.0), Ar1(0.9, 0.3, 0.3)):
-        arms = run_arms(scenario_pair(channel, p, REF_C, reps=N_MC, seed=11, t_max=200), cal)
+        arms = run_arms(scenario_pair(channel, p, REF_C, reps=N_MC, seed=11, t_max=200)[0], cal)
         assert arms.U_T < p.kappa, "test config must keep U_T below kappa"
         lrs = np.exp(arms.logL[0])  # the H0 row
         se = float(lrs.std(ddof=1) / math.sqrt(len(lrs)))
@@ -163,7 +163,7 @@ def test_criterion_05_martingale_monte_carlo():
 
 def test_criterion_06_mse_identity():
     cal = solve_gamma(1.5, REF_P, REF_C)
-    arms = run_arms(scenario_pair(Constant(1.0), REF_P, REF_C, reps=N_MC), cal)
+    arms = run_arms(scenario_pair(Constant(1.0), REF_P, REF_C, reps=N_MC)[0], cal)
     pv = REF_P.sigma**2 / (arms.U_T + REF_P.kappa)
     d = arms.decision[1]  # the H1 row
     err_d1 = np.where(d, (arms.xhat[1] - arms.x[1]) ** 2, 0.0)
@@ -206,8 +206,8 @@ def test_criterion_08_joint_beats_separate():
     # pure-detection costs collapse both rules onto the same test
     c0 = CostWeights(1.0, 0.2, 0.0)
     cal0 = solve_gamma(0.1, p, c0)
-    cfg0, cfg1 = scenario_pair(Constant(1.0), p, c0, reps=30_000)
-    arms = run_arms((cfg0, cfg1), cal0)
+    cfg0 = scenario_pair(Constant(1.0), p, c0, reps=30_000)[0]
+    arms = run_arms(cfg0, cal0)
     agree = np.array_equal(arms.decision,
                            accepts_alternative(arms.logL, arms.xhat, separate_costs(c0)))
     check(8, "joint scheme beats separate baseline", ok and agree,

@@ -340,8 +340,8 @@ class TestRunConfig:
         pair = [sim.ScenarioConfig(truth=truth, params=cfg.params, costs=cfg.costs,
                                    channel=cfg.channel, master_seed=42, reps=400, t_max=200)
                 for truth in (Hypothesis.H0, Hypothesis.H1)]
-        got = sim.run_arms((cfg, dataclasses.replace(cfg, truth=Hypothesis.H1)), cal)
-        want = sim.run_arms(tuple(pair), cal)
+        got = sim.run_arms(cfg, cal)
+        want = sim.run_arms(pair[0], cal)
         for f in dataclasses.fields(sim.Arms):
             a, b = (np.asarray(getattr(arms, f.name)) for arms in (got, want))
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
@@ -411,7 +411,7 @@ class TestCalibrate:
         assert len(rows) == 1 + 2 * BASE_CONFIG["mc"]["reps"]
         assert {row[4] for row in rows[1:]} == {"0.89000000000000001"}
         cal = gfunc.stopping_rule(run.constraint_C, run.params, run.costs)
-        arms = sim.run_arms(cli._scenario_pair(run), cal)
+        arms = sim.run_arms(run, cal)
         assert arms.T == 0 and arms.decision.all()
         assert (arms.xhat == p.mu_x).all()
 
@@ -1176,6 +1176,22 @@ def test_cold_start_config_runs_every_command(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_stage_times_runs_every_stage(capsys):
+    # tools/stage_times.py splits one mc-short montecarlo call into its stages;
+    # run it once in-process at one call per stage so an API change breaks a test
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    spec = importlib.util.spec_from_file_location("stage_times", tools / "stage_times.py")
+    stage_times = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stage_times)
+    assert stage_times.main(["--batches", "1", "--calls", "1"]) == 0
+    out = capsys.readouterr()
+    rows = [line.split() for line in out.out.splitlines()[1:]]
+    assert [name for name, _ in rows] == ["argparse", "load_config", "stopping_rule",
+                                          "run_arms", "cost_report", "report_json",
+                                          "reps_csv", "file_writes", "main"]
+    assert all(float(us) > 0 for _, us in rows) and out.err == ""
+
+
 def test_benchmark_golden_pins_hold(tmp_path, monkeypatch):
     # bench/golden.json pins the bytes bench/run.py checks: calibrate on each
     # workload's config, gtable on gtable-wide, and simulate-long at its golden
@@ -1277,6 +1293,51 @@ def test_cached_parser_keeps_no_state(tmp_path):
     assert json.loads(outputs[0]["o.json"])["reps"] == 400
     assert json.loads(outputs[1]["o.json"])["reps"] == 40
     assert cli._parser() is cli._parser()
+
+
+_IO = ["--config", "c.json", "--out", "o.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "-h"] for command in ("calibrate", "gtable", "simulate", "montecarlo",
+                                      "compare")),
+    ["montecarlo", "--out", "o.json"],
+    ["montecarlo", *_IO, "--no-such-flag"],
+    ["calibrate", *_IO, "stray"],
+    ["compare", *_IO, "--reps", "x"],
+    ["simulate", *_IO, "--truth", "H2"],
+    ["simulate", *_IO],
+    ["simulate", *_IO, "--truth", "H1", "--", "extra"],
+    ["no-such-command", *_IO],
+    [],
+    ["-h"],
+    ["-h", "montecarlo"],
+], ids=" ".join)
+def test_dispatch_exits_as_the_top_level_parser(capsys, argv):
+    # main parses a known subcommand with that subcommand's own parser; every
+    # refusal and help text must still be the one the whole parser gives
+    def exit_of(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    want = exit_of(cli.build_parser().parse_args)
+    assert exit_of(main) == want
+    assert want[0] in (0, 2) and want[1:] != ("", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["montecarlo", *_IO],
+    ["compare", "--out", "o.json", "--seed", "5", "--config", "c.json", "--reps", "40"],
+    ["simulate", *_IO, "--truth", "H1", "--x-override", "0.7", "--seed", "5"],
+    ["gtable", "--conf", "c.json", "--out=o.json"],
+], ids=" ".join)
+def test_dispatch_parses_as_the_top_level_parser(argv):
+    # the top-level parser also records the subcommand's name, which no handler reads
+    want = vars(cli.build_parser().parse_args(argv))
+    assert want.pop("command") == argv[0]
+    assert vars(cli._parse_args(argv)) == want
 
 
 def test_cli_uses_no_private_sim_names():

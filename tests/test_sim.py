@@ -248,7 +248,7 @@ class TestSampleScenario:
         params, costs = ModelParams(0.5, 1.3, 0.8), CostWeights(1.0, 0.2, 5.0)
         cal = solve_gamma(0.2, params, costs)  # T = 33: U_T sums in the engine's order
         cfg0, cfg1 = pair(IidGaussian(1.0), params=params, costs=costs, reps=300, t_max=200)
-        arms = run_arms((cfg0, cfg1), cal)
+        arms = run_arms(cfg0, cal)
         for cfg in (cfg0, cfg1):
             _, y, h = sample_scenario(cfg, 0)
             out = run_sequential(zip(y.tolist(), h.tolist()), cal, params, costs, cfg.t_max)
@@ -264,7 +264,7 @@ class TestSampleScenario:
             cal = solve_gamma(2.5, P, costs)
             assert cal.decision is prior
             out = run_sequential(iter(()), cal, P, costs, 10)
-            arms = run_arms(pair(Constant(1.0), costs=costs, reps=50), cal)
+            arms = run_arms(pair(Constant(1.0), costs=costs, reps=50)[0], cal)
             assert (arms.T, arms.U_T, arms.predicted) == (out.T, out.U_T, out.predicted_cost)
             assert arms.x.shape == arms.V.shape == arms.decision.shape == (2, 50)
             assert (arms.V == out.V_T).all() and (arms.logL == out.logL_T).all()
@@ -292,7 +292,7 @@ class TestSampleScenario:
             engine_arms = Arms(T=outs[0].T, U_T=outs[0].U_T, predicted=outs[0].predicted_cost,
                                **{k: np.array([row[k] for row in rows]) for k in rows[0]})
             ref = cost_report(engine_arms, engine_arms.decision, C, cal.C)
-            arms = run_arms(cfgs, cal)
+            arms = run_arms(cfgs[0], cal)
             new = cost_report(arms, arms.decision, C, cal.C)
             pooled = math.sqrt(ref.combined_se**2 + new.combined_se**2)
             assert abs(ref.combined - new.combined) <= 3 * pooled, type(channel).__name__
@@ -326,15 +326,16 @@ class TestMonteCarlo:
                            match=r"^Monte Carlo needs reps >= 2 for standard errors, got 1$"):
             run(pair(Constant(1.0), reps=1), stopping_rule(Cc, P, C))
 
-    def test_pair_must_match(self):
+    @pytest.mark.parametrize("run", [monte_carlo, compare_schemes])
+    def test_pair_must_match(self, run):
         cfg0, cfg1 = pair(Constant(1.0))
         cal = solve_gamma(1.5, P, C)
         with pytest.raises(ValueError):
-            monte_carlo((cfg1, cfg0), cal)
+            run((cfg1, cfg0), cal)
         other = ScenarioConfig(Hypothesis.H1, P, C, Constant(2.0),
                                master_seed=42, reps=cfg0.reps, t_max=cfg0.t_max)
         with pytest.raises(ValueError):
-            monte_carlo((cfg0, other), cal)
+            run((cfg0, other), cal)
 
     def test_combined_assembled_exactly_from_fields(self):
         cal = solve_gamma(1.5, P, C)
@@ -345,16 +346,16 @@ class TestMonteCarlo:
     def test_ce_zero_false_alarms_match_lrt_frequency(self):
         costs = CostWeights(1.0, 1.0, 0.0)
         cal = solve_gamma(0.6, P, costs)
-        cfg0, cfg1 = pair(Constant(1.0), costs=costs, reps=2000)
-        arms = run_arms((cfg0, cfg1), cal)
+        cfg0 = pair(Constant(1.0), costs=costs, reps=2000)[0]
+        arms = run_arms(cfg0, cal)
         rep = cost_report(arms, arms.decision, costs, cal.C)
         freq = float(np.mean(arms.logL[0] >= 0.0))
         assert rep.p0_d1 == freq
 
     def test_same_stopping_index_across_arms_and_reps(self):
         cal = solve_gamma(1.5, P, C)
-        cfg0, cfg1 = pair(Ar1(0.9, 0.5, 0.5), reps=500)
-        arms = run_arms((cfg0, cfg1), cal)
+        cfg0 = pair(Ar1(0.9, 0.5, 0.5), reps=500)[0]
+        arms = run_arms(cfg0, cal)
         # one T and U_T for both arms' 500 replications: the gain path's stop
         assert arms.V.shape == (2, 500)
         assert (arms.T, arms.U_T) == stopping_index(gen_channel(cfg0.channel, 42, 500), cal, P, C)
@@ -368,8 +369,8 @@ class TestMonteCarlo:
     def test_martingale_mean_under_null(self):
         params = ModelParams(0.0, 1.0, 2.0)
         cal = solve_gamma(1.5, params, C)
-        cfg0, cfg1 = pair(Constant(1.0), params=params, reps=20_000)
-        arms = run_arms((cfg0, cfg1), cal)
+        cfg0 = pair(Constant(1.0), params=params, reps=20_000)[0]
+        arms = run_arms(cfg0, cal)
         assert arms.U_T < params.kappa  # finite-variance regime for the ratio
         lrs = np.exp(arms.logL[0])
         se = lrs.std(ddof=1) / math.sqrt(len(lrs))
@@ -379,7 +380,7 @@ class TestMonteCarlo:
         # the stopping index is a property of the shared gain path
         cal = solve_gamma(1.5, P, C)
         with pytest.raises(HorizonExhausted) as info:
-            run_arms(pair(Constant(0.01), reps=3, t_max=5), cal)
+            run_arms(pair(Constant(0.01), reps=3, t_max=5)[0], cal)
         err = info.value
         assert (err.t, err.gamma) == (5, cal.gamma)
         assert err.U == float(np.cumsum(np.full(5, 0.01) ** 2)[-1])
@@ -393,10 +394,9 @@ class TestMonteCarlo:
         assert rep.predicted == 2.0  # cost bound attained at zero energy
 
 
-def _per_arm_draws(cfgs, cal: Calibration) -> list[np.ndarray]:
+def _per_arm_draws(cfg, cal: Calibration) -> list[np.ndarray]:
     """x, V, logL, xhat and decision drawn and decided one arm at a time, V by
     ``rng.normal`` itself, and stacked into ``run_arms``' rows: the per-arm reference."""
-    cfg = cfgs[0]
     p, n = cfg.params, cfg.reps
     T, U_T = ((0, 0.0) if cal.decision is not None else
               stopping_index(gen_channel(cfg.channel, cfg.master_seed, cfg.t_max), cal, p,
@@ -437,9 +437,9 @@ def test_arms_rows_are_the_per_arm_streams(regime):
     Cc = 0.3 if regime == "observe" else 1.1 * admissible_cost_bound(p, c)
     cal = stopping_rule(Cc, p, c)
     assert (cal.decision is None) == (regime == "observe")
-    cfgs = pair(IidGaussian(1.0), params=p, costs=c, reps=_REP_BLOCK + 1, seed=7, t_max=200)
-    assert _outcome(run_arms, cfgs, cal) == _outcome(_per_arm_draws, cfgs, cal)
-    arms = run_arms(cfgs, cal)
+    cfg = pair(IidGaussian(1.0), params=p, costs=c, reps=_REP_BLOCK + 1, seed=7, t_max=200)[0]
+    assert _outcome(run_arms, cfg, cal) == _outcome(_per_arm_draws, cfg, cal)
+    arms = run_arms(cfg, cal)
     assert arms.x.shape == (2, _REP_BLOCK + 1)
     if regime == "observe":
         assert 0 < arms.decision.sum() < arms.decision.size
@@ -453,9 +453,9 @@ def test_overflow_ends_as_the_per_arm_draws_do(sigma_x, sigma):
     # would leave finite stays finite
     p = ModelParams(0.0, sigma_x, sigma)
     cal = Calibration(C=1.0, gamma=0.5)
-    cfgs = pair(Constant(1.0), params=p, reps=40, seed=3, t_max=5)
-    got = _outcome(run_arms, cfgs, cal)
-    assert got == _outcome(_per_arm_draws, cfgs, cal)
+    cfg = pair(Constant(1.0), params=p, reps=40, seed=3, t_max=5)[0]
+    got = _outcome(run_arms, cfg, cal)
+    assert got == _outcome(_per_arm_draws, cfg, cal)
     assert (got[0] is FloatingPointError) == (sigma_x > 1e150)
 
 
@@ -575,7 +575,7 @@ class TestSeparateDecide:
         params, costs = ModelParams(0.5, 1.3, 0.8), CostWeights(1.0, 0.2, 5.0)
         cal = solve_gamma(0.2, params, costs)
         arms = run_arms(pair(IidGaussian(1.0), params=params, costs=costs, reps=300,
-                             t_max=200), cal)
+                             t_max=200)[0], cal)
         d = accepts_alternative(arms.logL, arms.xhat, separate_costs(costs))
         assert d.tolist() == [[
             decide(SufficientStats(arms.T, arms.U_T, v), params, replace(costs, ce=0.0))
@@ -607,8 +607,8 @@ class TestCompareSchemes:
         params = ModelParams(1.0, 1.0, 1.0)
         costs = CostWeights(1.0, 0.2, 5.0)
         cal = solve_gamma(3.0, params, costs)
-        cfg0, cfg1 = pair(Constant(1.0), params=params, costs=costs, reps=20_000)
-        arms = run_arms((cfg0, cfg1), cal)
+        cfg0 = pair(Constant(1.0), params=params, costs=costs, reps=20_000)[0]
+        arms = run_arms(cfg0, cal)
         k = params.kappa
         A = arms.U_T + k
         shrunk_sq = ((arms.V[1] + params.mu_x * k) / A) ** 2
@@ -762,8 +762,8 @@ class TestLazyThreshold:
         T, U_T = stopping_index(h, stopping_rule(Cc, P, C), P, C)
         assert (T, U_T) == _eager_stop(h, cal.gamma)
         assert T == (2 if v >= cal.gamma else 3)
-        lazy = run_arms(pair(channel, reps=50, t_max=22), stopping_rule(Cc, P, C))
-        eager = run_arms(pair(channel, reps=50, t_max=22), cal)
+        lazy = run_arms(pair(channel, reps=50, t_max=22)[0], stopping_rule(Cc, P, C))
+        eager = run_arms(pair(channel, reps=50, t_max=22)[0], cal)
         _assert_same_arms(lazy, eager)
 
     def test_horizon_exhaustion_names_the_drained_gamma(self):
@@ -771,7 +771,7 @@ class TestLazyThreshold:
         errors = []
         for c in (cal, stopping_rule(1.5, P, C)):
             with pytest.raises(HorizonExhausted) as info:
-                run_arms(pair(Constant(0.01), reps=3, t_max=5), c)
+                run_arms(pair(Constant(0.01), reps=3, t_max=5)[0], c)
             errors.append(info.value)
         assert str(errors[0]) == str(errors[1])
         assert errors[1].gamma == cal.gamma
@@ -786,6 +786,8 @@ class TestLazyThreshold:
     def test_reused_rule_runs_alike(self, root_solves, run):
         # the rule is a plain value: a second run redoes the first's work exactly
         cfgs = pair(Rayleigh(0.8), reps=300)
+        if run is run_arms:  # one scenario, the pair's H0 one
+            cfgs = cfgs[0]
         rule = stopping_rule(0.2, P, C)
         results, solves = [], []
         for _ in range(2):
