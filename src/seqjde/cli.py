@@ -135,10 +135,10 @@ def load_config(path: str, master_seed: int | None = None, reps: int | None = No
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.loads(f.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except OSError as exc:  # str(exc) repeats the path
+        raise ConfigError(f"cannot read config {quoted(path)}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep or long
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config {quoted(path)} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     _require_keys(raw, {"model": True, "costs": True, "constraint_C": True,
@@ -192,7 +192,8 @@ def _write_files(files) -> None:
             if done.is_file() and not done.is_symlink():  # a device or link written through stays
                 done.unlink()
         if isinstance(exc, OSError):
-            raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
+            # str(exc) repeats the path
+            raise ConfigError(f"cannot write {quoted(str(path))}: {exc.strerror or exc}") from exc
         raise
 
 

@@ -143,7 +143,7 @@ class TestConfigValidation:
         p.write_bytes(text)
         assert main(command + ["--config", str(p), "--out", str(tmp_path / "o.json")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"seqjde: config {str(p)!r} is not valid JSON: ")
+        assert err.startswith(f"seqjde: config {quoted(str(p))} is not valid JSON: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert list(tmp_path.glob("o*")) == []
 
@@ -1131,6 +1131,19 @@ class TestOutput:
         assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "l.json")]) == 2
         assert (tmp_path / "l.json").is_symlink() and (tmp_path / "target.json").is_file()
 
+    @pytest.mark.parametrize("flag", ["--config", "--out"])
+    def test_long_paths_are_cut_in_the_message(self, tmp_path, capsys, monkeypatch, flag):
+        # a path too long to open is quoted by its first characters, and the OS
+        # error by its reason alone, since str(OSError) repeats the path
+        monkeypatch.chdir(tmp_path)
+        paths = {"--config": write_config(tmp_path), "--out": "o.json", flag: "p" * 3000}
+        assert main(["montecarlo", "--config", paths["--config"],
+                     "--out", paths["--out"]]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200, err[:300]
+        assert "... (3002 characters): " in err and "p" * 61 not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize("out", ["/", ".", ""])
     @pytest.mark.parametrize("command", [["montecarlo"], ["simulate", "--truth", "H1"]],
                              ids=lambda argv: argv[0])
@@ -1141,7 +1154,7 @@ class TestOutput:
         monkeypatch.chdir(tmp_path)
         assert main(command + ["--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"seqjde: cannot write {out!r}: ") and err.count("\n") == 1
+        assert err.startswith(f"seqjde: cannot write {quoted(out)}: ") and err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
