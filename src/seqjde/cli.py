@@ -326,13 +326,11 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.seed, args.reps)
     cal = gfunc.stopping_rule(cfg.constraint_C, cfg.params, cfg.costs)
-    joint, separate = sim.compare_schemes((cfg, replace(cfg, truth=Hypothesis.H1)), cal)
-    diff = joint.combined - separate.combined
-    diff_se = math.sqrt(joint.combined_se**2 + separate.combined_se**2)
+    joint, separate, diff_se = sim.compare_arms(cfg, cal)
     doc = {
         "joint": _report_dict(joint),
         "separate": _report_dict(separate),
-        "difference": {"value": diff, "stderr": diff_se},
+        "difference": {"value": joint.combined - separate.combined, "stderr": diff_se},
     }
     _write_json(doc, args.out)
     return 0

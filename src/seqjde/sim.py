@@ -312,6 +312,12 @@ def _mean_var(a: np.ndarray) -> tuple[np.float64, np.float64]:
     return m, np.add.reduce(np.square(dev)) / (n - 1)
 
 
+def _h1_costs(arms: Arms, d1: np.ndarray, c: CostWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Squared error and cost of each H1 replication under its decision ``d1``."""
+    sq_err = np.where(d1, (arms.xhat[1] - arms.x[1]) ** 2, arms.x[1]**2)
+    return sq_err, c.c1 * ~d1 + c.ce * sq_err
+
+
 def cost_report(arms: Arms, decision: np.ndarray, c: CostWeights,
                 constraint_C: float) -> CostReport:
     """Cost report for the ``(2, reps)`` decisions ``decision`` on ``arms``, row H0 then H1."""
@@ -320,17 +326,15 @@ def cost_report(arms: Arms, decision: np.ndarray, c: CostWeights,
     # np.mean of a bool array is this count over n
     p0 = float(np.count_nonzero(d0) / n)
     p0_se = math.sqrt(p0 * (1.0 - p0) / n)
-    miss = ~d1
-    p1 = float(np.count_nonzero(miss) / n)
+    p1 = float(np.count_nonzero(~d1) / n)
     p1_se = math.sqrt(p1 * (1.0 - p1) / n)
 
-    sq_err = np.where(d1, (arms.xhat[1] - arms.x[1]) ** 2, arms.x[1]**2)  # per replication
+    sq_err, h1_cost = _h1_costs(arms, d1, c)
     mse_d1, var_d1 = _mean_var(np.where(d1, sq_err, 0.0))
     mse_d0, var_d0 = _mean_var(np.where(d1, 0.0, sq_err))
     mse_d1, mse_d0 = float(mse_d1), float(mse_d0)
 
     combined = c.c0 * p0 + c.c1 * p1 + c.ce * (mse_d1 + mse_d0)
-    h1_cost = c.c1 * miss + c.ce * sq_err
     combined_var = (c.c0**2) * _mean_var(d0.astype(float))[1] / n \
         + _mean_var(h1_cost)[1] / n
     combined_se = math.sqrt(float(combined_var))
@@ -341,6 +345,19 @@ def cost_report(arms: Arms, decision: np.ndarray, c: CostWeights,
         mse_d0=mse_d0, mse_d0_se=math.sqrt(var_d0) / math.sqrt(n),
         combined=combined, combined_se=combined_se,
         predicted=arms.predicted, constraint_C=constraint_C)
+
+
+def difference_se(arms: Arms, a: np.ndarray, b: np.ndarray, c: CostWeights) -> float:
+    """Standard error of ``combined`` under the decisions ``a`` less that under ``b``.
+
+    Both score the same replications of ``arms``, so it is the standard error of the
+    per-replication cost difference, summed over the two arms as ``combined_se`` sums
+    their costs; it is exactly 0 where ``a`` and ``b`` decide alike.
+    """
+    n = a.shape[1]
+    h0_var = _mean_var(a[0].astype(float) - b[0].astype(float))[1]
+    h1_var = _mean_var(_h1_costs(arms, a[1], c)[1] - _h1_costs(arms, b[1], c)[1])[1]
+    return math.sqrt(float((c.c0**2) * h0_var / n + h1_var / n))
 
 
 def _h0_scenario(cfg_pair: tuple[ScenarioConfig, ScenarioConfig]) -> ScenarioConfig:
@@ -393,22 +410,30 @@ def separate_predicted_cost(U_T: float, p: ModelParams, c: CostWeights) -> float
     return gfunc.combined_cost(G, p, c)
 
 
-def compare_schemes(
-    cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibration, workers: int = 1,
-) -> tuple[CostReport, CostReport]:
-    """Joint rule versus the separate detect-then-estimate baseline on an ``(H0, H1)``
-    scenario pair, as ``monte_carlo`` takes it.
+def compare_arms(cfg: ScenarioConfig,
+                 cal: Calibration) -> tuple[CostReport, CostReport, float]:
+    """Joint rule versus the separate detect-then-estimate baseline on ``run_arms(cfg, cal)``,
+    and the standard error of the difference of their combined costs (``difference_se``).
 
     Both schemes share the stopping index, the estimator, and every
     replication draw; only the decision rule differs, and each report's
     ``predicted`` is its own scheme's exact cost.  The baseline's costs are
     derived before any gain is read, so costs it cannot run (c1 = 0) are a
-    ConfigError first.  ``workers`` has no effect; it is accepted for compatibility.
+    ConfigError first.
     """
-    cfg = _h0_scenario(cfg_pair)
     p, c = cfg.params, cfg.costs
     sep = separate_costs(c)
     arms = run_arms(cfg, cal)
+    decision = stats.accepts_alternative(arms.logL, arms.xhat, sep)
     joint = cost_report(arms, arms.decision, c, cal.C)
-    separate = cost_report(arms, stats.accepts_alternative(arms.logL, arms.xhat, sep), c, cal.C)
-    return joint, replace(separate, predicted=separate_predicted_cost(arms.U_T, p, c))
+    separate = replace(cost_report(arms, decision, c, cal.C),
+                       predicted=separate_predicted_cost(arms.U_T, p, c))
+    return joint, separate, difference_se(arms, arms.decision, decision, c)
+
+
+def compare_schemes(
+    cfg_pair: tuple[ScenarioConfig, ScenarioConfig], cal: Calibration, workers: int = 1,
+) -> tuple[CostReport, CostReport]:
+    """``compare_arms``' two reports for an ``(H0, H1)`` scenario pair, as ``monte_carlo``
+    takes it.  ``workers`` has no effect; it is accepted for compatibility."""
+    return compare_arms(_h0_scenario(cfg_pair), cal)[:2]

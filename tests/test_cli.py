@@ -932,6 +932,10 @@ class TestCompare:
         assert doc["difference"]["value"] == pytest.approx(
             doc["joint"]["combined"]["value"] - doc["separate"]["combined"]["value"]
         )
+        # the paired standard error: both schemes score the same replications
+        run = cli.load_config(cfg)
+        _, _, se = sim.compare_arms(run, gfunc.stopping_rule(3.0, run.params, run.costs))
+        assert doc["difference"]["stderr"] == se > 0
 
     def test_ce_zero_difference_is_exactly_zero(self, tmp_path):
         cfg = write_config(
@@ -942,7 +946,7 @@ class TestCompare:
         out = tmp_path / "cmp.json"
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["difference"]["value"] == 0.0
+        assert doc["difference"] == {"value": 0.0, "stderr": 0.0}
 
     # costs 1/0/1 on the reference model (C_max = 1): a run that ends in
     # horizon exhaustion, an undetermined threshold and an unreadable channel

@@ -35,8 +35,10 @@ from seqjde.sim import (
     FromFile,
     IidGaussian,
     Rayleigh,
+    compare_arms,
     compare_schemes,
     cost_report,
+    difference_se,
     gen_channel,
     run_arms,
     sample_observations,
@@ -590,6 +592,30 @@ class TestCompareSchemes:
         cal = solve_gamma(0.6, P, costs)
         joint, sep = compare_schemes(pair(Constant(1.0), costs=costs, reps=2000), cal)
         assert joint == sep
+        # both rules decide alike, so every replication's cost difference is 0
+        assert compare_arms(pair(Constant(1.0), costs=costs, reps=2000)[0], cal) \
+            == (joint, sep, 0.0)
+
+    def test_difference_se_is_the_paired_one(self):
+        # the standard error of the per-replication cost difference, each arm's
+        # variance taken directly by np.var, on a small arm where the rules differ
+        params, costs = ModelParams(1.0, 1.0, 1.0), CostWeights(1.0, 0.2, 5.0)
+        cal = solve_gamma(3.0, params, costs)
+        cfg = pair(Constant(1.0), params=params, costs=costs, reps=60)[0]
+        arms = run_arms(cfg, cal)
+        joint = arms.decision
+        sep = accepts_alternative(arms.logL, arms.xhat, separate_costs(costs))
+
+        def costs_of(d):  # each replication's cost, the H0 row then the H1 row
+            sq_err = np.where(d[1], (arms.xhat[1] - arms.x[1]) ** 2, arms.x[1] ** 2)
+            return costs.c0 * d[0], costs.c1 * ~d[1] + costs.ce * sq_err
+
+        diff = [a - b for a, b in zip(costs_of(joint), costs_of(sep))]
+        assert all(row.any() for row in diff)
+        want = math.sqrt(sum(np.var(row, ddof=1) for row in diff) / cfg.reps)
+        assert difference_se(arms, joint, sep, costs) == pytest.approx(want, rel=1e-13)
+        assert compare_arms(cfg, cal)[2] == difference_se(arms, joint, sep, costs)
+        assert difference_se(arms, joint, joint, costs) == 0.0
 
     def test_joint_never_worse(self):
         params = ModelParams(1.0, 1.0, 1.0)
