@@ -336,11 +336,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-# each subcommand's own parser, by name; build_parser fills it
-_SUBCOMMANDS: dict[str, argparse.ArgumentParser] = {}
-
-
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="seqjde",
         description="Sequential joint detection and estimation: calibration, "
@@ -372,11 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
            cmd_montecarlo, mc=True)
     common(sub.add_parser("compare", help="joint rule versus separate detect-then-estimate"),
            cmd_compare, mc=True)
-    _SUBCOMMANDS.update(sub.choices)
-    return parser
+    return parser, dict(sub.choices)
 
 
-_parser = functools.cache(build_parser)
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+_parsers = functools.cache(_build_parsers)
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -387,9 +387,9 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     arguments the subcommand leaves unrecognised go to the top-level parser, so every
     message and exit code is its own.
     """
-    parser = _parser()  # built on the first call and reused
+    parser, subcommands = _parsers()  # built on the first call and reused
     argv = sys.argv[1:] if argv is None else argv
-    own = _SUBCOMMANDS.get(argv[0]) if argv else None
+    own = subcommands.get(argv[0]) if argv else None
     if own is not None:
         args, rest = own.parse_known_args(argv[1:])
         if not rest:

@@ -1309,7 +1309,7 @@ def test_cached_parser_keeps_no_state(tmp_path):
     assert outputs[1] != outputs[0] and outputs[3] != outputs[2]
     assert json.loads(outputs[0]["o.json"])["reps"] == 400
     assert json.loads(outputs[1]["o.json"])["reps"] == 40
-    assert cli._parser() is cli._parser()
+    assert cli._parsers() is cli._parsers()
 
 
 _IO = ["--config", "c.json", "--out", "o.json"]
