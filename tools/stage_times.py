@@ -5,18 +5,19 @@ Usage::
     python3 tools/stage_times.py [--batches N] [--calls K] [--seed S]
 
 Writes mc-short's config, as ``bench/run.py`` generates it for ``--seed``
-(default 1), to a temp directory, and times the stages ``cli.main`` runs for
-``montecarlo`` on it, each on inputs computed once beforehand: parsing the
-argument list, ``load_config``, ``stopping_rule``, ``run_arms``,
-``cost_report``, the report JSON, the ``reps.csv`` writer and the two file
-writes; the last line times the whole ``cli.main`` call.  Each stage runs N
-batches (default 100) of K calls (default 20) in a row, and one line per
-stage gives the fastest batch's time per call::
+(default 1), to a temp directory, and runs ``montecarlo`` on it as
+``cli.main`` does, one stage after another, timing each: parsing the argument
+list, ``load_config``, ``stopping_rule``, ``run_arms``, ``cost_report``, the
+report JSON, the ``reps.csv`` writer and the two file writes.  Each batch is
+K such calls in a row (default 20), then K ``cli.main`` calls; after N batches
+(default 100), one line per stage, and a last one for the whole ``cli.main``
+call, gives the fastest batch's time per call::
 
     <stage> <us per call>
 
-The stages run outside ``main``'s ``np.errstate``, and the sum of the stages
-is not the whole call: the call also pays for dispatch and the sidecar name.
+Each stage runs once per call, as in ``main``, so it pays what a cold stage
+pays; the same function called K times in a row would take about half as
+long.  So the stages add up to about the whole call.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
 
 from seqjde import cli, gfunc, sim  # noqa: E402
 
@@ -50,39 +53,52 @@ def _mc_short(seed: int) -> tuple[dict, tuple[str, ...]]:
     return bench.config_dict(workload, seed), workload.flags
 
 
-def fastest_us(fn, batches: int, calls: int) -> float:
-    """The fastest of ``batches`` runs of ``calls`` calls of ``fn()``, per call in us."""
-    best = float("inf")
+STAGES = ("argparse", "load_config", "stopping_rule", "run_arms", "cost_report",
+          "report_json", "reps_csv", "file_writes")
+
+
+def one_call(argv: list[str], spent: dict) -> None:
+    """One montecarlo call, stage by stage as ``cli.main`` runs them, under its
+    ``np.errstate``; adds each stage's seconds to ``spent[stage]``."""
+    clock = time.perf_counter
+    t = [clock()]
+    args = cli._parse_args(argv)
+    t.append(clock())
+    cfg = cli.load_config(args.config, args.seed, args.reps)
+    t.append(clock())
+    cal = gfunc.stopping_rule(cfg.constraint_C, cfg.params, cfg.costs)
+    t.append(clock())
+    with np.errstate(over="raise"):
+        arms = sim.run_arms(cfg, cal)
+        t.append(clock())
+        report = sim.cost_report(arms, arms.decision, cfg.costs, cal.C)
+        t.append(clock())
+    text = cli._json_lines(cli._report_dict(report), 0)
+    t.append(clock())
+    rows = "".join(cli._rep_lines(arms))
+    t.append(clock())
+    sidecar = Path(args.out).with_suffix(".reps.csv")
+    cli._write_files([(args.out, (text, "\n")), (sidecar, (rows,))])
+    t.append(clock())
+    for name, start, end in zip(STAGES, t, t[1:]):
+        spent[name] += end - start
+
+
+def stage_times(argv: list[str], batches: int, calls: int) -> dict[str, float]:
+    """Each stage's time per call, and the whole ``cli.main`` call's as "main", in us:
+    the fastest of ``batches`` batches of ``calls`` calls in a row."""
+    best = dict.fromkeys((*STAGES, "main"), float("inf"))
     for _ in range(batches):
+        spent = dict.fromkeys(STAGES, 0.0)
+        for _ in range(calls):
+            one_call(argv, spent)
         t0 = time.perf_counter()
         for _ in range(calls):
-            fn()
-        best = min(best, time.perf_counter() - t0)
-    return best / calls * 1e6
-
-
-def stages(config: str, out: str, flags: tuple[str, ...]) -> dict:
-    """Each stage of one montecarlo call as a function of no arguments, in call order."""
-    argv = ["montecarlo", "--config", config, "--out", out, *flags]
-    args = cli._parse_args(argv)
-    cfg = cli.load_config(args.config, args.seed, args.reps)
-    cal = gfunc.stopping_rule(cfg.constraint_C, cfg.params, cfg.costs)
-    arms = sim.run_arms(cfg, cal)
-    report = sim.cost_report(arms, arms.decision, cfg.costs, cal.C)
-    text = cli._json_lines(cli._report_dict(report), 0)
-    rows = "".join(cli._rep_lines(arms))
-    files = [(out, (text, "\n")), (str(Path(out).with_suffix(".reps.csv")), (rows,))]
-    return {
-        "argparse": lambda: cli._parse_args(argv),
-        "load_config": lambda: cli.load_config(args.config, args.seed, args.reps),
-        "stopping_rule": lambda: gfunc.stopping_rule(cfg.constraint_C, cfg.params, cfg.costs),
-        "run_arms": lambda: sim.run_arms(cfg, cal),
-        "cost_report": lambda: sim.cost_report(arms, arms.decision, cfg.costs, cal.C),
-        "report_json": lambda: cli._json_lines(cli._report_dict(report), 0),
-        "reps_csv": lambda: "".join(cli._rep_lines(arms)),
-        "file_writes": lambda: cli._write_files(files),
-        "main": lambda: cli.main(argv),
-    }
+            cli.main(argv)
+        spent["main"] = time.perf_counter() - t0
+        for name, seconds in spent.items():
+            best[name] = min(best[name], seconds / calls * 1e6)
+    return best
 
 
 def main(argv: list[str]) -> int:
@@ -99,8 +115,10 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp, "config.json")
         config.write_text(json.dumps(raw))
-        for name, fn in stages(str(config), str(Path(tmp, "mc.json")), flags).items():
-            print(f"{name:13s} {fastest_us(fn, args.batches, args.calls):8.1f}")
+        argv = ["montecarlo", "--config", str(config), "--out", str(Path(tmp, "mc.json")),
+                *flags]
+        for name, us in stage_times(argv, args.batches, args.calls).items():
+            print(f"{name:13s} {us:8.1f}")
     return 0
 
 
