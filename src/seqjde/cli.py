@@ -393,6 +393,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     if own is not None:
         args, rest = own.parse_known_args(argv[1:])
         if not rest:
+            args.command = argv[0]  # as the top-level parser's dest="command" records it
             return args
     return parser.parse_args(argv)
 

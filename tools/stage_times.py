@@ -2,12 +2,11 @@
 
 Usage::
 
-    python3 tools/stage_times.py [--batches N] [--calls K] [--seed S]
+    python3 tools/stage_times.py [--batches N] [--calls K]
 
-Writes mc-short's config, as ``bench/run.py`` generates it for ``--seed``
-(default 1), to a temp directory, and runs ``montecarlo`` on it as
-``cli.main`` does, one stage after another, timing each: parsing the argument
-list, ``load_config``, ``stopping_rule``, ``run_arms``, ``cost_report``, the
+Writes mc-short's config, as ``bench/run.py`` generates it for seed 1, to a
+temp directory, and runs ``montecarlo`` on it as ``cli.main`` does, one stage
+after another, timing each: parsing the argument list, ``load_config``, ``stopping_rule``, ``run_arms``, ``cost_report``, the
 report JSON, the ``reps.csv`` writer and the two file writes.  Each batch is
 K such calls in a row (default 20), then K ``cli.main`` calls; after N batches
 (default 100), one line per stage, and a last one for the whole ``cli.main``
@@ -38,8 +37,8 @@ import numpy as np  # noqa: E402
 from seqjde import cli, gfunc, sim  # noqa: E402
 
 
-def _mc_short(seed: int) -> tuple[dict, tuple[str, ...]]:
-    """mc-short's config and flags, read from bench/run.py, which is only imported."""
+def _mc_short() -> tuple[dict, tuple[str, ...]]:
+    """mc-short's config at seed 1 and its flags, from bench/run.py, only imported."""
     spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = bench  # its dataclasses look it up
@@ -50,7 +49,7 @@ def _mc_short(seed: int) -> tuple[dict, tuple[str, ...]]:
         sys.dont_write_bytecode = dont_write
         del sys.modules[spec.name]
     workload = bench.WORKLOADS["mc-short"]
-    return bench.config_dict(workload, seed), workload.flags
+    return bench.config_dict(workload, 1), workload.flags
 
 
 STAGES = ("argparse", "load_config", "stopping_rule", "run_arms", "cost_report",
@@ -105,13 +104,11 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--batches", type=int, default=100, help="batches per stage (N)")
     ap.add_argument("--calls", type=int, default=20, help="calls per batch (K)")
-    ap.add_argument("--seed", type=int, default=1, help="bench/run.py --seed of the config")
     args = ap.parse_args(argv)
     if args.batches < 1 or args.calls < 1:
         ap.error("--batches and --calls must be at least 1")
-    raw, flags = _mc_short(args.seed)
-    print(f"python={sys.version.split()[0]} batches={args.batches} calls={args.calls} "
-          f"seed={args.seed}")
+    raw, flags = _mc_short()
+    print(f"python={sys.version.split()[0]} batches={args.batches} calls={args.calls}")
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp, "config.json")
         config.write_text(json.dumps(raw))
