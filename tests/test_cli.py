@@ -1177,47 +1177,29 @@ def test_byte_matrix_digests_are_pinned():
     assert moved == [], f"{len(moved)} configs moved: {' '.join(moved)}"
 
 
-def test_cold_start_config_runs_every_command(tmp_path, capsys):
-    # tools/cold_start.py times its COMMANDS in fresh interpreters on its own
-    # CONFIG; run each once in-process so a config-schema change breaks a test
-    tools = Path(__file__).resolve().parents[1] / "tools"
-    spec = importlib.util.spec_from_file_location("cold_start", tools / "cold_start.py")
-    cold_start = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cold_start)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(cold_start.CONFIG))
-    for command, extra in cold_start.COMMANDS.items():
-        out = tmp_path / f"{command}.json"
-        assert main([command, "--config", str(config), "--out", str(out), *extra]) == 0, command
-        assert out.is_file()
+def test_layer_times_rows_run_on_the_real_call_path(tmp_path, capsys):
+    # tools/layer_times.py's in-process rows, once each: a wrapped function that is no
+    # longer called reads 0, and a renamed one fails to wrap.  No interpreter is started.
+    spec = importlib.util.spec_from_file_location(
+        "layer_times", Path(__file__).resolve().parents[1] / "tools" / "layer_times.py")
+    layer_times = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layer_times)
+    rows = layer_times.rows(tmp_path)
+    originals = {name: getattr(*layer_times.target(name))
+                 for row in rows for _, name, _ in row.layers if name is not None}
+    found = {layer: value for row in rows for layer, value, _ in layer_times.time_row(row, 1, 1)}
+    assert all(value > 0 for value in found.values())
+    assert all(getattr(*layer_times.target(name)) is fn for name, fn in originals.items())
+    assert [layer[9:] for layer in found if layer.startswith("mc-short/")] == [
+        "argparse", "load_config", "stopping_rule", "run_arms", "cost_report", "report_json",
+        "reps_csv", "file_writes", "main"]
+    # TestWorkCounts' pins; montecarlo at C = 0.01 stops its bisection on a 100,000-step path
+    roots = {layer[:-13]: n for layer, n in found.items() if layer.endswith("/_margin_root")}
+    assert roots == {"calibrate@C=1.5": 39, "calibrate@C=0.2": 41, "calibrate@C=0.01": 46,
+                     "montecarlo@C=1.5": 2, "montecarlo@C=0.2": 15, "montecarlo@C=0.01": 35}
+    for argv in layer_times.cold_argvs(tmp_path):  # what the cold rows' interpreters run
+        assert main(argv) == 0, argv[0]
     assert capsys.readouterr().err == ""
-
-
-def test_stage_times_runs_every_stage(tmp_path, capsys):
-    # tools/stage_times.py splits one mc-short montecarlo call into its stages;
-    # run it once in-process at one call per stage so an API change breaks a test
-    tools = Path(__file__).resolve().parents[1] / "tools"
-    spec = importlib.util.spec_from_file_location("stage_times", tools / "stage_times.py")
-    stage_times = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(stage_times)
-    # its stage-by-stage copy of cmd_montecarlo writes the bytes cli.main writes
-    raw, flags = stage_times._mc_short()
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(raw))
-    out = tmp_path / "mc.json"
-    argv = ["montecarlo", "--config", str(config), "--out", str(out), *flags]
-    stage_times.one_call(argv, dict.fromkeys(stage_times.STAGES, 0.0))
-    staged = [out.read_bytes(), out.with_suffix(".reps.csv").read_bytes()]
-    out.unlink(), out.with_suffix(".reps.csv").unlink()
-    assert main(argv) == 0
-    assert [out.read_bytes(), out.with_suffix(".reps.csv").read_bytes()] == staged
-    assert stage_times.main(["--batches", "1", "--calls", "1"]) == 0
-    out = capsys.readouterr()
-    rows = [line.split() for line in out.out.splitlines()[1:]]
-    assert [name for name, _ in rows] == ["argparse", "load_config", "stopping_rule",
-                                          "run_arms", "cost_report", "report_json",
-                                          "reps_csv", "file_writes", "main"]
-    assert all(float(us) > 0 for _, us in rows) and out.err == ""
 
 
 def test_benchmark_golden_pins_hold(tmp_path, monkeypatch):
