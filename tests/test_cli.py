@@ -1177,13 +1177,18 @@ def test_byte_matrix_digests_are_pinned():
     assert moved == [], f"{len(moved)} configs moved: {' '.join(moved)}"
 
 
-def test_layer_times_rows_run_on_the_real_call_path(tmp_path, capsys):
-    # tools/layer_times.py's in-process rows, once each: a wrapped function that is no
-    # longer called reads 0, and a renamed one fails to wrap.  No interpreter is started.
+def _layer_times():
     spec = importlib.util.spec_from_file_location(
         "layer_times", Path(__file__).resolve().parents[1] / "tools" / "layer_times.py")
     layer_times = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layer_times)
+    return layer_times
+
+
+def test_layer_times_rows_run_on_the_real_call_path(tmp_path, capsys):
+    # tools/layer_times.py's in-process rows, once each: a wrapped function that is no
+    # longer called reads 0, and a renamed one fails to wrap.  No interpreter is started.
+    layer_times = _layer_times()
     rows = layer_times.rows(tmp_path)
     originals = {name: getattr(*layer_times.target(name))
                  for row in rows for _, name, _ in row.layers if name is not None}
@@ -1197,8 +1202,14 @@ def test_layer_times_rows_run_on_the_real_call_path(tmp_path, capsys):
     roots = {layer[:-13]: n for layer, n in found.items() if layer.endswith("/_margin_root")}
     assert roots == {"calibrate@C=1.5": 39, "calibrate@C=0.2": 41, "calibrate@C=0.01": 46,
                      "montecarlo@C=1.5": 2, "montecarlo@C=0.2": 15, "montecarlo@C=0.01": 35}
-    for argv in layer_times.cold_argvs(tmp_path):  # what the cold rows' interpreters run
+    assert capsys.readouterr().err == ""
+
+
+def test_cold_start_config_runs_every_command(tmp_path, capsys):
+    # what tools/layer_times.py's cold rows run in fresh interpreters, once each in-process
+    for argv in _layer_times().cold_argvs(tmp_path):
         assert main(argv) == 0, argv[0]
+        assert Path(argv[argv.index("--out") + 1]).is_file(), argv[0]
     assert capsys.readouterr().err == ""
 
 
