@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -206,7 +206,7 @@ def _write_json(obj: dict, path: str, *sidecars) -> None:
 
 def _report_dict(r: sim.CostReport) -> dict:
     """The report's fields in order, each estimate paired with its ``_se`` field."""
-    doc = {name: v for name, v in vars(r).items() if not name.endswith("_se")}
+    doc = {name: v for name, v in r._asdict().items() if not name.endswith("_se")}
     for name in ("p0_d1", "p1_d0", "mse_d1", "mse_d0", "combined"):
         doc[name] = {"value": doc[name], "stderr": getattr(r, f"{name}_se")}
     return doc
@@ -277,8 +277,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             y = y + (xo - x) * h
 
     run = stats.running(y, h)  # row t after t steps, row 0 before any
-    last = stats.SufficientStats(*(a[-1].item() for a in (run.t, run.U, run.V)))
-    outcome = asdict(engine.outcome(last, cal, p, c))  # rejects a non-finite U, V before the logs
+    last = stats.SufficientStats(*(a[-1].item() for a in run))
+    outcome = engine.outcome(last, cal, p, c)._asdict()  # rejects a non-finite U, V before the logs
     with np.errstate(over="ignore"):  # an overflow is an inf, as in the engine's Python floats
         logL, xhat = stats.log_likelihood_ratio(run, p), stats.estimate(run, p)
     table = (run.t[1:], h, y, run.U[1:], run.V[1:], logL[1:], xhat[1:])  # rows t = 1..T

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import gfunc, stats
 from .errors import HorizonExhausted
@@ -13,8 +12,7 @@ from .gfunc import Calibration, predicted_cost
 from .model import CostWeights, Hypothesis, ModelParams, check_int
 
 
-@dataclass(frozen=True)
-class TripletOutcome:
+class TripletOutcome(NamedTuple):
     """Realized stopping index, decision, estimate, and terminal statistics.
 
     ``estimate`` is present exactly when the decision is H1.

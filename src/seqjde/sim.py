@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -109,8 +109,7 @@ class ScenarioConfig:
         check_int("t_max", self.t_max, 1, size=True)
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     """Plug-in Monte Carlo estimates of the combined cost and its pieces.
 
     Probabilities carry binomial standard errors; squared-error terms carry
@@ -219,8 +218,7 @@ def sample_observations(cfg: ScenarioConfig, rep_index: int,
     return x, x * h + rng.normal(0.0, cfg.params.sigma, size=len(h))
 
 
-@dataclass
-class Arms:
+class Arms(NamedTuple):
     """Per-replication terminal data of both truth arms: T, U_T and the predicted cost
     are shared, and each array is ``(2, reps)``, row ``Hypothesis.value`` (H0 = 0, H1 = 1)."""
 
@@ -426,8 +424,8 @@ def compare_arms(cfg: ScenarioConfig,
     arms = run_arms(cfg, cal)
     decision = stats.accepts_alternative(arms.logL, arms.xhat, sep)
     joint = cost_report(arms, arms.decision, c, cal.C)
-    separate = replace(cost_report(arms, decision, c, cal.C),
-                       predicted=separate_predicted_cost(arms.U_T, p, c))
+    separate = cost_report(arms, decision, c, cal.C)._replace(
+        predicted=separate_predicted_cost(arms.U_T, p, c))
     return joint, separate, difference_se(arms, arms.decision, decision, c)
 
 

@@ -9,15 +9,14 @@ and detector need is carried by the triple ``(t, U, V)`` with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import CostWeights, Hypothesis, ModelParams
 
 
-@dataclass(frozen=True)
-class SufficientStats:
+class SufficientStats(NamedTuple):
     """Sample count plus the two running sums that summarize the history; empty by default."""
 
     t: int = 0

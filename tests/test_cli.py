@@ -342,9 +342,9 @@ class TestRunConfig:
                 for truth in (Hypothesis.H0, Hypothesis.H1)]
         got = sim.run_arms(cfg, cal)
         want = sim.run_arms(pair[0], cal)
-        for f in dataclasses.fields(sim.Arms):
-            a, b = (np.asarray(getattr(arms, f.name)) for arms in (got, want))
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        for name in sim.Arms._fields:
+            a, b = (np.asarray(getattr(arms, name)) for arms in (got, want))
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_flags_keep_the_level_and_the_grid(self, tmp_path):
         cfg = cli.load_config(write_config(tmp_path, grid=self.GRID, constraint_C=2.0),
@@ -716,7 +716,7 @@ def _simulate_matches_reference(tmp_path, cfg: str, truth: str, x_override) -> i
     flags = [] if x_override is None else ["--x-override", repr(x_override)]
     assert main(["simulate", "--config", cfg, "--out", str(out), "--truth", truth, *flags]) == 0
     ref, trace = _reference_simulate(cfg, truth, x_override)
-    expected = dataclasses.asdict(ref) | {"decision": ref.decision.name}
+    expected = ref._asdict() | {"decision": ref.decision.name}
     assert list(json.loads(out.read_text()).items()) == list(expected.items())
     assert (tmp_path / "run.trace.csv").read_text() == trace
     return ref.T
@@ -1205,12 +1205,23 @@ def test_layer_times_rows_run_on_the_real_call_path(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_cold_start_config_runs_every_command(tmp_path, capsys):
-    # what tools/layer_times.py's cold rows run in fresh interpreters, once each in-process
-    for argv in _layer_times().cold_argvs(tmp_path):
-        assert main(argv) == 0, argv[0]
+def test_cold_start_config_runs_every_command(tmp_path, capsys, monkeypatch):
+    # what tools/layer_times.py's cold rows run in fresh interpreters: its child
+    # script, once per subcommand in-process, exits 0 and reports every field
+    layer_times = _layer_times()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src first
+    for argv in layer_times.cold_argvs(tmp_path):
+        monkeypatch.setattr(sys, "argv", ["-c", src, *argv])
+        with pytest.raises(SystemExit) as exit_:
+            exec(layer_times.CHILD, {})
+        assert exit_.value.code == 0, argv[0]
         assert Path(argv[argv.index("--out") + 1]).is_file(), argv[0]
-    assert capsys.readouterr().err == ""
+        out, err = capsys.readouterr()
+        assert err == ""
+        report = json.loads(out.splitlines()[-1])
+        assert list(report) == ["import_numpy", "import_seqjde", "run", "scipy", "peak_rss_mb"]
+        assert all(value >= 0 for value in report.values()), argv[0]
 
 
 def test_benchmark_golden_pins_hold(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ import math
 import struct
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +345,18 @@ class TestMonteCarlo:
         assert rep.combined == C.c0 * rep.p0_d1 + C.c1 * rep.p1_d0 \
             + C.ce * (rep.mse_d1 + rep.mse_d0)
 
+    def test_computed_records_are_immutable_tuples(self):
+        # what a run computes is a NamedTuple: no field can be reassigned after the fact
+        cal = solve_gamma(1.5, P, C)
+        arms = run_arms(pair(Constant(1.0), reps=10)[0], cal)
+        records = [arms, cost_report(arms, arms.decision, C, cal.C), SufficientStats(),
+                   run_sequential(iter([(0.5, 1.0)] * 10), cal, P, C, 10)]
+        for record in records:
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 0)
+        assert SufficientStats() == (0, 0.0, 0.0)
+
     def test_ce_zero_false_alarms_match_lrt_frequency(self):
         costs = CostWeights(1.0, 1.0, 0.0)
         cal = solve_gamma(0.6, P, costs)
@@ -500,8 +512,8 @@ def _report_outcome(report_fn, *args):
             # older NumPy squares np.var's deviations with np.multiply, newer
             # with np.square; the two round alike
             return type(exc), str(exc).replace("multiply", "square")
-    return [(f.name, type(getattr(report, f.name)), struct.pack("<d", getattr(report, f.name)))
-            for f in fields(report)]
+    return [(name, type(getattr(report, name)), struct.pack("<d", getattr(report, name)))
+            for name in report._fields]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

@@ -38,18 +38,26 @@ STAGES = (("argparse", "cli._parse_args"), ("load_config", "cli.load_config"),
           ("stopping_rule", "gfunc.stopping_rule"), ("run_arms", "sim.run_arms"),
           ("cost_report", "sim.cost_report"), ("report_json", "cli._json_lines"),
           ("reps_csv", "cli._rep_lines"), ("file_writes", "cli._write_files"))
-# runs one subcommand and reports on the last line of standard output; its peak
-# RSS is VmHWM, since ru_maxrss keeps the peak of the process that started it
+# runs one subcommand and reports on the last line of standard output: the ms spent
+# importing NumPy, importing seqjde and running the call, and its peak RSS as VmHWM,
+# since ru_maxrss keeps the peak of the process that started it
 CHILD = """\
-import json, sys
+import json, sys, time
 sys.path.insert(0, sys.argv[1])
+t0 = time.perf_counter()
+import numpy
+t1 = time.perf_counter()
 from seqjde import cli
+t2 = time.perf_counter()
 rc = cli.main(sys.argv[2:])
+t3 = time.perf_counter()
 loaded = [name for name in sys.modules
           if name.startswith("scipy.") and name.count(".") == 1 and name[6] != "_"]
 with open("/proc/self/status") as f:
     hwm = next(line for line in f if line.startswith("VmHWM:"))
-print(json.dumps({"scipy": len(loaded), "peak_rss_mb": int(hwm.split()[1]) / 1024}))
+print(json.dumps({"import_numpy": (t1 - t0) * 1e3, "import_seqjde": (t2 - t1) * 1e3,
+                  "run": (t3 - t2) * 1e3, "scipy": len(loaded),
+                  "peak_rss_mb": int(hwm.split()[1]) / 1024}))
 sys.exit(rc)
 """
 
@@ -209,6 +217,8 @@ def cold_rows(tmp: Path, src: Path):
         walls, reports = zip(*(child(argv) for _ in range(RUNS)))
         yield f"cold-{argv[0]}/min_wall", min(walls) * 1e3, "ms"
         yield f"cold-{argv[0]}/median_wall", statistics.median(walls) * 1e3, "ms"
+        for layer in ("import_numpy", "import_seqjde", "run"):
+            yield f"cold-{argv[0]}/{layer}", statistics.median(r[layer] for r in reports), "ms"
         yield f"cold-{argv[0]}/peak_rss", statistics.median(r["peak_rss_mb"] for r in reports), "MB"
         yield f"cold-{argv[0]}/scipy", max(r["scipy"] for r in reports), "subpackages"
 
