@@ -15,6 +15,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
@@ -26,9 +27,16 @@ from . import engine, gfunc, sim, stats
 from .errors import ConfigError, QuadratureNonConvergence, SeqjdeError
 from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound, check_int, quoted
 
-# reps.csv and trace rows formatted per block: bounds the Python floats held by a writer
+# reps.csv, trace and gtable rows formatted per block: bounds the Python floats held by a
+# writer, and each block is one os.write
 _REP_BLOCK = 1024
 _TRACE_ROW = "%d" + ",%.17g" * 6 + "\n"
+# a reps.csv row by arm, then decision: the model fixes H0's amplitude at 0, and a row
+# that decides H0 has no estimate, which its template takes as "" by %s
+_REP_ROWS = (("%d,0,0,0,%s\n", "%d,0,0,1,%.17g\n"),
+             ("%d,1,%.17g,0,%s\n", "%d,1,%.17g,1,%.17g\n"))
+# what open(path, "wb") passes, without its buffer: O_BINARY keeps Windows from writing \r\n
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 
 @dataclass(frozen=True)
@@ -178,15 +186,22 @@ def _json_lines(v, indent: int) -> str:
 
 
 def _write_files(files) -> None:
-    """Stream each ``(path, lines)`` in turn as UTF-8 bytes, so every platform writes the
-    same ``\\n``; a failure removes every regular file it wrote."""
+    """Write each ``(path, chunks)`` in turn as UTF-8 bytes, one ``os.write`` per chunk
+    until it is all written, so every platform writes the same ``\\n``.  The open
+    truncates and writes through, as ``open(path, "wb")`` does; a failure removes
+    every regular file it wrote."""
     written = []
     try:
-        for path, lines in files:
-            with open(path, "wb") as f:
+        for path, chunks in files:
+            fd = os.open(path, _WRITE_FLAGS, 0o666)
+            try:
                 written.append(path)
-                for chunk in lines:
-                    f.write(chunk.encode())
+                for chunk in chunks:
+                    data = memoryview(chunk.encode())
+                    while data:
+                        data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
     except BaseException as exc:
         for done in map(Path, written):
             if done.is_file() and not done.is_symlink():  # a device or link written through stays
@@ -200,8 +215,14 @@ def _write_files(files) -> None:
 def _write_json(obj: dict, path: str, *sidecars) -> None:
     # a sidecar is named only once the JSON's path took a file: an --out with
     # no file name ("/", ".", "") then fails as a write, before with_suffix runs
-    _write_files(itertools.chain([(path, (_json_lines(obj, 0), "\n"))], (
+    _write_files(itertools.chain([(path, (_json_lines(obj, 0) + "\n",))], (
         (Path(path).with_suffix(f".{kind}.csv"), lines) for kind, lines in sidecars)))
+
+
+def _blocks(lines):
+    """The strings of ``lines`` joined in blocks of at most ``_REP_BLOCK``."""
+    while block := "".join(itertools.islice(lines, _REP_BLOCK)):
+        yield block
 
 
 def _report_dict(r: sim.CostReport) -> dict:
@@ -254,7 +275,7 @@ def cmd_gtable(args: argparse.Namespace) -> int:
                     failures += 1
             yield f"{U:.17g},{g:.17g},{V1:.17g},{V2:.17g},{G:.17g},{quad}\n"
 
-    _write_files([(args.out, lines())])
+    _write_files([(args.out, _blocks(lines()))])
     if failures:
         print(f"gtable: quadrature failed on {failures} grid point(s)", file=sys.stderr)
         return 3
@@ -297,21 +318,25 @@ def _rep_lines(arms: sim.Arms):
     """reps.csv: one line per replication, the H0 row first; no estimate where H0 is decided.
 
     Yields the header, then one string per block of at most ``_REP_BLOCK`` lines
-    of both rows in turn, formatted by one ``%``, so the Python floats alive at a
-    time do not grow with the number of replications.
+    of each row in turn, formatted by one ``%``, so the Python floats alive at a
+    time do not grow with the number of replications.  H0's amplitudes are not
+    read: the model fixes them at 0.
     """
     yield "rep,arm,x,decision,estimate\n"
-    templates = np.array(["%d,0,%.17g,0,\n", "%d,0,%.17g,1,%.17g\n", "%d,1,%.17g,0,\n",
-                          "%d,1,%.17g,1,%.17g\n"], dtype=object)  # by 2 * arm + decision
     n = arms.x.shape[1]
-    x, xhat, d = arms.x.ravel(), arms.xhat.ravel(), arms.decision.ravel()
-    for start in range(0, 2 * n, _REP_BLOCK):
-        block = slice(start, start + _REP_BLOCK)
-        line = np.arange(start, min(start + _REP_BLOCK, 2 * n))  # arm * n + rep
-        # object dtype keeps rep a Python int, which %d formats faster than a float
-        keep = d[block, None] | np.array([True, True, False])  # no estimate where H0 is decided
-        cells = np.column_stack(((line % n).astype(object), x[block], xhat[block]))[keep].tolist()
-        yield "".join(templates[2 * (line >= n) + d[block]].tolist()) % tuple(cells)
+    for arm, rows in enumerate(_REP_ROWS):
+        w = 2 + arm  # the cells of a row: rep, the amplitude on H1, the estimate
+        for start in range(0, n, _REP_BLOCK):
+            block = slice(start, min(start + _REP_BLOCK, n))
+            d = arms.decision[arm, block]
+            estimate = arms.xhat[arm, block].astype(object)
+            estimate[~d] = ""
+            cells = [None] * (w * len(d))
+            cells[0::w] = range(start, block.stop)  # Python ints, which %d formats fastest
+            if arm:
+                cells[1::w] = arms.x[arm, block].tolist()
+            cells[w - 1::w] = estimate.tolist()
+            yield "".join([rows[k] for k in d.tolist()]) % tuple(cells)
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:

@@ -220,7 +220,8 @@ def sample_observations(cfg: ScenarioConfig, rep_index: int,
 
 class Arms(NamedTuple):
     """Per-replication terminal data of both truth arms: T, U_T and the predicted cost
-    are shared, and each array is ``(2, reps)``, row ``Hypothesis.value`` (H0 = 0, H1 = 1)."""
+    are shared, and each array is ``(2, reps)``, row ``Hypothesis.value`` (H0 = 0, H1 = 1).
+    ``x``'s H0 row is 0 (+0.0), the model's amplitude under the null."""
 
     T: int
     U_T: float

@@ -2,11 +2,13 @@ import ast
 import builtins
 import contextlib
 import dataclasses
+import errno
 import importlib.util
 import inspect
 import io
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -880,12 +882,13 @@ class TestMonteCarlo:
         rng = np.random.default_rng(20261018)
         size = max(64, n)
         bits = rng.integers(0, 2**64, size=(2, size), dtype=np.uint64, endpoint=False)
-        values = [np.array(specials + row.view(np.float64).tolist()) for row in bits]
-        x, xhat = values[0][:n], values[1][::-1][:n].copy()
+        amplitude, estimate = (np.array(first + row.view(np.float64).tolist())[:n]
+                               for first, row in zip((specials, specials[::-1]), bits))
         decision = {"mixed": np.arange(n) % 3 == 1, "H0": np.zeros(n, bool),
                     "H1": np.ones(n, bool)}[decided]
-        # the rows differ, so a swapped or repeated row shows
-        x, xhat = np.stack([x, xhat]), np.stack([xhat, x])
+        # H0's amplitudes are +0.0, as run_arms draws them; the other rows differ,
+        # so a swapped or repeated row shows
+        x, xhat = np.stack([np.zeros(n), amplitude]), np.stack([estimate, estimate[::-1]])
         arms = sim.Arms(T=3, U_T=2.0, predicted=1.0, x=x, V=xhat, logL=xhat, xhat=xhat,
                         decision=np.stack([decision, decision]))
 
@@ -1160,6 +1163,74 @@ class TestOutput:
         err = capsys.readouterr().err
         assert err.startswith(f"seqjde: cannot write {quoted(out)}: ") and err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def _open_fds() -> int | None:
+    """How many descriptors this process holds, where the platform lists them."""
+    return len(os.listdir("/proc/self/fd")) if sys.platform.startswith("linux") else None
+
+
+class TestOsWrites:
+    # each output chunk is one os.write, repeated until the kernel took all of it
+    RUNS = (["montecarlo", "--reps", str(cli._REP_BLOCK + 2)], ["simulate", "--truth", "H1"],
+            ["gtable"])
+
+    def _outputs(self, tmp_path, name, cfg):
+        (tmp_path / name).mkdir()
+        for argv in self.RUNS:
+            out = tmp_path / name / f"{argv[0]}.out"
+            assert main(argv + ["--config", cfg, "--out", str(out)]) == 0, argv
+        return {path.name: path.read_bytes() for path in sorted((tmp_path / name).iterdir())}
+
+    def test_short_writes_write_the_same_bytes(self, tmp_path, monkeypatch):
+        grid = {"u_min": 0.0, "u_max": 4.0, "points": 5, "spacing": "linear"}
+        cfg = write_config(tmp_path, overrides={"grid": grid})
+        whole = self._outputs(tmp_path, "whole", cfg)
+        write, sizes = cli.os.write, []
+
+        def short_write(fd, data):
+            sizes.append(write(fd, data[:7]))
+            return sizes[-1]
+
+        monkeypatch.setattr(cli.os, "write", short_write)
+        before = _open_fds()
+        assert self._outputs(tmp_path, "short", cfg) == whole
+        assert _open_fds() == before
+        assert list(whole) == ["gtable.out", "montecarlo.out", "montecarlo.reps.csv",
+                               "simulate.out", "simulate.trace.csv"]
+        assert sum(sizes) == sum(map(len, whole.values())) and max(sizes) == 7
+
+    @pytest.mark.parametrize("argv, sidecar", [(["montecarlo"], "reps"),
+                                               (["simulate", "--truth", "H1"], "trace")],
+                             ids=["montecarlo", "simulate"])
+    def test_a_full_disk_on_the_sidecar_leaves_no_file(self, tmp_path, capsys, monkeypatch,
+                                                       argv, sidecar):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "run" / "o.json"
+        out.parent.mkdir()
+        open_, write, paths, opened = cli.os.open, cli.os.write, {}, []
+
+        def record_open(path, *args):
+            fd = open_(path, *args)
+            paths[fd] = str(path)  # a closed file's descriptor is reused
+            opened.append(Path(path).name)
+            return fd
+
+        def full_sidecar(fd, data):
+            if paths[fd].endswith(f".{sidecar}.csv"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(fd, data)
+
+        monkeypatch.setattr(cli.os, "open", record_open)
+        monkeypatch.setattr(cli.os, "write", full_sidecar)
+        before = _open_fds()
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        assert _open_fds() == before
+        err = capsys.readouterr().err
+        assert err == (f"seqjde: cannot write {quoted(str(out.with_suffix(f'.{sidecar}.csv')))}: "
+                       f"{os.strerror(errno.ENOSPC)}\n")
+        assert list(out.parent.iterdir()) == []
+        assert opened == ["o.json", f"o.{sidecar}.csv"]
 
 
 def test_byte_matrix_digests_are_pinned():

@@ -459,6 +459,26 @@ def test_arms_rows_are_the_per_arm_streams(regime):
         assert 0 < arms.decision.sum() < arms.decision.size
 
 
+@pytest.mark.parametrize("regime", ["observe", "prior_H0", "prior_H1"])
+@pytest.mark.parametrize("channel", [Constant(-0.5), IidGaussian(1.0), Rayleigh(0.8),
+                                     Ar1(0.9, 0.5, 0.5), FromFile("gains.txt")],
+                         ids=lambda m: type(m).__name__)
+def test_arms_h0_amplitudes_are_positive_zeros(tmp_path, monkeypatch, channel, regime):
+    # reps.csv writes H0's amplitude as the literal 0, which %.17g prints for +0.0 alone
+    monkeypatch.chdir(tmp_path)
+    Path("gains.txt").write_text("0.8\n" * 200)
+    p = ModelParams(-0.7, 1.3, 0.8)
+    costs = CostWeights(1.0, 0.5, 1.0) if regime == "prior_H0" else C
+    # above the admissible bound the rule stops at zero on its prior decision
+    cal = stopping_rule(0.3 if regime == "observe" else 1.1 * admissible_cost_bound(p, costs),
+                        p, costs)
+    assert cal.decision is {"observe": None, "prior_H0": Hypothesis.H0,
+                            "prior_H1": Hypothesis.H1}[regime]
+    x = run_arms(pair(channel, params=p, costs=costs, reps=300, t_max=200)[0], cal).x
+    assert not x[0].any() and not np.signbit(x[0]).any()
+    assert x[1].all()
+
+
 @pytest.mark.parametrize("sigma_x, sigma", [(1e100, 1e100), (1e150, 1e150), (1e154, 1e100),
                                             (1.3e154, 1e150)])
 def test_overflow_ends_as_the_per_arm_draws_do(sigma_x, sigma):
