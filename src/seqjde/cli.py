@@ -6,6 +6,8 @@ numeric output carries 17 significant digits so doubles round-trip exactly.
 simulate, montecarlo and compare find the stop from the gains alone
 (``sim.stopping_index``); simulate then draws only the noise up to it.
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 horizon exhaustion.
+Importing the module, ``load_config`` and calibrate load no NumPy: the other
+subcommands import it, and the array modules, only once their config is checked.
 """
 
 from __future__ import annotations
@@ -20,12 +22,15 @@ import sys
 from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import engine, gfunc, sim, stats
+from . import gfunc, model
 from .errors import ConfigError, QuadratureNonConvergence, SeqjdeError
 from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound, check_int, quoted
+
+if TYPE_CHECKING:  # for annotations only: NumPy and sim load in the subcommands
+    import numpy as np
+    from . import sim
 
 # reps.csv, trace and gtable rows formatted per block: bounds the Python floats held by a
 # writer, and each block is one os.write
@@ -57,13 +62,14 @@ class GridSpec:
         check_int("grid.points", self.points, 2, size=True)
 
     def values(self) -> np.ndarray:
+        import numpy as np
         if self.spacing == "log":
             return np.logspace(math.log10(self.u_min), math.log10(self.u_max), self.points)
         return np.linspace(self.u_min, self.u_max, self.points)
 
 
 @dataclass(frozen=True)
-class RunConfig(sim.ScenarioConfig):
+class RunConfig(model.ScenarioConfig):
     """A run config: its H0 arm's scenario, plus the level C and the gtable grid."""
 
     constraint_C: float
@@ -93,11 +99,11 @@ def _read_value(section: dict, key: str, kind: str, where: str):
 
 
 _CHANNEL_TYPES = {
-    "constant": sim.Constant,
-    "iid_gaussian": sim.IidGaussian,
-    "rayleigh": sim.Rayleigh,
-    "ar1": sim.Ar1,
-    "from_file": sim.FromFile,
+    "constant": model.Constant,
+    "iid_gaussian": model.IidGaussian,
+    "rayleigh": model.Rayleigh,
+    "ar1": model.Ar1,
+    "from_file": model.FromFile,
 }
 
 
@@ -125,7 +131,7 @@ def _read_section(section, cls, where: str, **given):
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_channel(section) -> sim.ChannelModel:
+def _parse_channel(section) -> model.ChannelModel:
     if not isinstance(section, dict) or "type" not in section:
         raise ConfigError("channel section must be an object with a 'type' key")
     kind = section["type"]
@@ -139,7 +145,7 @@ def _parse_channel(section) -> sim.ChannelModel:
 def load_config(path: str, master_seed: int | None = None, reps: int | None = None) -> RunConfig:
     """Read and check a run config; ``truth`` is H0.  A ``master_seed`` or ``reps`` given (the
     ``--seed`` and ``--reps`` flags) replaces the ``mc`` section's, which is checked first, by
-    the same rule: the run sizes are ``sim.ScenarioConfig``'s."""
+    the same rule: the run sizes are ``model.ScenarioConfig``'s."""
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.loads(f.read())
@@ -275,7 +281,9 @@ def cmd_gtable(args: argparse.Namespace) -> int:
                     failures += 1
             yield f"{U:.17g},{g:.17g},{V1:.17g},{V2:.17g},{G:.17g},{quad}\n"
 
-    _write_files([(args.out, _blocks(lines()))])
+    import numpy as np
+    with np.errstate(over="raise"):  # an overflow in array work is FloatingPointError, exit 2
+        _write_files([(args.out, _blocks(lines()))])
     if failures:
         print(f"gtable: quadrature failed on {failures} grid point(s)", file=sys.stderr)
         return 3
@@ -287,30 +295,33 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     xo = args.x_override
     if xo is not None and not math.isfinite(xo):
         raise ConfigError(f"--x-override must be finite, got {xo}")
-    p, c = cfg.params, cfg.costs
-    cal = gfunc.stopping_rule(cfg.constraint_C, p, c)
-    y = h = np.empty(0)  # a stop-at-zero rule reads no channel
-    if cal.decision is None:
-        h = sim.gen_channel(cfg.channel, cfg.master_seed, cfg.t_max)
-        h = h[:sim.stopping_index(h, cal, p, c)[0]].copy()
-        x, y = sim.sample_observations(replace(cfg, truth=Hypothesis[args.truth]), 0, h)
-        if xo is not None:
-            y = y + (xo - x) * h
+    import numpy as np
+    from . import engine, sim, stats
+    with np.errstate(over="raise"):
+        p, c = cfg.params, cfg.costs
+        cal = gfunc.stopping_rule(cfg.constraint_C, p, c)
+        y = h = np.empty(0)  # a stop-at-zero rule reads no channel
+        if cal.decision is None:
+            h = sim.gen_channel(cfg.channel, cfg.master_seed, cfg.t_max)
+            h = h[:sim.stopping_index(h, cal, p, c)[0]].copy()
+            x, y = sim.sample_observations(replace(cfg, truth=Hypothesis[args.truth]), 0, h)
+            if xo is not None:
+                y = y + (xo - x) * h
 
-    run = stats.running(y, h)  # row t after t steps, row 0 before any
-    last = stats.SufficientStats(*(a[-1].item() for a in run))
-    outcome = engine.outcome(last, cal, p, c)._asdict()  # rejects a non-finite U, V before the logs
-    with np.errstate(over="ignore"):  # an overflow is an inf, as in the engine's Python floats
-        logL, xhat = stats.log_likelihood_ratio(run, p), stats.estimate(run, p)
-    table = (run.t[1:], h, y, run.U[1:], run.V[1:], logL[1:], xhat[1:])  # rows t = 1..T
+        run = stats.running(y, h)  # row t after t steps, row 0 before any
+        last = stats.SufficientStats(*(a[-1].item() for a in run))
+        outcome = engine.outcome(last, cal, p, c)._asdict()  # rejects inf/nan U, V before the logs
+        with np.errstate(over="ignore"):  # an overflow is an inf, as in the engine's Python floats
+            logL, xhat = stats.log_likelihood_ratio(run, p), stats.estimate(run, p)
+        table = (run.t[1:], h, y, run.U[1:], run.V[1:], logL[1:], xhat[1:])  # rows t = 1..T
 
-    def trace():
-        yield "t,h,y,U,V,logL,xhat\n"
-        for start in range(0, len(h), _REP_BLOCK):
-            cells = np.column_stack([a[start:start + _REP_BLOCK] for a in table])
-            yield _TRACE_ROW * len(cells) % tuple(cells.ravel().tolist())
+        def trace():
+            yield "t,h,y,U,V,logL,xhat\n"
+            for start in range(0, len(h), _REP_BLOCK):
+                cells = np.column_stack([a[start:start + _REP_BLOCK] for a in table])
+                yield _TRACE_ROW * len(cells) % tuple(cells.ravel().tolist())
 
-    _write_json(outcome, args.out, ("trace", trace()))
+        _write_json(outcome, args.out, ("trace", trace()))
     return 0
 
 
@@ -341,23 +352,29 @@ def _rep_lines(arms: sim.Arms):
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.seed, args.reps)
-    cal = gfunc.stopping_rule(cfg.constraint_C, cfg.params, cfg.costs)
-    arms = sim.run_arms(cfg, cal)
-    report = sim.cost_report(arms, arms.decision, cfg.costs, cal.C)
-    _write_json(_report_dict(report), args.out, ("reps", _rep_lines(arms)))
+    import numpy as np
+    from . import sim
+    with np.errstate(over="raise"):
+        cal = gfunc.stopping_rule(cfg.constraint_C, cfg.params, cfg.costs)
+        arms = sim.run_arms(cfg, cal)
+        report = sim.cost_report(arms, arms.decision, cfg.costs, cal.C)
+        _write_json(_report_dict(report), args.out, ("reps", _rep_lines(arms)))
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.seed, args.reps)
-    cal = gfunc.stopping_rule(cfg.constraint_C, cfg.params, cfg.costs)
-    joint, separate, diff_se = sim.compare_arms(cfg, cal)
-    doc = {
-        "joint": _report_dict(joint),
-        "separate": _report_dict(separate),
-        "difference": {"value": joint.combined - separate.combined, "stderr": diff_se},
-    }
-    _write_json(doc, args.out)
+    import numpy as np
+    from . import sim
+    with np.errstate(over="raise"):
+        cal = gfunc.stopping_rule(cfg.constraint_C, cfg.params, cfg.costs)
+        joint, separate, diff_se = sim.compare_arms(cfg, cal)
+        doc = {
+            "joint": _report_dict(joint),
+            "separate": _report_dict(separate),
+            "difference": {"value": joint.combined - separate.combined, "stderr": diff_se},
+        }
+        _write_json(doc, args.out)
     return 0
 
 
@@ -430,8 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     """
     args = _parse_args(argv)
     try:
-        with np.errstate(over="raise"):
-            return args.run(args)
+        return args.run(args)
     except (OverflowError, FloatingPointError) as exc:
         # a config value too large for float arithmetic: mu_x**2, float(10**400), h = 1e300
         print(f"seqjde: a config value overflows a float: {exc}", file=sys.stderr)

@@ -16,19 +16,20 @@ The Gaussian cdf ``ndtr`` is a transcription of the Cephes library's
 ``ndtr``/``erfc``/``erf`` (S. L. Moshier), the algorithm behind
 ``scipy.special.ndtr``: the same branches, coefficients and Horner order, so
 it returns the same bits, without loading SciPy.  Only the quadrature oracle
-imports SciPy.
+imports SciPy, and the module imports no NumPy: calibration is float math.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ConfigError, NumericalError, QuadratureNonConvergence
 from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound, is_finite_real
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
@@ -533,7 +534,7 @@ def threshold_bound(energy: np.ndarray, C: float, p: ModelParams, c: CostWeights
     exceeds ``lo`` it runs to the end and returns gamma itself.
     """
     def settled(lo: float, hi: float) -> bool:
-        inside = np.searchsorted(energy, lo, side="right")
+        inside = energy.searchsorted(lo, side="right")
         return inside < len(energy) and energy[inside] >= hi
 
     return _bisect(C, p, c, settled)[0]

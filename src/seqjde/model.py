@@ -1,4 +1,5 @@
-"""Parameter and cost-weight domain types shared by all other modules.
+"""The checked inputs shared by all other modules: parameters, cost weights, channel models
+and one run's scenario.  NumPy-free, so a config is checked before any array module loads.
 
 The observation model is ``y_t = x * h_t + w_t`` with ``w_t ~ N(0, sigma^2)``;
 under the alternative the amplitude follows the Gaussian prior
@@ -11,6 +12,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from typing import Union
 
 
 class Hypothesis(enum.Enum):
@@ -111,3 +113,78 @@ def admissible_cost_bound(params: ModelParams, costs: CostWeights) -> float:
     constraint and no sample is needed.
     """
     return min(costs.c0, costs.c1 + costs.ce * params.mu_x**2) + costs.ce * params.sigma_x**2
+
+
+@dataclass(frozen=True)
+class Constant:
+    h: float
+
+    def __post_init__(self):
+        if not is_finite_real(self.h) or self.h == 0:
+            raise ValueError(f"constant gain must be finite and nonzero, got {self.h!r}")
+
+
+@dataclass(frozen=True)
+class IidGaussian:
+    std: float
+
+    def __post_init__(self):
+        if not (is_finite_real(self.std) and self.std > 0):
+            raise ValueError(f"gain std must be finite and positive, got {self.std!r}")
+
+
+@dataclass(frozen=True)
+class Rayleigh:
+    """Gain is the magnitude of a circular complex Gaussian; ``scale`` is the
+    per-component standard deviation."""
+
+    scale: float
+
+    def __post_init__(self):
+        if not (is_finite_real(self.scale) and self.scale > 0):
+            raise ValueError(f"Rayleigh scale must be finite and positive, got {self.scale!r}")
+
+
+@dataclass(frozen=True)
+class Ar1:
+    phi: float
+    innov_std: float
+    init_std: float
+
+    def __post_init__(self):
+        if not (is_finite_real(self.phi) and abs(self.phi) < 1):
+            raise ValueError(f"AR(1) coefficient must satisfy |phi| < 1, got {self.phi!r}")
+        for name in ("innov_std", "init_std"):
+            v = getattr(self, name)
+            if not (is_finite_real(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+
+
+@dataclass(frozen=True)
+class FromFile:
+    """Plain-text gain path, one decimal value per line, '#' comments allowed."""
+
+    path: str
+
+
+ChannelModel = Union[Constant, IidGaussian, Rayleigh, Ar1, FromFile]
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """One run of one truth arm.  The run sizes are checked here for every caller, the
+    command line's config and flags included: ``master_seed >= 0``, and ``reps`` and
+    ``t_max`` at least 1 and small enough to allocate that many doubles."""
+
+    truth: Hypothesis
+    params: ModelParams
+    costs: CostWeights
+    channel: ChannelModel
+    master_seed: int
+    reps: int
+    t_max: int
+
+    def __post_init__(self):
+        check_int("master_seed", self.master_seed, 0)
+        check_int("reps", self.reps, 1, size=True)
+        check_int("t_max", self.t_max, 1, size=True)

@@ -8,21 +8,23 @@ and since ``(t, U, V)`` is sufficient, Monte Carlo draws each replication's
 amplitude and terminal correlation ``V_T`` directly from their exact law
 instead of sampling and folding a noise path; one ``stats.accepts_alternative``
 call decides both arms.  ``sample_scenario`` draws full observation paths.
+The scenario and channel model types are ``model``'s, re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
 from . import gfunc, stats
 from .errors import ConfigError, HorizonExhausted
 from .gfunc import Calibration
-from .model import CostWeights, Hypothesis, ModelParams, check_int, is_finite_real, quoted
+from .model import (Ar1, ChannelModel, Constant, CostWeights, FromFile, Hypothesis, IidGaussian,
+                    ModelParams, Rayleigh, ScenarioConfig, check_int, quoted)
 
 # Stream tags keeping the draws independent: sample_scenario keys a
 # replication by [seed, arm, rep], the channel by [seed, 2], and Monte Carlo's
@@ -32,81 +34,6 @@ _CHANNEL_STREAM = 2
 _TERMINAL_STREAM = 3
 # AR(1) innovations converted to Python floats per block of this many steps
 _AR1_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class Constant:
-    h: float
-
-    def __post_init__(self):
-        if not is_finite_real(self.h) or self.h == 0:
-            raise ValueError(f"constant gain must be finite and nonzero, got {self.h!r}")
-
-
-@dataclass(frozen=True)
-class IidGaussian:
-    std: float
-
-    def __post_init__(self):
-        if not (is_finite_real(self.std) and self.std > 0):
-            raise ValueError(f"gain std must be finite and positive, got {self.std!r}")
-
-
-@dataclass(frozen=True)
-class Rayleigh:
-    """Gain is the magnitude of a circular complex Gaussian; ``scale`` is the
-    per-component standard deviation."""
-
-    scale: float
-
-    def __post_init__(self):
-        if not (is_finite_real(self.scale) and self.scale > 0):
-            raise ValueError(f"Rayleigh scale must be finite and positive, got {self.scale!r}")
-
-
-@dataclass(frozen=True)
-class Ar1:
-    phi: float
-    innov_std: float
-    init_std: float
-
-    def __post_init__(self):
-        if not (is_finite_real(self.phi) and abs(self.phi) < 1):
-            raise ValueError(f"AR(1) coefficient must satisfy |phi| < 1, got {self.phi!r}")
-        for name in ("innov_std", "init_std"):
-            v = getattr(self, name)
-            if not (is_finite_real(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
-
-
-@dataclass(frozen=True)
-class FromFile:
-    """Plain-text gain path, one decimal value per line, '#' comments allowed."""
-
-    path: str
-
-
-ChannelModel = Union[Constant, IidGaussian, Rayleigh, Ar1, FromFile]
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """One run of one truth arm.  The run sizes are checked here for every caller, the
-    command line's config and flags included: ``master_seed >= 0``, and ``reps`` and
-    ``t_max`` at least 1 and small enough to allocate that many doubles."""
-
-    truth: Hypothesis
-    params: ModelParams
-    costs: CostWeights
-    channel: ChannelModel
-    master_seed: int
-    reps: int
-    t_max: int
-
-    def __post_init__(self):
-        check_int("master_seed", self.master_seed, 0)
-        check_int("reps", self.reps, 1, size=True)
-        check_int("t_max", self.t_max, 1, size=True)
 
 
 class CostReport(NamedTuple):

@@ -1256,11 +1256,20 @@ def _layer_times():
     return layer_times
 
 
-def test_layer_times_rows_run_on_the_real_call_path(tmp_path, capsys):
+def test_layer_times_rows_run_on_the_real_call_path(tmp_path, capsys, monkeypatch):
     # tools/layer_times.py's in-process rows, once each: a wrapped function that is no
     # longer called reads 0, and a renamed one fails to wrap.  No interpreter is started.
+    # Each call writes new files, as bench/run.py's calls do, not over the last call's
     layer_times = _layer_times()
     rows = layer_times.rows(tmp_path)
+    fresh = []
+
+    def main(argv, main=cli.main):
+        out = Path(argv[argv.index("--out") + 1])
+        fresh.append(not out.exists() and not out.with_suffix(".reps.csv").exists())
+        return main(argv)
+
+    monkeypatch.setattr(cli, "main", main)
     originals = {name: getattr(*layer_times.target(name))
                  for row in rows for _, name, _ in row.layers if name is not None}
     found = {layer: value for row in rows for layer, value, _ in layer_times.time_row(row, 1, 1)}
@@ -1274,6 +1283,7 @@ def test_layer_times_rows_run_on_the_real_call_path(tmp_path, capsys):
     assert roots == {"calibrate@C=1.5": 39, "calibrate@C=0.2": 41, "calibrate@C=0.01": 46,
                      "montecarlo@C=1.5": 2, "montecarlo@C=0.2": 15, "montecarlo@C=0.01": 35}
     assert capsys.readouterr().err == ""
+    assert fresh and all(fresh)
 
 
 def test_cold_start_config_runs_every_command(tmp_path, capsys, monkeypatch):
@@ -1291,7 +1301,8 @@ def test_cold_start_config_runs_every_command(tmp_path, capsys, monkeypatch):
         out, err = capsys.readouterr()
         assert err == ""
         report = json.loads(out.splitlines()[-1])
-        assert list(report) == ["import_numpy", "import_seqjde", "run", "scipy", "peak_rss_mb"]
+        assert list(report) == ["import_seqjde", "run", "run_loads_numpy", "scipy",
+                                "peak_rss_mb"]
         assert all(value >= 0 for value in report.values()), argv[0]
 
 
@@ -1333,28 +1344,38 @@ def test_benchmark_golden_pins_hold(tmp_path, monkeypatch):
 def test_only_gtable_loads_the_quadrature_stack(tmp_path):
     # SciPy is about half of a cold start: importing seqjde and running any
     # subcommand but gtable loads none of it; gtable's quadrature oracle loads
-    # scipy.integrate.  One interpreter runs them all, gtable last
+    # scipy.integrate.  NumPy is the rest: the import, load_config, calibrate and a
+    # config load_config rejects load none of it; each array subcommand loads it.  One
+    # interpreter per array subcommand runs calibrate and the rejected config first
     src = str(Path(seqjde.__file__).resolve().parents[1])
     cfg = write_config(tmp_path, overrides={
         "grid": {"u_min": 0.0, "u_max": 1.0, "points": 2, "spacing": "linear"}})
-    commands = ["calibrate", "simulate", "montecarlo", "compare", "gtable"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**BASE_CONFIG, "channel": {"type": "rayleigh", "scale": -1.0}}))
     child = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
-             "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
-             "import seqjde.cli; steps = [scipy()]; "
-             "extra = {'simulate': ['--truth', 'H1']}; "
-             "steps += [[seqjde.cli.main([c, '--config', sys.argv[2], '--out', sys.argv[3], "
-             "*extra.get(c, [])]), scipy()] for c in sys.argv[4:]]; "
+             "loaded = lambda: ['numpy' in sys.modules, "
+             "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]; "
+             "import seqjde.cli, seqjde.gfunc; steps = [loaded()]; "
+             "seqjde.cli.load_config(sys.argv[2]); steps.append(loaded()); "
+             "steps += [[seqjde.cli.main(argv), *loaded()] for argv in json.loads(sys.argv[3])]; "
              "print(json.dumps(steps))")
-    run = subprocess.run([sys.executable, "-c", child, src, cfg, str(tmp_path / "o.json"),
-                          *commands], capture_output=True, text=True, check=True)
-    imported, *steps = json.loads(run.stdout)
-    assert imported == [] and len(steps) == len(commands)
-    for command, (rc, loaded) in zip(commands, steps):
-        assert rc == 0, (command, run.stderr)
+
+    def argv(command, config=cfg):
+        extra = ["--truth", "H1"] if command == "simulate" else []
+        return [command, "--config", str(config), "--out", str(tmp_path / "o.json"), *extra]
+
+    for command in ("simulate", "montecarlo", "compare", "gtable"):
+        argvs = [argv("calibrate"), argv("montecarlo", bad), argv(command)]
+        run = subprocess.run([sys.executable, "-c", child, src, cfg, json.dumps(argvs)],
+                             capture_output=True, text=True, check=True)
+        imported, configured, calibrated, rejected, (rc, numpy, scipy) = json.loads(run.stdout)
+        assert imported == configured == [False, []], command
+        assert calibrated == [0, False, []] and rejected == [2, False, []], run.stderr
+        assert rc == 0 and numpy, (command, run.stderr)
         if command == "gtable":
-            assert "scipy.integrate" in loaded
+            assert "scipy.integrate" in scipy
         else:
-            assert loaded == [], command
+            assert scipy == [], command
 
 
 def test_cached_parser_keeps_no_state(tmp_path):

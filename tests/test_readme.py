@@ -36,9 +36,10 @@ def test_library_example_prints_the_pinned_line():
 def test_root_exports_exactly_the_example_names():
     assert len(seqjde.__all__) == len(set(seqjde.__all__)) == 8
     assert set(seqjde.__all__) == example_imports()
-    # no other public name: every other one is imported from its own module
-    public = {name for name, obj in vars(seqjde).items()
-              if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    # no other public name: every other one is imported from its own module.  dir(), not
+    # vars(): the names whose modules load NumPy are the module's __getattr__'s
+    public = {name for name in dir(seqjde) if not name.startswith("_")
+              and not isinstance(getattr(seqjde, name), types.ModuleType)}
     assert public == set(seqjde.__all__)
 
 
@@ -48,3 +49,8 @@ def test_root_names_are_their_modules_objects():
         module = sys.modules[obj.__module__]
         assert module.__name__.startswith("seqjde.")
         assert getattr(module, name) is obj
+    # the checked inputs moved to model, and sim re-exports them as the same objects
+    from seqjde import model, sim
+    for name in ("Constant", "IidGaussian", "Rayleigh", "Ar1", "FromFile", "ChannelModel",
+                 "ScenarioConfig"):
+        assert getattr(sim, name) is getattr(model, name), name

@@ -39,25 +39,25 @@ STAGES = (("argparse", "cli._parse_args"), ("load_config", "cli.load_config"),
           ("cost_report", "sim.cost_report"), ("report_json", "cli._json_lines"),
           ("reps_csv", "cli._rep_lines"), ("file_writes", "cli._write_files"))
 # runs one subcommand and reports on the last line of standard output: the ms spent
-# importing NumPy, importing seqjde and running the call, and its peak RSS as VmHWM,
-# since ru_maxrss keeps the peak of the process that started it
+# importing seqjde and running the call, whether the call imported NumPy (the import
+# did where it did not), and its peak RSS as VmHWM, since ru_maxrss keeps the peak of
+# the process that started it
 CHILD = """\
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
 t0 = time.perf_counter()
-import numpy
-t1 = time.perf_counter()
 from seqjde import cli
-t2 = time.perf_counter()
+t1 = time.perf_counter()
+imported = "numpy" in sys.modules
 rc = cli.main(sys.argv[2:])
-t3 = time.perf_counter()
+t2 = time.perf_counter()
 loaded = [name for name in sys.modules
           if name.startswith("scipy.") and name.count(".") == 1 and name[6] != "_"]
 with open("/proc/self/status") as f:
     hwm = next(line for line in f if line.startswith("VmHWM:"))
-print(json.dumps({"import_numpy": (t1 - t0) * 1e3, "import_seqjde": (t2 - t1) * 1e3,
-                  "run": (t3 - t2) * 1e3, "scipy": len(loaded),
-                  "peak_rss_mb": int(hwm.split()[1]) / 1024}))
+print(json.dumps({"import_seqjde": (t1 - t0) * 1e3, "run": (t2 - t1) * 1e3,
+                  "run_loads_numpy": int("numpy" in sys.modules and not imported),
+                  "scipy": len(loaded), "peak_rss_mb": int(hwm.split()[1]) / 1024}))
 sys.exit(rc)
 """
 
@@ -73,6 +73,9 @@ class Row(NamedTuple):
     call: Callable[[], object]  # one whole call
     layers: tuple  # of (label, "module.function", or None for the whole call unwrapped, unit)
     per: int = 1  # replications or samples per whole call
+    # files a call writes, unlinked untimed before each call as bench/run.py does: a call
+    # then writes new files, where truncating the last call's outputs would cost more
+    outputs: tuple = ()
 
 
 def _argv(tmp: Path, name: str, command: str, config: dict) -> list[str]:
@@ -96,7 +99,9 @@ def rows(tmp: Path) -> list[Row]:
 
     def cli_row(name, command, config, layers, per=1):
         argv = _argv(tmp, name, command, config)
-        return Row(name, lambda: _main(argv), tuple(layers), per)
+        out = Path(argv[-1])
+        return Row(name, lambda: _main(argv), tuple(layers), per,
+                   (out, out.with_suffix(".reps.csv"), out.with_suffix(".trace.csv")))
 
     table = [
         cli_row("mc-short", "montecarlo", mc,
@@ -168,6 +173,11 @@ class Clock:
         return consumed if unit != "calls" and inspect.isgeneratorfunction(fn) else timed
 
 
+def unlink(paths) -> None:
+    for path in paths:
+        path.unlink(missing_ok=True)
+
+
 def time_row(row: Row, batches: int, calls: int) -> list[tuple[str, float, str]]:
     """(layer, value, unit) for each of ``row``'s layers, each value the fastest of
     ``batches`` batches of ``calls`` whole calls.  A function never called reads 0."""
@@ -181,13 +191,17 @@ def time_row(row: Row, batches: int, calls: int) -> list[tuple[str, float, str]]
                     fn = clock.wrap(label, getattr(module, attr), unit)
                     wrapped.enter_context(mock.patch.object(module, attr, fn))
             for _ in range(calls):
+                unlink(row.outputs)
                 row.call()
         for label, name, unit in row.layers:
             if name is None:  # the whole call, unwrapped
-                t0 = time.perf_counter()
+                spent = 0.0
                 for _ in range(calls):
+                    unlink(row.outputs)
+                    t0 = time.perf_counter()
                     row.call()
-                clock.self_s[label], clock.calls[label] = time.perf_counter() - t0, calls
+                    spent += time.perf_counter() - t0
+                clock.self_s[label], clock.calls[label] = spent, calls
             s, n = clock.self_s[label], clock.calls[label]
             value = {"us": s / max(n, 1) * 1e6, "calls": n / calls,
                      "us/rep": s / (calls * row.per) * 1e6,
@@ -217,8 +231,9 @@ def cold_rows(tmp: Path, src: Path):
         walls, reports = zip(*(child(argv) for _ in range(RUNS)))
         yield f"cold-{argv[0]}/min_wall", min(walls) * 1e3, "ms"
         yield f"cold-{argv[0]}/median_wall", statistics.median(walls) * 1e3, "ms"
-        for layer in ("import_numpy", "import_seqjde", "run"):
+        for layer in ("import_seqjde", "run"):
             yield f"cold-{argv[0]}/{layer}", statistics.median(r[layer] for r in reports), "ms"
+        yield f"cold-{argv[0]}/run_loads_numpy", max(r["run_loads_numpy"] for r in reports), "0/1"
         yield f"cold-{argv[0]}/peak_rss", statistics.median(r["peak_rss_mb"] for r in reports), "MB"
         yield f"cold-{argv[0]}/scipy", max(r["scipy"] for r in reports), "subpackages"
 
