@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -44,8 +43,7 @@ _REP_ROWS = (("%d,0,0,0,%s\n", "%d,0,0,1,%.17g\n"),
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(model.Record):
     u_min: float
     u_max: float
     points: int
@@ -68,7 +66,6 @@ class GridSpec:
         return np.linspace(self.u_min, self.u_max, self.points)
 
 
-@dataclass(frozen=True)
 class RunConfig(model.ScenarioConfig):
     """A run config: its H0 arm's scenario, plus the level C and the gtable grid."""
 
@@ -87,7 +84,7 @@ def _require_keys(section: dict, allowed: dict[str, bool], where: str) -> None:
 
 
 # JSON types accepted for each field type.  The package postpones
-# annotations, so a dataclass field's type is the string "float", "int" or "str".
+# annotations, so a record field's type is the string "float", "int" or "str".
 _JSON_TYPES = {"float": (int, float), "int": int, "str": str}
 
 
@@ -109,15 +106,18 @@ _CHANNEL_TYPES = {
 
 @functools.cache
 def _kinds(cls, given: tuple[str, ...]) -> dict[str, str]:
-    """Name -> annotated type of each field of dataclass ``cls`` not named in ``given``."""
-    return {f.name: f.type for f in fields(cls) if f.name not in given}
+    """Name -> annotated type of each field of record ``cls`` not named in ``given``."""
+    annotations = {}
+    for klass in reversed(cls.__mro__):
+        annotations.update(vars(klass).get("__annotations__", {}))
+    return {name: annotations[name] for name in cls._fields if name not in given}
 
 
 def _read_section(section, cls, where: str, **given):
-    """Build dataclass ``cls`` from ``given`` and a JSON object keyed by exactly its other fields.
+    """Build record ``cls`` from ``given`` and a JSON object keyed by exactly its other fields.
 
     Each field is read by its annotated type (``float``, ``int`` or ``str``);
-    a ValueError from the dataclass's own checks becomes a ConfigError.
+    a ValueError from the record's own checks becomes a ConfigError.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{where} section must be a JSON object, got {quoted(section)}")
@@ -166,7 +166,7 @@ def load_config(path: str, master_seed: int | None = None, reps: int | None = No
     if flags:
         cfg = _read_section({**raw["mc"], **flags}, RunConfig, "mc", **given)
     if "grid" in raw:
-        cfg = replace(cfg, grid=_read_section(raw["grid"], GridSpec, "grid"))
+        cfg = cfg._replace(grid=_read_section(raw["grid"], GridSpec, "grid"))
     return cfg
 
 
@@ -304,7 +304,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if cal.decision is None:
             h = sim.gen_channel(cfg.channel, cfg.master_seed, cfg.t_max)
             h = h[:sim.stopping_index(h, cal, p, c)[0]].copy()
-            x, y = sim.sample_observations(replace(cfg, truth=Hypothesis[args.truth]), 0, h)
+            x, y = sim.sample_observations(cfg._replace(truth=Hypothesis[args.truth]), 0, h)
             if xo is not None:
                 y = y + (xo - x) * h
 

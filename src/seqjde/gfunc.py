@@ -22,11 +22,11 @@ imports SciPy, and the module imports no NumPy: calibration is float math.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ConfigError, NumericalError, QuadratureNonConvergence
-from .model import CostWeights, Hypothesis, ModelParams, admissible_cost_bound, is_finite_real
+from .model import (CostWeights, Hypothesis, ModelParams, Record, admissible_cost_bound,
+                    is_finite_real)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,8 +52,7 @@ _MAX_STEPS = 2200
 _QUAD_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Calibration:
+class Calibration(Record):
     """Stopping rule for a constraint level C.
 
     A rule with a prior ``decision`` stops at zero: the constraint is already

@@ -1,5 +1,6 @@
 """The checked inputs shared by all other modules: parameters, cost weights, channel models
-and one run's scenario.  NumPy-free, so a config is checked before any array module loads.
+and one run's scenario, each a ``Record``.  NumPy-free, so a config is checked before any
+array module loads.
 
 The observation model is ``y_t = x * h_t + w_t`` with ``w_t ~ N(0, sigma^2)``;
 under the alternative the amplitude follows the Gaussian prior
@@ -11,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 from typing import Union
 
 
@@ -40,8 +40,88 @@ def check_int(name: str, v, low: int, size: bool = False) -> None:
         raise ValueError(f"{name} is a size too large to allocate, got {quoted(v)}")
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class Record:
+    """A checked input: a frozen record whose fields are its class's annotations.
+
+    A subclass's annotations, in order, follow its base's fields, and a class attribute of
+    the same name is a field's default.  ``__init__`` binds its arguments as the signature
+    ``(self, field, ..., field=default)`` would, with the same TypeErrors, and then runs
+    ``__post_init__``, the subclass's checks.  An instance cannot be changed; it is equal
+    only to an instance of its own class with equal fields, and its hash and repr are
+    those of a frozen dataclass.  ``_fields`` and ``_replace(**changes)`` are named as on
+    a NamedTuple, and ``_replace`` runs the checks again.
+    """
+
+    _fields = ()
+    _names = _required = frozenset()  # the fields, and those without a default
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(vars(cls).get("__annotations__", ()))
+        cls._fields += own
+        cls._names = frozenset(cls._fields)
+        cls._required |= {name for name in own if name not in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self._fields, args), **kwargs) if args else kwargs
+        # fewer values than arguments: a field given twice, or surplus positional arguments
+        if len(values) < len(args) + len(kwargs) or not (
+                self._names >= values.keys() >= self._required):
+            raise self._call_error(args, kwargs)
+        self.__dict__.update(values)  # a default stays the class attribute
+        self.__post_init__()
+
+    def _call_error(self, args: tuple, kwargs: dict) -> TypeError:
+        """The TypeError Python raises for this call of ``(self, field, ..., field=default)``."""
+        fields = self._fields
+        where = f"{type(self).__qualname__}.__init__()"
+        for name in kwargs:
+            if name not in fields:
+                return TypeError(f"{where} got an unexpected keyword argument {name!r}")
+            if fields.index(name) < len(args):
+                return TypeError(f"{where} got multiple values for argument {name!r}")
+        if len(args) > len(fields):  # counted with self, as Python counts them
+            most, least = len(fields) + 1, len(self._required) + 1
+            takes = most if least == most else f"from {least} to {most}"
+            return TypeError(f"{where} takes {takes} positional arguments "
+                             f"but {len(args) + 1} were given")
+        given = {*fields[:len(args)], *kwargs}
+        missing = [repr(name) for name in fields if name in self._required and name not in given]
+        names = " and ".join(missing) if len(missing) < 3 else \
+            f"{', '.join(missing[:-1])}, and {missing[-1]}"
+        return TypeError(f"{where} missing {len(missing)} required positional "
+                         f"argument{'s' if len(missing) > 1 else ''}: {names}")
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, checked as a new instance is."""
+        return type(self)(**{**self.__dict__, **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ModelParams(Record):
     """Gaussian prior and noise parameters.
 
     Attributes
@@ -79,8 +159,7 @@ class ModelParams:
         return self.sigma**2 / self.sigma_x**2
 
 
-@dataclass(frozen=True)
-class CostWeights:
+class CostWeights(Record):
     """Nonnegative weights for false alarm (c0), miss (c1), and squared error (ce).
 
     The decision rule and its threshold are defined only for ``c0 > 0`` and
@@ -115,8 +194,7 @@ def admissible_cost_bound(params: ModelParams, costs: CostWeights) -> float:
     return min(costs.c0, costs.c1 + costs.ce * params.mu_x**2) + costs.ce * params.sigma_x**2
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(Record):
     h: float
 
     def __post_init__(self):
@@ -124,8 +202,7 @@ class Constant:
             raise ValueError(f"constant gain must be finite and nonzero, got {self.h!r}")
 
 
-@dataclass(frozen=True)
-class IidGaussian:
+class IidGaussian(Record):
     std: float
 
     def __post_init__(self):
@@ -133,8 +210,7 @@ class IidGaussian:
             raise ValueError(f"gain std must be finite and positive, got {self.std!r}")
 
 
-@dataclass(frozen=True)
-class Rayleigh:
+class Rayleigh(Record):
     """Gain is the magnitude of a circular complex Gaussian; ``scale`` is the
     per-component standard deviation."""
 
@@ -145,8 +221,7 @@ class Rayleigh:
             raise ValueError(f"Rayleigh scale must be finite and positive, got {self.scale!r}")
 
 
-@dataclass(frozen=True)
-class Ar1:
+class Ar1(Record):
     phi: float
     innov_std: float
     init_std: float
@@ -160,8 +235,7 @@ class Ar1:
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
 
 
-@dataclass(frozen=True)
-class FromFile:
+class FromFile(Record):
     """Plain-text gain path, one decimal value per line, '#' comments allowed."""
 
     path: str
@@ -170,8 +244,7 @@ class FromFile:
 ChannelModel = Union[Constant, IidGaussian, Rayleigh, Ar1, FromFile]
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     """One run of one truth arm.  The run sizes are checked here for every caller, the
     command line's config and flags included: ``master_seed >= 0``, and ``reps`` and
     ``t_max`` at least 1 and small enough to allocate that many doubles."""

@@ -14,7 +14,6 @@ The scenario and channel model types are ``model``'s, re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -290,7 +289,7 @@ def _h0_scenario(cfg_pair: tuple[ScenarioConfig, ScenarioConfig]) -> ScenarioCon
     """The H0 scenario of an ``(H0 scenario, H1 scenario)`` pair that agrees on every
     other field; ValueError for any other pair."""
     cfg0, cfg1 = cfg_pair
-    if cfg0.truth is not Hypothesis.H0 or replace(cfg0, truth=Hypothesis.H1) != cfg1:
+    if cfg0.truth is not Hypothesis.H0 or cfg0._replace(truth=Hypothesis.H1) != cfg1:
         raise ValueError("config pair must be (H0 scenario, H1 scenario) sharing all other fields")
     return cfg0
 
@@ -317,7 +316,7 @@ def separate_costs(c: CostWeights) -> CostWeights:
     applies as it does the joint rule.  ConfigError: c1 = 0, where the test is undefined."""
     if c.c1 == 0:
         raise ConfigError("separate detection needs c1 > 0")
-    return replace(c, ce=0.0)
+    return c._replace(ce=0.0)
 
 
 def separate_predicted_cost(U_T: float, p: ModelParams, c: CostWeights) -> float:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -70,7 +71,7 @@ def test_resolved_needs_nine_tenths_of_the_pairs_and_a_gap_above_the_iqr(change,
     assert got["resolved"] is resolved
 
 
-@pytest.mark.parametrize("bench", sorted(ROOT.glob("BENCH_2*.json")), ids=lambda p: p.stem)
+@pytest.mark.parametrize("bench", sorted(ROOT.glob("BENCH_[23]*.json")), ids=lambda p: p.stem)
 def test_summary_rebuilds_the_recorded_bench_files(bench):
     # BENCH_20 to BENCH_28 were summarized by hand in this layout, from their runs,
     # and later files by this tool
@@ -79,3 +80,32 @@ def test_summary_rebuilds_the_recorded_bench_files(bench):
         for name, recorded in workload["metrics"].items():
             runs = (recorded[side]["runs"] for side in ("parent", "change"))
             assert bench_pairs.compare_metric(*runs, META[name]) == recorded, name
+
+
+def test_a_checkout_with_cached_bytecode_is_refused(tmp_path, capsys):
+    # a probe that imports seqjde from cached bytecode leaves compiling out of setup_s
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text("")
+    assert bench_pairs.refusal("parent", tmp_path) is None
+    (tmp_path / "src" / "seqjde" / "__pycache__").mkdir(parents=True)
+    assert "src/seqjde/__pycache__" in bench_pairs.refusal("parent", tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(tmp_path), "--workload", "mc-short", "--pairs", "1",
+                          "--seconds", "1", "--seed0", "1"])
+    assert exc.value.code == 2
+    assert f"parent checkout {tmp_path} has cached bytecode" in capsys.readouterr().err
+    assert "has no bench/run.py" in bench_pairs.refusal("change", tmp_path / "src")
+
+
+def test_runs_write_no_bytecode(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        calls.append(env)
+        return subprocess.CompletedProcess(cmd, 0, stdout=result_line(1e-3) + "\n", stderr="")
+
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    result = bench_pairs.run_bench(tmp_path, "mc-short", 1, 1.0)
+    assert result["metrics"]["wall_s"]["value"] == 1e-3
+    assert calls[0]["PYTHONDONTWRITEBYTECODE"] == "1" and "PYTHONPATH" not in calls[0]

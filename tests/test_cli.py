@@ -1,7 +1,6 @@
 import ast
 import builtins
 import contextlib
-import dataclasses
 import errno
 import importlib.util
 import inspect
@@ -316,8 +315,8 @@ class TestRunConfig:
     GRID = {"u_min": 0.001, "u_max": 10.0, "points": 4, "spacing": "log"}
 
     def test_declares_only_the_level_and_the_grid(self):
-        inherited = [f.name for f in dataclasses.fields(sim.ScenarioConfig)]
-        names = [f.name for f in dataclasses.fields(cli.RunConfig)]
+        inherited = list(sim.ScenarioConfig._fields)
+        names = list(cli.RunConfig._fields)
         assert issubclass(cli.RunConfig, sim.ScenarioConfig)
         assert names == inherited + ["constraint_C", "grid"]
 
@@ -329,8 +328,8 @@ class TestRunConfig:
             costs=seqjde.CostWeights(c0=1.0, c1=1.0, ce=1.0), channel=sim.Constant(1.0),
             master_seed=42, reps=400, t_max=200)
         assert isinstance(cfg, sim.ScenarioConfig) and cfg.truth is Hypothesis.H0
-        for f in dataclasses.fields(sim.ScenarioConfig):
-            assert getattr(cfg, f.name) == getattr(scenario, f.name), f.name
+        for name in sim.ScenarioConfig._fields:
+            assert getattr(cfg, name) == getattr(scenario, name), name
         assert (cfg.constraint_C, cfg.grid) == (1.5, cli.GridSpec(0.001, 10.0, 4, "log"))
         assert cli.load_config(write_config(tmp_path)).grid is None
 
@@ -1345,16 +1344,19 @@ def test_only_gtable_loads_the_quadrature_stack(tmp_path):
     # SciPy is about half of a cold start: importing seqjde and running any
     # subcommand but gtable loads none of it; gtable's quadrature oracle loads
     # scipy.integrate.  NumPy is the rest: the import, load_config, calibrate and a
-    # config load_config rejects load none of it; each array subcommand loads it.  One
-    # interpreter per array subcommand runs calibrate and the rejected config first
+    # config load_config rejects load none of it; each array subcommand loads it.  Nor
+    # do those four add dataclasses or inspect, counted against the modules loaded
+    # before the import (NumPy imports inspect itself).  One interpreter per array
+    # subcommand runs calibrate and the rejected config first
     src = str(Path(seqjde.__file__).resolve().parents[1])
     cfg = write_config(tmp_path, overrides={
         "grid": {"u_min": 0.0, "u_max": 1.0, "points": 2, "spacing": "linear"}})
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**BASE_CONFIG, "channel": {"type": "rayleigh", "scale": -1.0}}))
-    child = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+    child = ("import json, sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
              "loaded = lambda: ['numpy' in sys.modules, "
-             "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]; "
+             "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+             "sorted({'dataclasses', 'inspect'} & sys.modules.keys() - before)]; "
              "import seqjde.cli, seqjde.gfunc; steps = [loaded()]; "
              "seqjde.cli.load_config(sys.argv[2]); steps.append(loaded()); "
              "steps += [[seqjde.cli.main(argv), *loaded()] for argv in json.loads(sys.argv[3])]; "
@@ -1368,9 +1370,9 @@ def test_only_gtable_loads_the_quadrature_stack(tmp_path):
         argvs = [argv("calibrate"), argv("montecarlo", bad), argv(command)]
         run = subprocess.run([sys.executable, "-c", child, src, cfg, json.dumps(argvs)],
                              capture_output=True, text=True, check=True)
-        imported, configured, calibrated, rejected, (rc, numpy, scipy) = json.loads(run.stdout)
-        assert imported == configured == [False, []], command
-        assert calibrated == [0, False, []] and rejected == [2, False, []], run.stderr
+        imported, configured, calibrated, rejected, (rc, numpy, scipy, _) = json.loads(run.stdout)
+        assert imported == configured == [False, [], []], command
+        assert calibrated == [0, False, [], []] and rejected == [2, False, [], []], run.stderr
         assert rc == 0 and numpy, (command, run.stderr)
         if command == "gtable":
             assert "scipy.integrate" in scipy

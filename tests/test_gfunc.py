@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -51,7 +50,7 @@ MATRIX_CONFIGS = [
 MATRIX_ENERGIES = np.logspace(-2, 3, 11).tolist()
 # the same configs at a noise scale far below 1, where an absolute tolerance on
 # the margin root is coarse against its scale 2*sigma^2*(U+kappa)
-SCALED_NOISE_CONFIGS = [(replace(p, sigma=a * p.sigma), c)
+SCALED_NOISE_CONFIGS = [(p._replace(sigma=a * p.sigma), c)
                         for a in (1e-3, 1e-10) for p, c in COST_CONFIGS]
 
 
@@ -523,7 +522,7 @@ class TestGEvalRegion:
         # the abstract's claim, exactly: at every energy the joint test's
         # region has a G no larger than the separate test's (the ce = 0
         # region), both under the full costs; they coincide where ce = 0
-        separate_costs = replace(c, ce=0.0)
+        separate_costs = c._replace(ce=0.0)
         for U in np.logspace(-3, 5, 400).tolist():
             joint = g_eval_region(U, *boundary(U, p, c)[1:], p, c)
             separate = g_eval_region(U, *boundary(U, p, separate_costs)[1:], p, c)

@@ -1,11 +1,15 @@
+import dataclasses
 import math
+import pickle
 import re
 
 import pytest
 
 from seqjde import CostWeights, ModelParams
-from seqjde.gfunc import g_limits
-from seqjde.model import admissible_cost_bound
+from seqjde.cli import GridSpec, RunConfig
+from seqjde.gfunc import Calibration, g_limits
+from seqjde.model import (Ar1, Constant, FromFile, Hypothesis, IidGaussian, Rayleigh,
+                          ScenarioConfig, admissible_cost_bound)
 
 
 @pytest.mark.parametrize(
@@ -86,3 +90,97 @@ def test_bound_minus_limit_identity(params, costs):
     G0, _ = g_limits(params, costs)
     lhs = c_max - costs.c1 - costs.ce * (params.mu_x**2 + params.sigma_x**2)
     assert lhs == pytest.approx(G0, abs=1e-12)
+
+
+# One valid instance of each checked input, by keyword, and a value for its first
+# checked field that its __post_init__ refuses (None: FromFile's path is checked when read)
+_SCENARIO = dict(truth=Hypothesis.H1, params=ModelParams(0.5, 1.0, 2.0),
+                 costs=CostWeights(1.0, 2.0, 0.5), channel=Constant(1.0), master_seed=7,
+                 reps=10, t_max=50)
+RECORDS = [
+    (ModelParams, dict(mu_x=0.5, sigma_x=1.0, sigma=2.0), ("sigma", -1.0)),
+    (CostWeights, dict(c0=1.0, c1=2.0, ce=0.5), ("c0", -1.0)),
+    (Constant, dict(h=1.0), ("h", 0.0)),
+    (IidGaussian, dict(std=0.5), ("std", 0.0)),
+    (Rayleigh, dict(scale=0.7), ("scale", math.inf)),
+    (Ar1, dict(phi=0.5, innov_std=1.0, init_std=2.0), ("phi", 1.0)),
+    (FromFile, dict(path="gains.txt"), None),
+    (ScenarioConfig, _SCENARIO, ("reps", 0)),
+    (RunConfig, dict(_SCENARIO, constraint_C=1.5, grid=GridSpec(0.0, 1.0, 2, "linear")),
+     ("t_max", 0)),
+    (GridSpec, dict(u_min=0.001, u_max=10.0, points=4, spacing="log"), ("spacing", "cubic")),
+    (Calibration, dict(C=1.5, gamma=2.0, decision=None, G=-0.5), ("gamma", -1.0)),
+]
+
+
+def _dataclass_twin(cls):
+    """The frozen dataclass with ``cls``'s name, fields and defaults, and no checks."""
+    spec = [(name, object) if name in cls._required
+            else (name, object, dataclasses.field(default=getattr(cls, name)))
+            for name in cls._fields]
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
+
+
+def _type_error(cls, *args, **kwargs) -> str:
+    with pytest.raises(TypeError) as exc:
+        cls(*args, **kwargs)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("cls, kwargs, bad", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_behave_as_frozen_dataclasses(cls, kwargs, bad):
+    # the checked inputs were frozen dataclasses; each Record must keep what they did
+    assert list(kwargs) == list(cls._fields)
+    twin = _dataclass_twin(cls)
+    record = cls(**kwargs)
+    assert record == cls(*kwargs.values()) and hash(record) == hash(cls(**kwargs))
+    assert hash(record) == hash(twin(**kwargs)) and repr(record) == repr(twin(**kwargs))
+    assert pickle.loads(pickle.dumps(record)) == record
+    # equal only to its own class: not to a twin, a subclass, its values or another record
+    subclass = type(cls.__name__, (cls,), {})
+    others = [twin(**kwargs), subclass(**kwargs), tuple(kwargs.values())]
+    others += [other(**values) for other, values, _ in RECORDS if other is not cls]
+    assert all(record != other and not record == other for other in others)
+
+    first = cls._fields[0]
+    for name in (first, "extra"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, 1.0)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    assert getattr(record, first) == kwargs[first] and not hasattr(record, "extra")
+
+    assert record._replace() == record._replace(**kwargs) == record
+    assert record._replace() is not record
+    if bad is not None:
+        name, value = bad
+        with pytest.raises(ValueError):
+            record._replace(**{name: value})
+        with pytest.raises(ValueError):
+            cls(**{**kwargs, name: value})
+
+    # each way to call __init__ wrongly raises the TypeError the dataclass raised
+    values = list(kwargs.values())
+    required = [name for name in cls._fields if name in cls._required]
+    calls = [
+        ((), {}),  # every required argument missing
+        (values[:len(required) - 1], {}),  # the last required one missing
+        (values, {"extra": 1.0}),  # unexpected
+        (values[:1], {first: values[0]}),  # repeated
+        ([*values, 1.0], {}),  # surplus
+        ([*values, 1.0], {first: values[0]}),  # repeated comes first
+    ]
+    for args, extra in calls:
+        assert _type_error(cls, *args, **extra) == _type_error(twin, *args, **extra), (args, extra)
+
+
+def test_calibration_defaults():
+    assert Calibration(1.5) == Calibration(C=1.5, gamma=None, decision=None, G=None)
+    assert Calibration(0.5, decision=Hypothesis.H0).gamma is None
+    assert Calibration(1.5)._replace(gamma=2.0, G=-0.5) == Calibration(1.5, 2.0, None, -0.5)
+    assert _type_error(Calibration) == \
+        "Calibration.__init__() missing 1 required positional argument: 'C'"
+    assert _type_error(Calibration, 1, 2, None, None, 5) == \
+        "Calibration.__init__() takes from 2 to 5 positional arguments but 6 were given"
+    assert _type_error(ModelParams, 0.0) == ("ModelParams.__init__() missing 2 required "
+                                             "positional arguments: 'sigma_x' and 'sigma'")

@@ -2,7 +2,6 @@ import math
 import struct
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -100,9 +99,9 @@ class TestChannelValidation:
     def test_scenario_refuses_a_size_too_large_to_allocate(self, name):
         # NumPy indexes bytes with a signed word, so it cannot address more doubles
         cfg, _ = pair(Constant(1.0))
-        replace(cfg, **{name: sys.maxsize // 8})
+        cfg._replace(**{name: sys.maxsize // 8})
         with pytest.raises(ValueError, match=f"^{name} is a size too large to allocate, got "):
-            replace(cfg, **{name: sys.maxsize // 8 + 1})
+            cfg._replace(**{name: sys.maxsize // 8 + 1})
 
 
 class TestGenChannel:
@@ -612,7 +611,7 @@ class TestSeparateDecide:
                              t_max=200)[0], cal)
         d = accepts_alternative(arms.logL, arms.xhat, separate_costs(costs))
         assert d.tolist() == [[
-            decide(SufficientStats(arms.T, arms.U_T, v), params, replace(costs, ce=0.0))
+            decide(SufficientStats(arms.T, arms.U_T, v), params, costs._replace(ce=0.0))
             is Hypothesis.H1 for v in row] for row in arms.V.tolist()
         ]
         assert 0 < int(d.sum()) < 600
@@ -706,7 +705,7 @@ class TestCompareSchemes:
         if U == 0.0:
             G = costs.c0 - costs.c1 - costs.ce * params.mu_x**2 if costs.c0 <= costs.c1 else 0.0
         else:
-            G = g_eval_region(U, *boundary(U, params, replace(costs, ce=0.0))[1:], params, costs)
+            G = g_eval_region(U, *boundary(U, params, costs._replace(ce=0.0))[1:], params, costs)
         assert sep.predicted == G + costs.c1 + costs.ce * (params.mu_x**2 + params.sigma_x**2)
         assert joint.predicted == predicted_cost(U, params, costs)
         assert joint.predicted <= sep.predicted

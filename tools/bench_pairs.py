@@ -12,7 +12,10 @@ i, and within a side the workloads run in the order given.  Each run is::
 
     python3 bench/run.py --workload W --seed K+i --seconds S --trace 0
 
-in its own checkout, one at a time, and its last JSON line is kept.  The
+in its own checkout, one at a time, with ``PYTHONDONTWRITEBYTECODE=1``, and its last
+JSON line is kept.  A checkout with a ``src/seqjde/__pycache__`` is refused, so that
+every probe compiles seqjde, as on a benchmark host that checks out fresh sources, and
+``setup_s`` counts that compiling on both sides.  The
 summary printed on standard output gives, per workload and end-to-end metric
 of ``BENCHMARK.json``, each side's runs, median, IQR (numpy's linear
 percentiles) and fastest (best) value, the number of pairs the change won
@@ -42,8 +45,19 @@ def last_json_line(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
+def refusal(side: str, checkout: Path) -> str | None:
+    """Why ``checkout`` cannot be benchmarked as ``side``, or None if it can."""
+    if not (checkout / "bench" / "run.py").is_file():
+        return f"{side} checkout {checkout} has no bench/run.py"
+    if (checkout / "src" / "seqjde" / "__pycache__").exists():
+        return (f"{side} checkout {checkout} has cached bytecode: remove src/seqjde/__pycache__ "
+                "so that setup_s counts compiling seqjde")
+    return None
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}  # each imports its src/
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # so every probe compiles seqjde
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -129,8 +143,8 @@ def main(argv: list[str]) -> int:
         ap.error("--pairs must be at least 1")
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
     for side, checkout in checkouts.items():
-        if not (checkout / "bench" / "run.py").is_file():
-            ap.error(f"{side} checkout {checkout} has no bench/run.py")
+        if reason := refusal(side, checkout):
+            ap.error(reason)
     seeds = [args.seed0 + i for i in range(args.pairs)]
     results = {w: {s: [] for s in SIDES} for w in args.workload}
     for i, seed in enumerate(seeds):
