@@ -104,15 +104,6 @@ _CHANNEL_TYPES = {
 }
 
 
-@functools.cache
-def _kinds(cls, given: tuple[str, ...]) -> dict[str, str]:
-    """Name -> annotated type of each field of record ``cls`` not named in ``given``."""
-    annotations = {}
-    for klass in reversed(cls.__mro__):
-        annotations.update(vars(klass).get("__annotations__", {}))
-    return {name: annotations[name] for name in cls._fields if name not in given}
-
-
 def _read_section(section, cls, where: str, **given):
     """Build record ``cls`` from ``given`` and a JSON object keyed by exactly its other fields.
 
@@ -121,7 +112,7 @@ def _read_section(section, cls, where: str, **given):
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{where} section must be a JSON object, got {quoted(section)}")
-    kinds = _kinds(cls, tuple(given))
+    kinds = {name: kind for name, kind in cls._kinds.items() if name not in given}
     if section.keys() != kinds.keys():
         _require_keys(section, dict.fromkeys(kinds, True), where)
     values = {name: _read_value(section, name, kind, where) for name, kind in kinds.items()}

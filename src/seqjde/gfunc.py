@@ -44,6 +44,9 @@ _GAMMA_RESIDUAL_TOL = 1e-12
 # larger, since G and its rounding grow with the costs.
 _GAMMA_RESIDUAL_MAX = 1e-10
 _GAMMA_RESIDUAL_REL = 1e-13
+# Accepted residual relative to C: the early stop above is absolute, and at C = 1e-12
+# it is C itself, where an accepted threshold's cost missed C by 18%.
+_GAMMA_LEVEL_REL = 1e-6
 # Steps of every search: halvings that take any float bracket down to adjacent
 # floats, since its width shrinks from at most 2**1025 to at least 2**-1074,
 # and doublings that take any positive float past the largest.
@@ -460,7 +463,8 @@ def _bisect(C: float, p: ModelParams, c: CostWeights,
     ``settled(lo, hi)`` is asked before each halving; where it holds, the
     bracket's ``(hi, G(hi))`` is returned instead.  Up to that point the
     bisection solves the same energies, in the same order, as without it.
-    NumericalError: C so small that the target rounds to G's infinite-energy limit.
+    NumericalError: C so small that the target rounds to G's infinite-energy limit,
+    or a full bisection whose residual exceeds a bound that ``solve_gamma`` states.
     """
     target = threshold_target(C, p, c)
     if target <= g_limits(p, c)[1]:  # C is lost in rounding: G is flat there
@@ -496,10 +500,14 @@ def _bisect(C: float, p: ModelParams, c: CostWeights,
     else:
         raise NumericalError(f"threshold bisection did not converge at C={C}")
 
-    if abs(G - target) > max(_GAMMA_RESIDUAL_MAX, _GAMMA_RESIDUAL_REL * scale):
+    miss = abs(G - target)
+    if miss > max(_GAMMA_RESIDUAL_MAX, _GAMMA_RESIDUAL_REL * scale):
         raise NumericalError(
             f"threshold bisection stalled at gamma={gamma} with residual above tolerance"
         )
+    if miss > _GAMMA_LEVEL_REL * C:
+        raise NumericalError(f"threshold not determined: at C={C!r}, gamma={gamma!r} misses "
+                             f"its level by {miss / C:.3g}*C, more than {_GAMMA_LEVEL_REL:g}*C")
     return gamma, G
 
 
@@ -512,9 +520,11 @@ def solve_gamma(C: float, p: ModelParams, c: CostWeights) -> Calibration:
     monotonicity of G guarantees the bracket.  The bisection stops within
     ``1e-12*min(1, C_max)`` of the target, or at adjacent floats, and the
     accepted root satisfies ``|G(gamma) - target| <= max(1e-10, 1e-13*S)``,
-    with S the cost scale ``c0 + c1 + ce*(mu_x^2 + sigma_x^2)``.
-    NumericalError: C so small that the target rounds to G's infinite-energy
-    limit, where no gamma is determined.
+    with S the cost scale ``c0 + c1 + ce*(mu_x^2 + sigma_x^2)``, and
+    ``|G(gamma) - target| <= 1e-6*C``, so its combined cost meets C to a
+    millionth.  NumericalError: C so small that the target rounds to G's
+    infinite-energy limit, or that the bisection stops on a residual above
+    either bound: no gamma is determined.
     """
     rule = stopping_rule(C, p, c)
     if rule.decision is not None:

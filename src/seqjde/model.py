@@ -44,53 +44,36 @@ class Record:
     """A checked input: a frozen record whose fields are its class's annotations.
 
     A subclass's annotations, in order, follow its base's fields, and a class attribute of
-    the same name is a field's default.  ``__init__`` binds its arguments as the signature
-    ``(self, field, ..., field=default)`` would, with the same TypeErrors, and then runs
+    the same name is a field's default.  A class that declares fields gets the ``__init__``
+    of a frozen dataclass, compiled here: it stores every field, then runs
     ``__post_init__``, the subclass's checks.  An instance cannot be changed; it is equal
     only to an instance of its own class with equal fields, and its hash and repr are
     those of a frozen dataclass.  ``_fields`` and ``_replace(**changes)`` are named as on
-    a NamedTuple, and ``_replace`` runs the checks again.
+    a NamedTuple, and ``_replace`` runs the checks again.  ``_kinds`` maps each field to
+    its annotation, a string, since the package postpones annotations.
     """
 
     _fields = ()
-    _names = _required = frozenset()  # the fields, and those without a default
+    _kinds = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        own = tuple(vars(cls).get("__annotations__", ()))
-        cls._fields += own
-        cls._names = frozenset(cls._fields)
-        cls._required |= {name for name in own if name not in vars(cls)}
-
-    def __init__(self, *args, **kwargs):
-        values = dict(zip(self._fields, args), **kwargs) if args else kwargs
-        # fewer values than arguments: a field given twice, or surplus positional arguments
-        if len(values) < len(args) + len(kwargs) or not (
-                self._names >= values.keys() >= self._required):
-            raise self._call_error(args, kwargs)
-        self.__dict__.update(values)  # a default stays the class attribute
-        self.__post_init__()
-
-    def _call_error(self, args: tuple, kwargs: dict) -> TypeError:
-        """The TypeError Python raises for this call of ``(self, field, ..., field=default)``."""
-        fields = self._fields
-        where = f"{type(self).__qualname__}.__init__()"
-        for name in kwargs:
-            if name not in fields:
-                return TypeError(f"{where} got an unexpected keyword argument {name!r}")
-            if fields.index(name) < len(args):
-                return TypeError(f"{where} got multiple values for argument {name!r}")
-        if len(args) > len(fields):  # counted with self, as Python counts them
-            most, least = len(fields) + 1, len(self._required) + 1
-            takes = most if least == most else f"from {least} to {most}"
-            return TypeError(f"{where} takes {takes} positional arguments "
-                             f"but {len(args) + 1} were given")
-        given = {*fields[:len(args)], *kwargs}
-        missing = [repr(name) for name in fields if name in self._required and name not in given]
-        names = " and ".join(missing) if len(missing) < 3 else \
-            f"{', '.join(missing[:-1])}, and {missing[-1]}"
-        return TypeError(f"{where} missing {len(missing)} required positional "
-                         f"argument{'s' if len(missing) > 1 else ''}: {names}")
+        own = vars(cls).get("__annotations__", {})
+        if own:  # a class without fields keeps its base's __init__, as a dataclass does
+            cls._fields += tuple(own)
+            cls._kinds = {**cls._kinds, **own}
+            # the function's globals: its module's name, and each default as _<field>
+            namespace = {"__name__": cls.__module__}
+            namespace.update({f"_{name}": getattr(cls, name) for name in cls._fields
+                              if hasattr(cls, name)})
+            params = ", ".join(f"{name}=_{name}" if f"_{name}" in namespace else name
+                               for name in cls._fields)
+            values = ", ".join(f"{name}={name}" for name in cls._fields)
+            exec(f"def __init__(self, {params}):\n"
+                 f"    self.__dict__.update({values})\n"
+                 "    self.__post_init__()\n", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __post_init__(self):
         pass

@@ -814,10 +814,12 @@ class TestSolveGamma:
             lo, hi = (mid, hi) if g_eval(mid, p, c) > target else (lo, mid)
         assert solve_gamma(C, p, c).gamma == pytest.approx(hi, rel=1e-10)
 
-    def test_smallest_resolved_target_still_calibrates(self):
-        cal = solve_gamma(1e-14, REF_P, REF_C)
-        assert cal.decision is None
-        assert cal.gamma == pytest.approx(4.75e29, rel=1e-2)
+    @pytest.mark.parametrize("C", [1e-12, 1e-14])
+    def test_threshold_that_misses_its_level_is_refused(self, C):
+        # the bisection's early stop, 1e-12 absolute, is of C's size here: the gamma
+        # it accepted left a combined cost 18% off C at 1e-12, and 2.3% off at 1e-14
+        with pytest.raises(NumericalError, match=r"misses its level by .*, more than 1e-06\*C$"):
+            solve_gamma(C, REF_P, REF_C)
 
     def test_ce_zero_pure_detection_threshold(self):
         c = CostWeights(1.0, 1.0, 0.0)
@@ -843,6 +845,16 @@ def test_cost_at_the_threshold_is_C(p, c, frac):
     assert abs(cal.G - gfunc.threshold_target(C, p, c)) <= 1e-10
     assert gfunc.predicted_cost(cal.gamma, p, c) == gfunc.combined_cost(cal.G, p, c)
     assert gfunc.combined_cost(gfunc.threshold_target(C, p, c), p, c) == pytest.approx(C, rel=1e-15)
+
+
+@pytest.mark.parametrize("p, c", MATRIX_CONFIGS)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cost_at_the_threshold_meets_small_levels(p, c, k):
+    # the relative check refuses no level down to 1e-4*C_max: the misses measured there
+    # are at most 1e-8*C
+    C = 10.0**-k * admissible_cost_bound(p, c)
+    cal = solve_gamma(C, p, c)
+    assert gfunc.combined_cost(cal.G, p, c) == pytest.approx(C, rel=1e-6)
 
 
 class TestBracketGamma:

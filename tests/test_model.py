@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import pickle
 import re
@@ -115,8 +116,8 @@ RECORDS = [
 
 def _dataclass_twin(cls):
     """The frozen dataclass with ``cls``'s name, fields and defaults, and no checks."""
-    spec = [(name, object) if name in cls._required
-            else (name, object, dataclasses.field(default=getattr(cls, name)))
+    spec = [(name, object, dataclasses.field(default=getattr(cls, name)))
+            if hasattr(cls, name) else (name, object)
             for name in cls._fields]
     return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
 
@@ -161,7 +162,7 @@ def test_records_behave_as_frozen_dataclasses(cls, kwargs, bad):
 
     # each way to call __init__ wrongly raises the TypeError the dataclass raised
     values = list(kwargs.values())
-    required = [name for name in cls._fields if name in cls._required]
+    required = [name for name in cls._fields if not hasattr(cls, name)]
     calls = [
         ((), {}),  # every required argument missing
         (values[:len(required) - 1], {}),  # the last required one missing
@@ -174,10 +175,24 @@ def test_records_behave_as_frozen_dataclasses(cls, kwargs, bad):
         assert _type_error(cls, *args, **extra) == _type_error(twin, *args, **extra), (args, extra)
 
 
+@pytest.mark.parametrize("cls", [r[0] for r in RECORDS], ids=[r[0].__name__ for r in RECORDS])
+def test_records_have_the_dataclass_signature(cls):
+    # Python binds a record's arguments, so its __init__ has the dataclass twin's parameters
+    def parameters(init):
+        return [(q.name, q.kind, q.default) for q in inspect.signature(init).parameters.values()]
+    assert parameters(cls.__init__) == parameters(_dataclass_twin(cls).__init__)
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+
+
 def test_calibration_defaults():
     assert Calibration(1.5) == Calibration(C=1.5, gamma=None, decision=None, G=None)
     assert Calibration(0.5, decision=Hypothesis.H0).gamma is None
     assert Calibration(1.5)._replace(gamma=2.0, G=-0.5) == Calibration(1.5, 2.0, None, -0.5)
+    # the defaults are stored as given fields are, so they survive a round trip
+    record = Calibration(1.5)
+    assert pickle.loads(pickle.dumps(record)) == record == record._replace()
+    assert hash(record) == hash(Calibration(1.5, None, None, None))
+    assert record._replace(C=0.5) == Calibration(0.5)
     assert _type_error(Calibration) == \
         "Calibration.__init__() missing 1 required positional argument: 'C'"
     assert _type_error(Calibration, 1, 2, None, None, 5) == \

@@ -8,7 +8,7 @@ SRC_DIR is the ``src/`` directory to import ``seqjde`` from (default: this
 checkout's).  Each row of ``rows`` runs whole calls with named functions wrapped,
 and prints each one's self time or call count: the fastest of N batches (default
 100) of K calls (default 20).  Then RUNS fresh interpreters, one at a time, run
-each subcommand.  README's "Layer times" says what each row runs and prints.
+each subcommand.  tools/README.md's "Layer times" says what each row runs and prints.
 """
 
 from __future__ import annotations
