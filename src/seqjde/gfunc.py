@@ -22,7 +22,7 @@ imports SciPy, and the module imports no NumPy: calibration is float math.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import ConfigError, NumericalError, QuadratureNonConvergence
 from .model import (CostWeights, Hypothesis, ModelParams, Record, admissible_cost_bound,
@@ -276,16 +276,22 @@ def g_eval(U: float, p: ModelParams, c: CostWeights) -> float:
     return g_eval_region(U, *boundary(U, p, c)[1:], p, c)
 
 
-def g_eval_region(U: float, V1: float, V2: float, p: ModelParams, c: CostWeights) -> float:
-    """Closed-form value at energy U of G over a given region (-inf,-V1] u [V2,inf).
+class RegionTerms(NamedTuple):
+    """G's terms over a region: its H0 and H1 masses, and ``E1[((V+mu_x*kappa)/A)^2 ; region]``."""
 
-    The integral over the region is assembled from Gaussian tail
-    probabilities and the first two truncated moments of the unit normal,
-    using that V has null law ``N(0, sigma^2 U)`` and marginal alternative
-    law ``N(mu_x U, sigma_x^2 U (U+kappa))``.  Needs a finite U with
-    ``U*(U+kappa) > 0`` and a valid region, ``V1 + V2 >= 0``, since overlapping
-    tails would count twice.  NumericalError: a value that is not finite, e.g.
-    where ``U*(U+kappa)`` overflows.
+    false_alarm: float
+    detection: float
+    shrunk_second_moment: float
+
+
+def region_terms(U: float, V1: float, V2: float, p: ModelParams) -> RegionTerms:
+    """Closed-form terms at energy U of a region (-inf,-V1] u [V2,inf), which G weighs.
+
+    Each is assembled from Gaussian tail probabilities and the first two
+    truncated moments of the unit normal, using that V has null law ``N(0,
+    sigma^2 U)`` and marginal alternative law ``N(mu_x U, sigma_x^2 U
+    (U+kappa))``.  Needs a finite U with ``U*(U+kappa) > 0`` and a valid
+    region, ``V1 + V2 >= 0``, since overlapping tails would count twice.
     """
     A = U + p.kappa
     if not (math.isfinite(U) and U * A > 0.0):
@@ -305,15 +311,24 @@ def g_eval_region(U: float, V1: float, V2: float, p: ModelParams, c: CostWeights
     phi_b = _norm_pdf(b)
     cdf_a = ndtr(a)
     sf_b = ndtr(-b)
-    tail_p = cdf_a + sf_b
+    detection = cdf_a + sf_b
     tail_z = phi_b - phi_a
     tail_z2 = (cdf_a - a * phi_a) + (sf_b + b * phi_b)
 
     # E[((V + mu*kappa)/A)^2 ; region] with V + mu*kappa = mu*A + s1*Z.
     r = s1 / A
-    shrunk_second_moment = mu * mu * tail_p + 2.0 * mu * r * tail_z + r * r * tail_z2
+    shrunk_second_moment = mu * mu * detection + 2.0 * mu * r * tail_z + r * r * tail_z2
+    # tuple.__new__ skips the NamedTuple's generated __new__, ~0.1 us of every G
+    return tuple.__new__(RegionTerms, (false_alarm, detection, shrunk_second_moment))
 
-    G = c.c0 * false_alarm - c.c1 * tail_p - c.ce * shrunk_second_moment
+
+def g_eval_region(U: float, V1: float, V2: float, p: ModelParams, c: CostWeights) -> float:
+    """G at energy U over a region (-inf,-V1] u [V2,inf): ``region_terms`` weighed by the costs.
+
+    NumericalError: a value that is not finite, e.g. where ``U*(U+kappa)`` overflows.
+    """
+    t = region_terms(U, V1, V2, p)
+    G = c.c0 * t.false_alarm - c.c1 * t.detection - c.ce * t.shrunk_second_moment
     _check_finite(U, "G", G)
     return G
 

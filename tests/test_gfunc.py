@@ -857,6 +857,22 @@ def test_cost_at_the_threshold_meets_small_levels(p, c, k):
     assert gfunc.combined_cost(cal.G, p, c) == pytest.approx(C, rel=1e-6)
 
 
+@pytest.mark.parametrize("p, c, r_last", [
+    (ModelParams(0.0, 1.0, 1.0), CostWeights(1.0, 1.0, 1.0), 1.030137),
+    (ModelParams(1.0, 1.0, 1.0), CostWeights(1.0, 0.2, 5.0), 1.091855),
+])
+def test_cost_of_stopping_falls_by_the_small_c_law(p, c, r_last):
+    # the cost of stopping at U, G(U) - G(inf), falls like K*sqrt(ln U/U), with
+    # K = 2*c1*sigma*phi(mu_x/sigma_x)/sigma_x the miss mass of the acceptance
+    # interval under x's prior: their ratio falls to 1 from above, slowly
+    K = 2.0 * c.c1 * p.sigma * NormalDist().pdf(p.mu_x / p.sigma_x) / p.sigma_x
+    G_inf = g_limits(p, c)[1]
+    r = [(g_eval(U, p, c) - G_inf) * math.sqrt(U / math.log(U)) / K
+         for U in (10.0**k for k in range(1, 15))]
+    assert all(a > b > 1.0 for a, b in zip(r, r[1:]))
+    assert r[-1] == pytest.approx(r_last, rel=1e-6)
+
+
 class TestBracketGamma:
     """The threshold bisection, asked before each halving whether its bracket settles."""
 

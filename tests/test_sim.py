@@ -23,7 +23,7 @@ from seqjde import (
 from seqjde.errors import ConfigError, HorizonExhausted
 from seqjde.cli import _REP_BLOCK
 from seqjde.gfunc import (Calibration, boundary, g_eval_region, predicted_cost,
-                           stopping_rule)
+                           region_terms, stopping_rule)
 from seqjde.model import admissible_cost_bound
 from seqjde.sim import (
     _AR1_BLOCK,
@@ -239,7 +239,8 @@ class TestSampleScenario:
     def test_amplitude_prior_moment(self):
         params = ModelParams(0.7, 1.3, 1.0)
         _, cfg = pair(Constant(1.0), params=params, reps=100_000, t_max=2)
-        xs = np.array([sample_scenario(cfg, r)[0] for r in range(cfg.reps)])
+        # the amplitude is drawn before the observations, so an empty prefix gives it
+        xs = np.array([sample_observations(cfg, r, np.empty(0))[0] for r in range(cfg.reps)])
         se = xs.std(ddof=1) / math.sqrt(len(xs))
         assert abs(xs.mean() - 0.7) <= 3 * se
 
@@ -273,16 +274,18 @@ class TestSampleScenario:
             if out.estimate is not None:
                 assert (arms.xhat == out.estimate).all()
 
-        # reference: the engine folding sample_scenario paths gives the same
-        # combined cost within 3 pooled standard errors
+        # reference: the engine folding each replication's full path, sample_scenario's
+        # bits on a gain path drawn once per arm, gives the same combined cost within
+        # 3 pooled standard errors
         cal = solve_gamma(1.5, P, C)
         for channel in (Constant(1.0), IidGaussian(1.0), Rayleigh(1.0), Ar1(0.9, 0.5, 0.5)):
             cfgs = pair(channel, reps=3000, t_max=60)
             rows = []  # each arm's replications, H0 then H1
             for cfg in cfgs:
                 outs, xs = [], []
+                h = gen_channel(cfg.channel, cfg.master_seed, cfg.t_max)
                 for rep in range(cfg.reps):
-                    x, y, h = sample_scenario(cfg, rep)
+                    x, y = sample_observations(cfg, rep, h)
                     outs.append(run_sequential(zip(y.tolist(), h.tolist()), cal, P, C, cfg.t_max))
                     xs.append(x)
                 rows.append(dict(
@@ -562,6 +565,38 @@ def test_cost_report_keeps_the_bits_of_mean_std_and_var(n, decided, exponent, co
     for decision in (arms.decision, separate):
         args = (arms, decision, c, 1.5)
         assert _report_outcome(cost_report, *args) == _report_outcome(_reference_cost_report, *args)
+
+
+# tools/byte_matrix.py's four models and three cost sets
+MATRIX_MODELS = [ModelParams(0.0, 1.0, 1.0), ModelParams(1.0, 1.0, 1.0),
+                 ModelParams(0.5, 0.8, 1.2), ModelParams(-0.3, 1.5, 0.7)]
+MATRIX_COSTS = [CostWeights(1.0, 1.0, 1.0), CostWeights(1.0, 1.0, 0.0), CostWeights(1.0, 0.2, 5.0)]
+
+
+@pytest.mark.parametrize("frac", [0.7, 0.3])
+@pytest.mark.parametrize("c", MATRIX_COSTS, ids=["ce1", "ce0", "ce5"])
+@pytest.mark.parametrize("p", MATRIX_MODELS, ids=["m0", "m1", "m2", "m3"])
+def test_each_cost_term_meets_its_exact_value(p, c, frac):
+    # on one gain path T and U_T are fixed, so each Monte Carlo term has a closed
+    # form in the terms of the region at U_T; the posterior variance on the stop
+    # is sigma^2/A, so E1[(xhat - x)^2; D1] = sigma^2/A * detection, and
+    # E1[x^2; D0] = E1[x^2] - E1[xhat^2; D1] - sigma^2/A * detection
+    cal = stopping_rule(frac * admissible_cost_bound(p, c), p, c)
+    arms = run_arms(pair(Rayleigh(0.8), params=p, costs=c, reps=40_000, seed=7, t_max=5000)[0],
+                    cal)
+    report = cost_report(arms, arms.decision, c, cal.C)
+    t = region_terms(arms.U_T, *boundary(arms.U_T, p, c)[1:], p)
+    mse_d1 = p.sigma**2 / (arms.U_T + p.kappa) * t.detection
+    exact = dict(p0_d1=t.false_alarm, p1_d0=1.0 - t.detection, mse_d1=mse_d1,
+                 mse_d0=p.mu_x**2 + p.sigma_x**2 - t.shrunk_second_moment - mse_d1)
+    for name, value in exact.items():
+        se = getattr(report, f"{name}_se")
+        assert abs(getattr(report, name) - value) <= 4 * se, (name, getattr(report, name), value)
+    # recombined, they are the predicted cost, to rounding at the cost scale
+    combined = (c.c0 * exact["p0_d1"] + c.c1 * exact["p1_d0"]
+                + c.ce * (exact["mse_d1"] + exact["mse_d0"]))
+    scale = c.c0 + c.c1 + c.ce * (p.mu_x**2 + p.sigma_x**2)
+    assert abs(combined - arms.predicted) <= 4 * math.ulp(scale)
 
 
 def _separate(s: SufficientStats, p: ModelParams, c: CostWeights) -> Hypothesis:
